@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from attnexplain.eventlog import extract_prefixes, split
+from attnexplain.eventlog import extract_prefixes, split, unique_prefixes
 from attnexplain.explain import Thresholds, attention_exploration_explain, backward_explain
+from attnexplain.metrics import precision_recall_f1
 from attnexplain.synthlog import (
     deterministic_continuations,
     loop,
@@ -32,22 +33,9 @@ STRUCTURES = {
 
 
 def edge_scores(predicted, truth):
-    tp = len(predicted & truth)
-    fp = len(predicted - truth)
-    fn = len(truth - predicted)
-    prec = tp / (tp + fp) if tp + fp else 0.0
-    rec = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+    prec, rec, f1 = precision_recall_f1(len(predicted & truth), len(predicted - truth),
+                                        len(truth - predicted))
     return {"precision": prec, "recall": rec, "f1": f1}
-
-
-def unique_prefixes(prefixes):
-    seen, out = set(), []
-    for p in prefixes:
-        if p.activities not in seen:
-            seen.add(p.activities)
-            out.append(p)
-    return out
 
 
 def main():

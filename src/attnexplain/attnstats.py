@@ -79,25 +79,17 @@ def cosine_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(1.0 - np.dot(p, q) / (np_norm * nq_norm))
 
 
-def aggregate_event_scores(att: np.ndarray, literal_inner_bound: bool = False) -> np.ndarray:
+def aggregate_event_scores(att: np.ndarray) -> np.ndarray:
     """Per-event total attention scores.
 
     The heads' matrices are summed component-wise and each column j is
     summed: score j is the total attention paid *to* position j across
-    all heads. ``literal_inner_bound`` switches to an alternative reading
-    where row n only sums the first min(n, h) heads; it exists for
-    comparison and is not the default.
+    all heads.
     """
     att = np.asarray(att, dtype=float)
     if att.ndim != 3:
         raise DimensionError(f"expected (h, T, T) tensor, got shape {att.shape}")
-    h, T, _ = att.shape
-    if not literal_inner_bound:
-        return att.sum(axis=0).sum(axis=0)
-    summed = np.zeros(T)
-    for n in range(T):
-        summed += att[: min(n + 1, h)].sum(axis=0)[n]
-    return summed
+    return att.sum(axis=0).sum(axis=0)
 
 
 def activity_score_sums(eta: np.ndarray, activities, pad_id: int) -> dict[int, float]:

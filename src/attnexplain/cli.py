@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import metrics, prestudy, synthlog
@@ -24,10 +24,20 @@ from .errors import (
     EmptyLogError,
     LogParseError,
     SchemaError,
+    SplitError,
     SynthSpecError,
     TrainingDataError,
+    UsageError,
 )
-from .eventlog import EventLog, extract_prefixes, parse_csv, parse_xes, split, write_csv
+from .eventlog import (
+    EventLog,
+    extract_prefixes,
+    parse_csv,
+    parse_xes,
+    split,
+    unique_prefixes,
+    write_csv,
+)
 from .explain import (
     Thresholds,
     attention_exploration_explain,
@@ -44,6 +54,13 @@ EXIT_NUMERIC = 5
 
 _PARSE_ERRORS = (LogParseError, SchemaError, EmptyLogError, SynthSpecError, CheckpointError)
 _NUMERIC_ERRORS = (DivergenceError, TrainingDataError)
+_USAGE_ERRORS = (UsageError, SplitError)
+
+_LOG_KEYS = ("log", "format", "case_col", "activity_col", "time_col",
+             "activity_prefix", "lifecycle")
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
+_THRESHOLD_FIELDS = tuple(f.name for f in fields(Thresholds))
+_THRESHOLD_KEYS = _THRESHOLD_FIELDS + ("n_mods", "subset_cap")
 
 
 def _load_config_file(path) -> dict:
@@ -88,19 +105,31 @@ def _read_log(resolved) -> EventLog:
 
 
 def _model_config(resolved) -> ModelConfig:
-    cfg = ModelConfig()
-    fields = {k: resolved[k] for k in (
-        "d_k", "h", "max_len", "ff_dim", "epochs", "batch_size",
-        "learning_rate", "seed", "attention_mode", "pad_dropout",
-    ) if resolved.get(k) is not None}
-    return replace(cfg, **fields)
+    values = {k: resolved[k] for k in _MODEL_KEYS if resolved.get(k) is not None}
+    try:
+        return replace(ModelConfig(), **values)
+    except ValueError as e:
+        raise UsageError(f"invalid model configuration: {e}") from e
 
 
 def _thresholds(resolved) -> Thresholds:
-    fields = {k: resolved[k] for k in (
-        "delta_sim", "delta_attr", "delta_pred", "delta_edge", "sim_eps",
-    ) if resolved.get(k) is not None}
-    return Thresholds(**fields)
+    return Thresholds(**{k: resolved[k] for k in _THRESHOLD_FIELDS
+                         if resolved.get(k) is not None})
+
+
+def _split(resolved, logobj: EventLog) -> tuple[EventLog, EventLog]:
+    return split(logobj, float(resolved.get("train_frac", 0.7)),
+                 seed=int(resolved.get("seed", 0)))
+
+
+def _test_log(resolved, model) -> EventLog:
+    """The test half of the resolved log; its traces must fit the model."""
+    test_log = _split(resolved, _read_log(resolved))[1]
+    longest, max_len = test_log.stats.max_len, model.config.max_len
+    if longest > max_len:
+        raise CheckpointError(f"test traces reach length {longest}, "
+                              f"beyond the checkpoint's max_len {max_len}")
+    return test_log
 
 
 def _add_log_flags(p):
@@ -134,14 +163,6 @@ def _add_threshold_flags(p):
     p.add_argument("--sim-eps", dest="sim_eps", type=float)
     p.add_argument("--n-mods", dest="n_mods", type=int)
     p.add_argument("--subset-cap", dest="subset_cap", type=int)
-
-
-_LOG_KEYS = ("log", "format", "case_col", "activity_col", "time_col",
-             "activity_prefix", "lifecycle")
-_MODEL_KEYS = ("d_k", "h", "max_len", "ff_dim", "epochs", "batch_size",
-               "learning_rate", "seed", "attention_mode")
-_THRESHOLD_KEYS = ("delta_sim", "delta_attr", "delta_pred", "delta_edge",
-                   "sim_eps", "n_mods", "subset_cap")
 
 
 def cmd_stats(args) -> int:
@@ -182,13 +203,16 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     resolved = _resolve(args, _LOG_KEYS + _MODEL_KEYS + ("train_frac", "out_dir"))
     logobj = _read_log(resolved)
-    train_log, test_log = split(logobj, float(resolved.get("train_frac", 0.7)),
-                                seed=int(resolved.get("seed", 0)))
     config = _model_config(resolved)
+    # Size positions for the whole log, so that every test prefix fits too.
+    config = replace(config, max_len=max(config.max_len, logobj.stats.max_len))
+    train_log, test_log = _split(resolved, logobj)
     model = train(train_log, config)
     out = Path(resolved["out_dir"])
     _write_resolved(out, resolved, "train")
     model.save(out / "checkpoint.npz")
+    # Score the float32 model on disk, not the float64 one in memory.
+    model = TransformerModel.load(out / "checkpoint.npz")
     test_prefixes = extract_prefixes(test_log, min_len=1)
     f1 = weighted_f1(model, test_prefixes)
     report = {"weighted_f1": f1, "n_test_prefixes": len(test_prefixes),
@@ -221,10 +245,7 @@ def cmd_prestudy(args) -> int:
         if not resolved.get("checkpoint"):
             raise CheckpointError("experiment 2 needs --checkpoint of a trained model")
         model = TransformerModel.load(resolved["checkpoint"])
-        logobj = _read_log(resolved)
-        _, test_log = split(logobj, float(resolved.get("train_frac", 0.7)),
-                            seed=int(resolved.get("seed", 0)))
-        prefixes = extract_prefixes(test_log, min_len=1)
+        prefixes = extract_prefixes(_test_log(resolved, model), min_len=1)
         result = prestudy.experiment2(model, prefixes)
         _write_resolved(out, resolved, "prestudy")
         (out / "exp2.csv").write_text(result.to_csv(), encoding="utf-8")
@@ -255,19 +276,8 @@ def _explainer_handle(resolved):
 
 
 def _explain_prefixes(resolved, model) -> list:
-    logobj = _read_log(resolved)
-    _, test_log = split(logobj, float(resolved.get("train_frac", 0.7)),
-                        seed=int(resolved.get("seed", 0)))
-    prefixes = extract_prefixes(test_log, min_len=1)
-    if resolved.get("dedup", True):
-        seen = set()
-        unique = []
-        for p in prefixes:
-            if p.activities not in seen:
-                seen.add(p.activities)
-                unique.append(p)
-        prefixes = unique
-    return prefixes
+    prefixes = extract_prefixes(_test_log(resolved, model), min_len=1)
+    return unique_prefixes(prefixes) if resolved.get("dedup", True) else prefixes
 
 
 def cmd_explain(args) -> int:
@@ -301,11 +311,8 @@ def cmd_evaluate(args) -> int:
                            "sample_frac", "out_dir", "dedup"))
     model = TransformerModel.load(resolved["checkpoint"])
     handle, thresholds = _explainer_handle(resolved)
-    logobj = _read_log(resolved)
-    _, test_log = split(logobj, float(resolved.get("train_frac", 0.7)),
-                        seed=int(resolved.get("seed", 0)))
     report = metrics.evaluate_all(
-        model, handle, test_log,
+        model, handle, _test_log(resolved, model),
         sample_frac=float(resolved.get("sample_frac", 1.0)),
         thresholds=thresholds, seed=int(resolved.get("seed", 0)),
     )
@@ -326,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="root random seed")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
     parser.add_argument("--train-frac", dest="train_frac", type=float)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (1 guarantees determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="print summary statistics for an event log")
@@ -384,7 +389,10 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_NUMERIC
-    except FileNotFoundError as e:
+    except _USAGE_ERRORS as e:
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_USAGE
+    except OSError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_IO
     except KeyError as e:

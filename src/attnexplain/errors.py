@@ -27,6 +27,10 @@ class LogParseError(AttnExplainError):
         self.position = position
 
 
+class UsageError(AttnExplainError):
+    """An option value is invalid or inconsistent with another option."""
+
+
 class SplitError(AttnExplainError):
     """Train/test split cannot be performed (too few traces, bad fraction)."""
 

@@ -49,6 +49,12 @@ class Prefix:
     source_case: str
 
 
+def _prefix_ids(prefix) -> np.ndarray:
+    """Activity ids of a Prefix (anything with ``.activities``) or of an
+    id sequence."""
+    return np.asarray(getattr(prefix, "activities", prefix), dtype=int)
+
+
 @dataclass(frozen=True)
 class LogStats:
     num_cases: int
@@ -300,4 +306,15 @@ def extract_prefixes(logobj: EventLog, min_len: int = 1) -> list[Prefix]:
             out.append(Prefix(activities=acts[:r], target=acts[r], source_case=trace.case_id))
         if n >= min_len:
             out.append(Prefix(activities=acts, target=end_id, source_case=trace.case_id))
+    return out
+
+
+def unique_prefixes(prefixes) -> list[Prefix]:
+    """First occurrence of each distinct activity sequence, in order."""
+    seen = set()
+    out = []
+    for p in prefixes:
+        if p.activities not in seen:
+            seen.add(p.activities)
+            out.append(p)
     return out

@@ -23,11 +23,13 @@ import numpy as np
 
 from .attnstats import (
     activity_score_sums,
+    aggregate_activity_scores,
     aggregate_event_scores,
     cosine_distance,
     max_normalize,
 )
 from .errors import DegenerateInputError
+from .eventlog import _prefix_ids
 
 
 @dataclass(frozen=True)
@@ -73,18 +75,6 @@ EMPTY_GRAPH = ExplanationGraph(frozenset(), frozenset())
 # --------------------------------------------------------- shared machinery
 
 
-def _forward(model, ids):
-    probs, att = model.forward(ids)
-    return np.asarray(probs), np.asarray(att)
-
-
-def _psi(model, ids) -> dict[int, float]:
-    """Max-normalized per-activity attention scores for an id sequence."""
-    _, att = _forward(model, ids)
-    eta = aggregate_event_scores(att)
-    return max_normalize(activity_score_sums(eta, ids, model.pad_id))
-
-
 def random_maskings(length: int, n_mods: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
     """``n_mods`` random position subsets, each non-empty and of size at
     most ceil(length / 2)."""
@@ -110,15 +100,15 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
     modification contributes only when its prediction stays within
     ``delta_sim`` cosine distance of the original.
     """
-    ids = np.asarray(prefix.activities if hasattr(prefix, "activities") else prefix, dtype=int)
-    p_orig, att_orig = _forward(model, ids)
+    ids = _prefix_ids(prefix)
+    p_orig, att_orig = model.forward(ids)
     sums = activity_score_sums(aggregate_event_scores(att_orig), ids, model.pad_id)
     rng = np.random.default_rng(seed)
     for positions in random_maskings(len(ids), n_mods, rng):
         masked = mask_positions(ids, positions, model.pad_id)
         if np.all(masked == model.pad_id):
             continue
-        p_mod, att_mod = _forward(model, masked)
+        p_mod, att_mod = model.forward(masked)
         if cosine_distance(p_mod, p_orig) > thresholds.delta_sim:
             continue
         for aid, value in activity_score_sums(
@@ -170,15 +160,14 @@ def merge_with_pruning(graph: ExplanationGraph, local: ExplanationGraph,
 def backward_local_graph(model, prefix, thresholds: Thresholds, n_mods: int = 20,
                          seed: int = 0) -> ExplanationGraph:
     a_r, _ = relevant_activities(model, prefix, thresholds, n_mods=n_mods, seed=seed)
-    probs, _ = _forward(model, prefix.activities if hasattr(prefix, "activities") else prefix)
+    probs, _ = model.forward(_prefix_ids(prefix))
     p_r = likely_next(probs, thresholds, model.num_activities)
     labels = model.activity_labels
     return bipartite_local_graph({labels[a] for a in a_r}, {labels[a] for a in p_r})
 
 
 def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
-                     n_mods: int = 20, seed: int = 0,
-                     prune: bool = True) -> ExplanationGraph:
+                     n_mods: int = 20, seed: int = 0) -> ExplanationGraph:
     """Fold per-prefix local graphs into one global graph, pruning
     shortcuts through each prefix's last activity after its merge."""
     seeds = np.random.SeedSequence(entropy=seed).generate_state(max(len(prefixes), 1))
@@ -187,16 +176,10 @@ def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
     for prefix, sub_seed in zip(prefixes, seeds):
         local = backward_local_graph(model, prefix, thresholds, n_mods=n_mods,
                                      seed=int(sub_seed))
-        ids = prefix.activities if hasattr(prefix, "activities") else list(prefix)
-        non_pad = [a for a in ids if a != model.pad_id]
+        non_pad = [a for a in _prefix_ids(prefix) if a != model.pad_id]
         if not non_pad:
             continue
-        last = labels[non_pad[-1]]
-        if prune:
-            graph = merge_with_pruning(graph, local, last)
-        else:
-            graph = ExplanationGraph.make(graph.vertices | local.vertices,
-                                          graph.edges | local.edges)
+        graph = merge_with_pruning(graph, local, labels[non_pad[-1]])
     return graph
 
 
@@ -205,8 +188,7 @@ def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
 
 def compute_relevance_score(ids, masked_ids, psi_orig: dict[int, float],
                             psi_masked: dict[int, float], p_orig, p_masked,
-                            p_r: set[int], sim_eps: float, num_activities: int,
-                            literal_cell_index: bool = False) -> np.ndarray:
+                            p_r: set[int], sim_eps: float, num_activities: int) -> np.ndarray:
     """Signed relevance scores for one (prefix, masked prefix) pair.
 
     Rows index the predicted activity, columns the influencing activity.
@@ -215,11 +197,6 @@ def compute_relevance_score(ids, masked_ids, psi_orig: dict[int, float],
     unchanged (within ``sim_eps``). For each non-masked position, the
     score is masked attention times prediction when unchanged, otherwise
     the product of the attention and prediction deltas.
-
-    ``literal_cell_index`` accumulates non-masked scores into the column
-    of the most recent masked activity instead of the non-masked
-    activity's own column; it mirrors an alternative reading of the
-    procedure and is not the default.
     """
     ids = np.asarray(ids, dtype=int)
     masked_ids = np.asarray(masked_ids, dtype=int)
@@ -229,11 +206,9 @@ def compute_relevance_score(ids, masked_ids, psi_orig: dict[int, float],
     masked_at = masked_ids != ids
     for a in p_r:
         similar = abs(p_orig[a] - p_masked[a]) <= sim_eps
-        last_masked = None
         for pos in range(len(ids)):
             if masked_at[pos]:
                 a_m = int(ids[pos])
-                last_masked = a_m
                 s = p_orig[a] * psi_orig.get(a_m, 0.0)
                 if similar:
                     s = -s
@@ -250,10 +225,7 @@ def compute_relevance_score(ids, masked_ids, psi_orig: dict[int, float],
                 s = abs(psi_orig.get(a_n, 0.0) - psi_masked.get(a_n, 0.0)) * abs(
                     p_orig[a] - p_masked[a]
                 )
-            col = last_masked if literal_cell_index else a_n
-            if col is None:
-                continue
-            K[a, col] += s
+            K[a, a_n] += s
     return K
 
 
@@ -276,17 +248,15 @@ def _subsets(positions: tuple[int, ...], cap: int, rng: np.random.Generator):
 
 
 def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
-                              subset_cap: int = 256, seed: int = 0, n_mods: int = 20,
-                              literal_cell_index: bool = False):
+                              subset_cap: int = 256, seed: int = 0, n_mods: int = 20):
     """The per-prefix few/most scenario score matrices K_few, K_most."""
-    ids = np.asarray(prefix.activities if hasattr(prefix, "activities") else prefix, dtype=int)
+    ids = _prefix_ids(prefix)
     nA = model.num_activities
     rng = np.random.default_rng(seed)
     a_r, _ = relevant_activities(model, prefix, thresholds, n_mods=n_mods, seed=seed)
     positions = tuple(i for i, aid in enumerate(ids) if int(aid) in a_r)
-    p_orig, att_orig = _forward(model, ids)
-    psi_orig = max_normalize(activity_score_sums(aggregate_event_scores(att_orig),
-                                                 ids, model.pad_id))
+    p_orig, att_orig = model.forward(ids)
+    psi_orig = aggregate_activity_scores(aggregate_event_scores(att_orig), ids, model.pad_id)
     p_r = likely_next(p_orig, thresholds, nA)
     K_few = np.zeros((nA, nA))
     K_most = np.zeros((nA, nA))
@@ -296,15 +266,15 @@ def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
         if not mask_set:
             return
         masked = mask_positions(ids, mask_set, model.pad_id)
-        p_m, att_m = _forward(model, masked)
+        p_m, att_m = model.forward(masked)
         try:
-            psi_m = max_normalize(activity_score_sums(aggregate_event_scores(att_m),
-                                                      masked, model.pad_id))
+            psi_m = aggregate_activity_scores(aggregate_event_scores(att_m), masked,
+                                              model.pad_id)
         except DegenerateInputError:
             psi_m = {}  # fully masked variant: only masked-activity scores apply
         target += compute_relevance_score(
             ids, masked, psi_orig, psi_m, p_orig, p_m, p_r,
-            thresholds.sim_eps, nA, literal_cell_index=literal_cell_index,
+            thresholds.sim_eps, nA,
         )
 
     for subset in _subsets(positions, subset_cap, rng):
@@ -331,8 +301,8 @@ def row_normalize(matrix: np.ndarray) -> np.ndarray:
 
 
 def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
-                                  subset_cap: int = 256, seed: int = 0, n_mods: int = 20,
-                                  literal_cell_index: bool = False) -> ExplanationGraph:
+                                  subset_cap: int = 256, seed: int = 0,
+                                  n_mods: int = 20) -> ExplanationGraph:
     """Aggregate score matrices across prefixes and read the thresholded,
     OR-combined result as an adjacency matrix."""
     nA = model.num_activities
@@ -341,8 +311,7 @@ def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thre
     seeds = np.random.SeedSequence(entropy=seed).generate_state(max(len(prefixes), 1))
     for prefix, sub_seed in zip(prefixes, seeds):
         kf, km = score_matrices_for_prefix(
-            model, prefix, thresholds, subset_cap=subset_cap, seed=int(sub_seed),
-            n_mods=n_mods, literal_cell_index=literal_cell_index,
+            model, prefix, thresholds, subset_cap=subset_cap, seed=int(sub_seed), n_mods=n_mods,
         )
         K_few += kf
         K_most += km

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attnstats import tvd
-from .eventlog import EventLog, Prefix, extract_prefixes
+from .eventlog import EventLog, Prefix, _prefix_ids, extract_prefixes
 from .explain import ExplanationGraph, Thresholds, likely_next, mask_positions
 
 
@@ -89,6 +89,15 @@ class MetricReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
 
 
+def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 from true-positive, false-positive and
+    false-negative counts; an undefined ratio counts as 0."""
+    prec = tp / (tp + fp) if tp + fp else 0.0
+    rec = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+    return prec, rec, f1
+
+
 def graph_to_rules(graph: ExplanationGraph) -> set[Rule]:
     """One rule per vertex, right-hand side = direct successors."""
     return {Rule(lhs=v, rhs=frozenset(graph.successors(v))) for v in graph.vertices}
@@ -123,7 +132,7 @@ def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
     values = []
     undefined = 0
     for prefix in prefixes:
-        ids = np.asarray(prefix.activities, dtype=int)
+        ids = _prefix_ids(prefix)
         p_orig, _ = model.forward(ids)
         top = int(np.argmax(p_orig))
         if top >= model.num_activities:
@@ -145,18 +154,14 @@ def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
 
 
 def completeness(model, rules: set[Rule], prefixes,
-                 thresholds: Thresholds = Thresholds(),
-                 average: str = "micro"):
+                 thresholds: Thresholds = Thresholds()):
     """(MetricValue for F1, precision, recall) of rule right-hand sides
-    against the model's likely-next sets, accumulated per activity."""
+    against the model's likely-next sets, micro-averaged over prefixes."""
     labels = model.activity_labels
     by_lhs = {r.lhs: r.rhs for r in rules}
-    tp: dict[str, int] = {}
-    fp: dict[str, int] = {}
-    fn: dict[str, int] = {}
-    n = 0
+    tp = fp = fn = n = 0
     for prefix in prefixes:
-        ids = np.asarray(prefix.activities, dtype=int)
+        ids = _prefix_ids(prefix)
         non_pad = [int(a) for a in ids if a != model.pad_id]
         if not non_pad:
             continue
@@ -164,40 +169,18 @@ def completeness(model, rules: set[Rule], prefixes,
         predicted = by_lhs.get(last, frozenset())
         p_orig, _ = model.forward(ids)
         truth = {labels[a] for a in likely_next(p_orig, thresholds, model.num_activities)}
-        for a in predicted & truth:
-            tp[a] = tp.get(a, 0) + 1
-        for a in predicted - truth:
-            fp[a] = fp.get(a, 0) + 1
-        for a in truth - predicted:
-            fn[a] = fn.get(a, 0) + 1
+        tp += len(predicted & truth)
+        fp += len(predicted - truth)
+        fn += len(truth - predicted)
         n += 1
-
-    def prf(tp_n, fp_n, fn_n):
-        prec = tp_n / (tp_n + fp_n) if tp_n + fp_n else 0.0
-        rec = tp_n / (tp_n + fn_n) if tp_n + fn_n else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        return prec, rec, f1
-
-    if average == "micro":
-        prec, rec, f1 = prf(sum(tp.values()), sum(fp.values()), sum(fn.values()))
-    elif average == "macro":
-        classes = set(tp) | set(fp) | set(fn)
-        if classes:
-            per = [prf(tp.get(a, 0), fp.get(a, 0), fn.get(a, 0)) for a in sorted(classes)]
-            prec = float(np.mean([x[0] for x in per]))
-            rec = float(np.mean([x[1] for x in per]))
-            f1 = float(np.mean([x[2] for x in per]))
-        else:
-            prec = rec = f1 = 0.0
-    else:
-        raise ValueError(f"unknown averaging {average!r}")
+    prec, rec, f1 = precision_recall_f1(tp, fp, fn)
     return MetricValue(mean=f1, std=0.0, n=n), prec, rec
 
 
 def _firing_rhs(model, explainer, prefix) -> frozenset[str] | None:
     """Right-hand side of the rule firing for the prefix's last non-PAD
     activity, under an explanation computed on that prefix alone."""
-    ids = np.asarray(prefix.activities if isinstance(prefix, Prefix) else prefix, dtype=int)
+    ids = _prefix_ids(prefix)
     non_pad = [int(a) for a in ids if a != model.pad_id]
     if not non_pad:
         return None
@@ -219,7 +202,7 @@ def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     values = []
     undefined = 0
     for prefix in prefixes:
-        ids = np.asarray(prefix.activities, dtype=int)
+        ids = _prefix_ids(prefix)
         if len(ids) < 2:
             undefined += 1
             continue

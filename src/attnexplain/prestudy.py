@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attnstats import flatten, jsd, tvd
-from .eventlog import EventLog, extract_prefixes, split
+from .eventlog import EventLog, _prefix_ids, extract_prefixes, split
 from .explain import mask_positions
 from .transformer import (
     ATTENTION_FROZEN_UNIFORM,
@@ -109,35 +109,26 @@ def compare_models(baseline: TransformerModel, modified: TransformerModel,
 
 
 def experiment1(logobj: EventLog, repeats: int = 5, config: ModelConfig = ModelConfig(),
-                train_frac: float = 0.7, scope: str = "all_heads",
-                cross_product: bool = False) -> Exp1Result:
+                train_frac: float = 0.7, scope: str = "all_heads") -> Exp1Result:
     """Train ``repeats`` baseline / frozen-uniform model pairs and compare
-    them on the test prefixes. Pairing is by repeat index unless
-    ``cross_product`` is set."""
+    each pair on the test prefixes. ``max_len`` is raised to the longest
+    trace of the whole log, so that every test prefix fits."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    config = replace(config, max_len=max(config.max_len, logobj.stats.max_len))
     root = np.random.SeedSequence(entropy=config.seed)
     split_seed, *model_seeds = [int(s) for s in root.generate_state(repeats + 1)]
     train_log, test_log = split(logobj, train_frac, seed=split_seed)
     test_prefixes = extract_prefixes(test_log, min_len=1)
 
-    baselines, modified = [], []
-    for seed in model_seeds:
-        base_cfg = replace(config, seed=seed, attention_mode=ATTENTION_LEARNED)
-        frozen_cfg = replace(config, seed=seed, attention_mode=ATTENTION_FROZEN_UNIFORM)
-        baselines.append(train(train_log, base_cfg))
-        modified.append(train(train_log, frozen_cfg))
-
-    pairs = (
-        [(i, j) for i in range(repeats) for j in range(repeats)]
-        if cross_product
-        else [(i, i) for i in range(repeats)]
-    )
     points = []
-    for i, j in pairs:
-        mean_jsd, mean_tvd = compare_models(baselines[i], modified[j], test_prefixes, scope)
+    for seed in model_seeds:
+        baseline = train(train_log, replace(config, seed=seed, attention_mode=ATTENTION_LEARNED))
+        frozen = train(train_log, replace(config, seed=seed,
+                                          attention_mode=ATTENTION_FROZEN_UNIFORM))
+        mean_jsd, mean_tvd = compare_models(baseline, frozen, test_prefixes, scope)
         points.append(Exp1Point(
-            baseline_seed=model_seeds[i], modified_seed=model_seeds[j],
+            baseline_seed=seed, modified_seed=seed,
             mean_jsd=mean_jsd, mean_tvd=mean_tvd, n_samples=len(test_prefixes),
         ))
     return Exp1Result(points=tuple(points), scope=scope)
@@ -148,8 +139,7 @@ def experiment2(model: TransformerModel, prefixes, n_bins: int = 20) -> Exp2Resu
     attention-masked prediction."""
     rows = []
     for idx, prefix in enumerate(prefixes):
-        ids = np.asarray(prefix.activities if hasattr(prefix, "activities") else prefix,
-                         dtype=int)
+        ids = _prefix_ids(prefix)
         for pos in range(len(ids)):
             masked_input = mask_positions(ids, [pos], model.pad_id)
             p_m, _ = model.forward(masked_input)

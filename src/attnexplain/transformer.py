@@ -23,7 +23,8 @@ from .errors import (
     DivergenceError,
     TrainingDataError,
 )
-from .eventlog import EventLog, Prefix, extract_prefixes
+from .eventlog import EventLog, Prefix, _prefix_ids, extract_prefixes
+from .metrics import precision_recall_f1
 
 ATTENTION_LEARNED = "learned"
 ATTENTION_FROZEN_UNIFORM = "frozen_uniform"
@@ -323,12 +324,6 @@ class TransformerModel:
         return cls(config, meta["activity_labels"], params=params)
 
 
-def _prefix_ids(prefix) -> np.ndarray:
-    if isinstance(prefix, Prefix):
-        return np.asarray(prefix.activities, dtype=int)
-    return np.asarray(list(prefix), dtype=int)
-
-
 def _layer_norm(x, gamma, beta):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
@@ -449,9 +444,6 @@ def weighted_f1(model: TransformerModel, prefixes) -> float:
         support = int(np.sum(y_true == cls))
         tp = int(np.sum((y_true == cls) & (y_pred == cls)))
         fp = int(np.sum((y_true != cls) & (y_pred == cls)))
-        fn = support - tp
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+        _, _, f1 = precision_recall_f1(tp, fp, support - tp)
         score += support * f1
     return score / total if total else 0.0

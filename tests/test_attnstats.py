@@ -136,16 +136,6 @@ def test_eta_total_is_heads_times_length():
     assert eta.sum() == pytest.approx(4 * 6, abs=1e-9)
 
 
-def test_aggregate_event_scores_literal_variant_differs():
-    rng = np.random.default_rng(5)
-    raw = rng.random((3, 5, 5))
-    att = raw / raw.sum(axis=-1, keepdims=True)
-    default = aggregate_event_scores(att)
-    literal = aggregate_event_scores(att, literal_inner_bound=True)
-    assert default.shape == literal.shape
-    assert not np.allclose(default, literal)
-
-
 def test_activity_score_sums_groups_and_skips_pad():
     eta = np.array([0.4, 0.3, 0.2, 0.1])
     sums = activity_score_sums(eta, [1, 0, 1, 3], pad_id=3)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from attnexplain.cli import main
-from attnexplain.eventlog import build_log, write_csv
+from attnexplain.eventlog import build_log, extract_prefixes, parse_csv, split, write_csv
 from attnexplain.synthlog import sequence, write_spec_file
+from attnexplain.transformer import TransformerModel, weighted_f1
 
 
 @pytest.fixture
@@ -133,27 +134,49 @@ def test_rerun_is_byte_identical(tmp_path, spec_file, log_file, checkpoint):
         assert first == second
 
 
-def test_exit_code_usage_on_missing_option(tmp_path, log_file):
-    # train without --out-dir -> missing key
-    assert main(["train", "--log", str(log_file), *TRAIN_FLAGS]) == 2
+def write_log(path, traces):
+    write_csv(build_log([(f"c{i}", t) for i, t in enumerate(traces)]), path)
+    return path
 
 
-def test_exit_code_io_on_missing_file(tmp_path):
-    assert main(["--out-dir", str(tmp_path / "o"), "stats",
-                 "--log", str(tmp_path / "nope.csv")]) == 3
+OUT = ["--out-dir", "{tmp}/o"]
+LONG_LOG = ["--log", "{tmp}/long.csv", "--checkpoint", "{ckpt}"]
+LONGER_THAN_CHECKPOINT = "length 9, beyond the checkpoint's max_len 8"
+EXIT_CASES = {
+    # case: (argv, exit code, part of the error message); "{log}" is the
+    # synthetic log, "{ckpt}" the max_len-8 checkpoint trained on it and
+    # "{tmp}" the test's scratch directory
+    "missing-out-dir": (["train", "--log", "{log}", *TRAIN_FLAGS], 2, "'out_dir'"),
+    "train-frac-out-of-range": ([*OUT, "--train-frac", "1.5", "train", "--log", "{log}",
+                                 *TRAIN_FLAGS], 2, "train_frac must be in (0, 1)"),
+    "d-k-not-divisible-by-heads": ([*OUT, "train", "--log", "{log}", *TRAIN_FLAGS,
+                                    "--d-k", "7"], 2, "d_k=7 not divisible by h=2"),
+    "missing-log": ([*OUT, "stats", "--log", "{tmp}/nope.csv"], 3, "nope.csv"),
+    "log-is-directory": ([*OUT, "train", "--log", "{tmp}", *TRAIN_FLAGS], 3,
+                         "Is a directory"),
+    "malformed-log": ([*OUT, "stats", "--log", "{tmp}/bad.csv"], 4, "missing columns"),
+    "malformed-config": (["--config", "{tmp}/config.json", *OUT, "stats", "--log", "{log}"],
+                         4, "invalid JSON"),
+    "explain-log-longer-than-checkpoint": (
+        [*OUT, "explain", "--method", "backward", *LONG_LOG], 4, LONGER_THAN_CHECKPOINT),
+    "evaluate-log-longer-than-checkpoint": (
+        [*OUT, "evaluate", "--method", "backward", *LONG_LOG], 4, LONGER_THAN_CHECKPOINT),
+    "exp2-log-longer-than-checkpoint": (
+        [*OUT, "prestudy", "--which", "exp2", *LONG_LOG], 4, LONGER_THAN_CHECKPOINT),
+}
 
 
-def test_exit_code_parse_on_bad_log(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x,y\n1,2\n")
-    assert main(["--out-dir", str(tmp_path / "o"), "stats", "--log", str(bad)]) == 4
-
-
-def test_exit_code_parse_on_bad_config(tmp_path, log_file):
-    config = tmp_path / "config.json"
-    config.write_text("{not json")
-    assert main(["--config", str(config), "--out-dir", str(tmp_path / "o"),
-                 "stats", "--log", str(log_file)]) == 4
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
+    (tmp_path / "bad.csv").write_text("x,y\n1,2\n")
+    (tmp_path / "config.json").write_text("{not json")
+    write_log(tmp_path / "long.csv", [["A", "B", "C"] * 3] * 10)
+    argv, code, message = EXIT_CASES[case]
+    capsys.readouterr()
+    assert main([a.format(log=log_file, ckpt=checkpoint, tmp=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_exit_code_numeric_on_divergence(tmp_path, log_file):
@@ -174,3 +197,23 @@ def test_no_dedup_flag_changes_prefix_count(tmp_path, log_file, checkpoint):
     n1 = json.loads((out1 / "provenance.json").read_text())["n_prefixes"]
     n2 = json.loads((out2 / "provenance.json").read_text())["n_prefixes"]
     assert n1 < n2  # the sequence log repeats the same few variants
+
+
+def test_train_sizes_max_len_from_whole_log(tmp_path):
+    # with split seed 4 the single long trace is held out for testing
+    long_trace = ["A", "B", "C", "B", "C", "B", "C", "D"]
+    log = write_log(tmp_path / "log.csv", [["A", "B", "C"]] * 30 + [long_trace])
+    parsed = parse_csv(log, "case", "activity", "time")
+    assert long_trace in [[parsed.label(a) for a in t.activities]
+                          for t in split(parsed, 0.7, seed=4)[1].traces]
+    out = tmp_path / "train"
+    assert main(["--seed", "4", "--out-dir", str(out), "train", "--log", str(log),
+                 *TRAIN_FLAGS, "--max-len", "4"]) == 0
+    assert TransformerModel.load(out / "checkpoint.npz").config.max_len == len(long_trace)
+
+
+def test_f1_report_scores_the_saved_checkpoint(log_file, checkpoint):
+    report = json.loads((checkpoint.parent / "f1_report.json").read_text())
+    test_log = split(parse_csv(log_file, "case", "activity", "time"), 0.7, seed=1)[1]
+    reloaded = TransformerModel.load(checkpoint)
+    assert report["weighted_f1"] == weighted_f1(reloaded, extract_prefixes(test_log))

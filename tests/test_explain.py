@@ -206,15 +206,6 @@ def test_backward_join_and_prune_example():
     )
 
 
-def test_backward_explain_without_pruning_keeps_union():
-    model, prefixes = fig_style_mock()
-    pruned = backward_explain(model, prefixes, Thresholds(delta_attr=0.5, delta_pred=0.1),
-                              n_mods=0)
-    unpruned = backward_explain(model, prefixes, Thresholds(delta_attr=0.5, delta_pred=0.1),
-                                n_mods=0, prune=False)
-    assert pruned.edges <= unpruned.edges
-
-
 # ------------------------------------------------- relevance score fixture
 
 
@@ -250,19 +241,6 @@ def test_compute_relevance_score_dissimilar_branch():
     expected[0, 1] = 0.2                       # masked B, not similar: +p(A)*psi(B)
     expected[0, 0] = abs(0.5 - 1.0) * abs(0.2 - 0.6)
     np.testing.assert_allclose(K, expected, atol=1e-12)
-
-
-def test_compute_relevance_score_literal_cell_index():
-    ids = np.array([0, 1])
-    masked = np.array([0, 3])
-    K = compute_relevance_score(ids, masked, {0: 0.5, 1: 1.0}, {0: 1.0},
-                                np.array([0.2, 0.7, 0.1, 0.0]),
-                                np.array([0.24, 0.66, 0.10, 0.0]),
-                                p_r={0}, sim_eps=0.05, num_activities=3,
-                                literal_cell_index=True)
-    # the non-masked score lands in the masked activity's column instead
-    assert K[0, 1] == pytest.approx(-0.2 + 0.2)
-    assert K[0, 0] == 0.0
 
 
 def test_row_normalize_magnitudes():

@@ -143,22 +143,6 @@ def test_completeness_crafted_confusion_counts():
     assert value.mean == pytest.approx(2 / 3)
 
 
-def test_completeness_macro_differs_from_micro():
-    model = TableModel(["A", "B"], {
-        (0,): [0.0, 1.0, 0.0],    # truth {B}; rule A -> {}: FN(B)
-        (1,): [1.0, 0.0, 0.0],    # truth {A}; rule B -> {A}: TP(A)
-    })
-    # micro F1 = 2/3; macro = mean of per-class F1 (A: 1, B: 0) = 1/2
-    rules = {Rule("A", frozenset()), Rule("B", frozenset({"A"}))}
-    prefixes = [prefix((0,)), prefix((1,))]
-    micro, _, _ = completeness(model, rules, prefixes, Thresholds(delta_pred=0.5))
-    macro, _, _ = completeness(model, rules, prefixes, Thresholds(delta_pred=0.5),
-                               average="macro")
-    assert micro.mean != macro.mean
-    with pytest.raises(ValueError):
-        completeness(model, rules, prefixes, average="weighted")
-
-
 # ------------------------------------------------------------- correctness
 
 

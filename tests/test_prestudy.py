@@ -51,11 +51,6 @@ def test_experiment1_shapes_and_determinism(abc_log):
         assert pt.n_samples > 0
 
 
-def test_experiment1_cross_product(abc_log):
-    r = experiment1(abc_log, repeats=2, config=SMALL_CONFIG, cross_product=True)
-    assert len(r.points) == 4
-
-
 def test_experiment1_rejects_bad_repeats(abc_log):
     with pytest.raises(ValueError):
         experiment1(abc_log, repeats=0, config=SMALL_CONFIG)
