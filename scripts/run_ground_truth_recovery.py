@@ -16,20 +16,10 @@ import numpy as np
 from attnexplain.eventlog import extract_prefixes, split, unique_prefixes
 from attnexplain.explain import Thresholds, attention_exploration_explain, backward_explain
 from attnexplain.metrics import precision_recall_f1
-from attnexplain.synthlog import (
-    deterministic_continuations,
-    loop,
-    sequence,
-    synth_log,
-    xor,
-)
+from attnexplain.synthlog import deterministic_continuations, synth_log
 from attnexplain.transformer import ModelConfig, train
 
-STRUCTURES = {
-    "sequence": sequence("A", "B", "C", "D", "E"),
-    "xor": xor("A", ["B", "C"], "D"),
-    "loop": loop(["A", "B"], max_iter=3),
-}
+from structures import STRUCTURES
 
 
 def edge_scores(predicted, truth):

@@ -12,14 +12,10 @@ from pathlib import Path
 from attnexplain.explain import Thresholds, attention_exploration_explain, backward_explain
 from attnexplain.eventlog import split
 from attnexplain.metrics import evaluate_all
-from attnexplain.synthlog import loop, sequence, synth_log, xor
+from attnexplain.synthlog import synth_log
 from attnexplain.transformer import ModelConfig, train
 
-STRUCTURES = {
-    "sequence": sequence("A", "B", "C", "D", "E"),
-    "xor": xor("A", ["B", "C"], "D"),
-    "loop": loop(["A", "B"], max_iter=3),
-}
+from structures import STRUCTURES
 
 
 def main():

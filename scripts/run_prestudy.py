@@ -12,14 +12,10 @@ from pathlib import Path
 
 from attnexplain.eventlog import extract_prefixes, split
 from attnexplain.prestudy import experiment1, experiment2
-from attnexplain.synthlog import loop, sequence, synth_log, xor
+from attnexplain.synthlog import synth_log
 from attnexplain.transformer import ModelConfig, train
 
-STRUCTURES = {
-    "sequence": sequence("A", "B", "C", "D", "E"),
-    "xor": xor("A", ["B", "C"], "D"),
-    "loop": loop(["A", "B"], max_iter=3),
-}
+from structures import STRUCTURES
 
 
 def main():

@@ -2,7 +2,6 @@
 prediction on process event logs."""
 
 from .eventlog import (
-    Activity,
     EventLog,
     LogStats,
     Prefix,
@@ -19,17 +18,16 @@ from .explain import (
     Thresholds,
     attention_exploration_explain,
     backward_explain,
-    export_graph,
 )
 from .metrics import MetricReport, Rule, evaluate_all, graph_to_rules
 from .synthlog import SynthSpec, and_split, loop, sequence, synth_log, xor
 from .transformer import ModelConfig, TransformerModel, gradient_check, train
 
 __all__ = [
-    "Activity", "EventLog", "LogStats", "Prefix", "Trace",
+    "EventLog", "LogStats", "Prefix", "Trace",
     "build_log", "extract_prefixes", "parse_csv", "parse_xes", "split", "write_csv",
     "ExplanationGraph", "Thresholds",
-    "attention_exploration_explain", "backward_explain", "export_graph",
+    "attention_exploration_explain", "backward_explain",
     "MetricReport", "Rule", "evaluate_all", "graph_to_rules",
     "SynthSpec", "and_split", "loop", "sequence", "synth_log", "xor",
     "ModelConfig", "TransformerModel", "gradient_check", "train",

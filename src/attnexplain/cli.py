@@ -1,8 +1,8 @@
 """Command-line pipeline: stats, synth, train, prestudy, explain, evaluate.
 
-Every command resolves its configuration from an optional JSON config
-file plus flag overrides, echoes the resolved config into the output
-directory, and writes deterministic artifacts (no timestamps), so a
+Every command runs on its configuration resolved from an optional JSON
+config file plus flag overrides, echoes the resolved config into the
+output directory, and writes deterministic artifacts (no timestamps), so a
 rerun from the resolved config reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 parse/schema, 5 numerical.
@@ -20,13 +20,11 @@ from . import metrics, prestudy, synthlog
 from .errors import (
     AttnExplainError,
     CheckpointError,
-    DivergenceError,
     EmptyLogError,
     LogParseError,
     SchemaError,
     SplitError,
     SynthSpecError,
-    TrainingDataError,
     UsageError,
 )
 from .eventlog import (
@@ -52,32 +50,57 @@ EXIT_IO = 3
 EXIT_PARSE = 4
 EXIT_NUMERIC = 5
 
-_PARSE_ERRORS = (LogParseError, SchemaError, EmptyLogError, SynthSpecError, CheckpointError)
-_NUMERIC_ERRORS = (DivergenceError, TrainingDataError)
-_USAGE_ERRORS = (UsageError, SplitError)
+# Checked in order: the first row whose types match gives the exit code
+# and the prefix of the one-line error message.
+_EXIT_CODES = (
+    ((LogParseError, SchemaError, EmptyLogError, SynthSpecError, CheckpointError), EXIT_PARSE, ""),
+    ((UsageError, SplitError), EXIT_USAGE, ""),
+    (OSError, EXIT_IO, ""),
+    (KeyError, EXIT_USAGE, "missing required option "),
+    (AttnExplainError, EXIT_NUMERIC, ""),
+)
 
-_LOG_KEYS = ("log", "format", "case_col", "activity_col", "time_col",
-             "activity_prefix", "lifecycle")
 _MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
 _THRESHOLD_FIELDS = tuple(f.name for f in fields(Thresholds))
-_THRESHOLD_KEYS = _THRESHOLD_FIELDS + ("n_mods", "subset_cap")
+# Namespace entries that are not options of the command.
+_NOT_OPTIONS = ("config", "command", "func")
 
 
 def _load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            config = json.load(f)
     except json.JSONDecodeError as e:
         raise LogParseError(f"invalid JSON config {path}: {e}", position=f"line {e.lineno}") from e
+    if not isinstance(config, dict):
+        raise LogParseError(f"config {path} is not a JSON object")
+    return config
 
 
-def _resolve(args, keys) -> dict:
-    """File values overridden by explicitly given CLI flags."""
-    resolved = dict(_load_config_file(args.config)) if getattr(args, "config", None) else {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
+def _check_file_value(action, key, value) -> None:
+    """A config-file value must be one its flag could give: of the flag's
+    type (bool for a switch, str if untyped) and among its choices."""
+    kind = action.type or (bool if action.nargs == 0 else str)
+    try:
+        valid = kind(value) == value
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid or (action.choices is not None and value not in action.choices):
+        raise UsageError(f"config value {key}={value!r} is not valid for "
+                         f"{'/'.join(action.option_strings)}")
+
+
+def _resolve(args, parser) -> dict:
+    """Config-file values overridden by the flags given on the command line."""
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+    resolved = _load_config_file(args.config) if args.config else {}
+    # The global flags and the command's own, by destination.
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    actions = {a.dest: a for a in (*parser._actions, *commands[args.command]._actions)}
+    for key, value in resolved.items():
+        if key in options:
+            _check_file_value(actions[key], key, value)
+    resolved.update({k: v for k, v in options.items() if v is not None})
     return resolved
 
 
@@ -91,17 +114,14 @@ def _write_resolved(out_dir: Path, resolved: dict, command: str) -> None:
 
 def _read_log(resolved) -> EventLog:
     path = resolved["log"]
-    fmt = resolved.get("format", "csv")
-    if fmt == "xes":
+    if resolved.get("format", "csv") == "xes":
         return parse_xes(path,
                          activity_prefix=resolved.get("activity_prefix"),
                          lifecycle=resolved.get("lifecycle"))
-    if fmt == "csv":
-        return parse_csv(path,
-                         case_col=resolved.get("case_col", "case"),
-                         activity_col=resolved.get("activity_col", "activity"),
-                         time_col=resolved.get("time_col", "time"))
-    raise SchemaError(f"unknown log format {fmt!r}")
+    return parse_csv(path,
+                     case_col=resolved.get("case_col", "case"),
+                     activity_col=resolved.get("activity_col", "activity"),
+                     time_col=resolved.get("time_col", "time"))
 
 
 def _model_config(resolved) -> ModelConfig:
@@ -123,8 +143,13 @@ def _split(resolved, logobj: EventLog) -> tuple[EventLog, EventLog]:
 
 
 def _test_log(resolved, model) -> EventLog:
-    """The test half of the resolved log; its traces must fit the model."""
-    test_log = _split(resolved, _read_log(resolved))[1]
+    """The test half of the resolved log; its vocabulary must be the
+    model's and its traces must fit the model."""
+    logobj = _read_log(resolved)
+    if logobj.activity_labels != model.activity_labels:
+        raise CheckpointError(f"log activities {logobj.activity_labels} differ from "
+                              f"the checkpoint's {model.activity_labels}")
+    test_log = _split(resolved, logobj)[1]
     longest, max_len = test_log.stats.max_len, model.config.max_len
     if longest > max_len:
         raise CheckpointError(f"test traces reach length {longest}, "
@@ -165,8 +190,7 @@ def _add_threshold_flags(p):
     p.add_argument("--subset-cap", dest="subset_cap", type=int)
 
 
-def cmd_stats(args) -> int:
-    resolved = _resolve(args, _LOG_KEYS + ("out_dir",))
+def cmd_stats(resolved) -> int:
     logobj = _read_log(resolved)
     s = logobj.stats
     table = (
@@ -186,12 +210,11 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    resolved = _resolve(args, ("spec", "n_traces", "seed", "out_dir"))
+def cmd_synth(resolved) -> int:
+    out = Path(resolved["out_dir"])
     spec = synthlog.parse_spec_file(resolved["spec"])
     logobj, truth = synthlog.synth_log(spec, int(resolved.get("n_traces", 1000)),
                                        int(resolved.get("seed", 0)))
-    out = Path(resolved["out_dir"])
     _write_resolved(out, resolved, "synth")
     write_csv(logobj, out / "log.csv")
     (out / "ground_truth_edges.json").write_text(
@@ -200,20 +223,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    resolved = _resolve(args, _LOG_KEYS + _MODEL_KEYS + ("train_frac", "out_dir"))
-    logobj = _read_log(resolved)
+def cmd_train(resolved) -> int:
+    out = Path(resolved["out_dir"])
     config = _model_config(resolved)
+    logobj = _read_log(resolved)
     # Size positions for the whole log, so that every test prefix fits too.
     config = replace(config, max_len=max(config.max_len, logobj.stats.max_len))
     train_log, test_log = _split(resolved, logobj)
     model = train(train_log, config)
-    out = Path(resolved["out_dir"])
     _write_resolved(out, resolved, "train")
     model.save(out / "checkpoint.npz")
     # Score the float32 model on disk, not the float64 one in memory.
     model = TransformerModel.load(out / "checkpoint.npz")
-    test_prefixes = extract_prefixes(test_log, min_len=1)
+    test_prefixes = extract_prefixes(test_log)
     f1 = weighted_f1(model, test_prefixes)
     report = {"weighted_f1": f1, "n_test_prefixes": len(test_prefixes),
               "n_train_traces": len(train_log.traces), "n_test_traces": len(test_log.traces)}
@@ -223,12 +245,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_prestudy(args) -> int:
-    resolved = _resolve(args, _LOG_KEYS + _MODEL_KEYS
-                        + ("which", "repeats", "train_frac", "checkpoint", "out_dir", "scope"))
+def cmd_prestudy(resolved) -> int:
     out = Path(resolved["out_dir"])
-    which = resolved["which"]
-    if which == "exp1":
+    if resolved["which"] == "exp1":
         logobj = _read_log(resolved)
         result = prestudy.experiment1(
             logobj,
@@ -241,53 +260,46 @@ def cmd_prestudy(args) -> int:
         (out / "exp1.csv").write_text(result.to_csv(), encoding="utf-8")
         (out / "exp1.json").write_text(result.to_json(), encoding="utf-8")
         sys.stdout.write(f"wrote {len(result.points)} comparison points\n")
-    elif which == "exp2":
+    else:
         if not resolved.get("checkpoint"):
             raise CheckpointError("experiment 2 needs --checkpoint of a trained model")
         model = TransformerModel.load(resolved["checkpoint"])
-        prefixes = extract_prefixes(_test_log(resolved, model), min_len=1)
+        prefixes = extract_prefixes(_test_log(resolved, model))
         result = prestudy.experiment2(model, prefixes)
         _write_resolved(out, resolved, "prestudy")
         (out / "exp2.csv").write_text(result.to_csv(), encoding="utf-8")
         (out / "exp2.json").write_text(result.to_json(), encoding="utf-8")
         sys.stdout.write(f"wrote {len(result.tvd_values)} TVD values\n")
-    else:
-        raise SchemaError(f"unknown experiment {which!r}")
     return 0
 
 
 def _explainer_handle(resolved):
-    method = resolved["method"]
     thresholds = _thresholds(resolved)
     n_mods = int(resolved.get("n_mods", 20))
     subset_cap = int(resolved.get("subset_cap", 256))
     seed = int(resolved.get("seed", 0))
-    if method == "backward":
+    if resolved["method"] == "backward":
         def handle(model, prefixes):
             return backward_explain(model, prefixes, thresholds, n_mods=n_mods, seed=seed)
-    elif method == "attention-exploration":
+    else:
         def handle(model, prefixes):
             return attention_exploration_explain(model, prefixes, thresholds,
                                                  subset_cap=subset_cap, seed=seed,
                                                  n_mods=n_mods)
-    else:
-        raise SchemaError(f"unknown explainer method {method!r}")
     return handle, thresholds
 
 
 def _explain_prefixes(resolved, model) -> list:
-    prefixes = extract_prefixes(_test_log(resolved, model), min_len=1)
+    prefixes = extract_prefixes(_test_log(resolved, model))
     return unique_prefixes(prefixes) if resolved.get("dedup", True) else prefixes
 
 
-def cmd_explain(args) -> int:
-    resolved = _resolve(args, _LOG_KEYS + _THRESHOLD_KEYS
-                        + ("method", "checkpoint", "train_frac", "seed", "out_dir", "dedup"))
+def cmd_explain(resolved) -> int:
+    out = Path(resolved["out_dir"])
     model = TransformerModel.load(resolved["checkpoint"])
     handle, thresholds = _explainer_handle(resolved)
     prefixes = _explain_prefixes(resolved, model)
     graph = handle(model, prefixes)
-    out = Path(resolved["out_dir"])
     _write_resolved(out, resolved, "explain")
     (out / "graph.dot").write_text(to_dot(graph), encoding="utf-8")
     (out / "graph.json").write_text(to_json(graph), encoding="utf-8")
@@ -305,10 +317,8 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    resolved = _resolve(args, _LOG_KEYS + _THRESHOLD_KEYS
-                        + ("method", "checkpoint", "train_frac", "seed",
-                           "sample_frac", "out_dir", "dedup"))
+def cmd_evaluate(resolved) -> int:
+    out = Path(resolved["out_dir"])
     model = TransformerModel.load(resolved["checkpoint"])
     handle, thresholds = _explainer_handle(resolved)
     report = metrics.evaluate_all(
@@ -316,7 +326,6 @@ def cmd_evaluate(args) -> int:
         sample_frac=float(resolved.get("sample_frac", 1.0)),
         thresholds=thresholds, seed=int(resolved.get("seed", 0)),
     )
-    out = Path(resolved["out_dir"])
     _write_resolved(out, resolved, "evaluate")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_table(), encoding="utf-8")
@@ -382,25 +391,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except _PARSE_ERRORS as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_PARSE
-    except _NUMERIC_ERRORS as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_NUMERIC
-    except _USAGE_ERRORS as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_USAGE
-    except OSError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_IO
-    except KeyError as e:
-        sys.stderr.write(f"error: missing required option {e}\n")
-        return EXIT_USAGE
-    except AttnExplainError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_NUMERIC
+        return args.func(_resolve(args, parser))
+    except (AttnExplainError, OSError, KeyError) as e:
+        code, prefix = next((code, prefix) for types, code, prefix in _EXIT_CODES
+                            if isinstance(e, types))
+        sys.stderr.write(f"error: {prefix}{e}\n")
+        return code
 
 
 if __name__ == "__main__":

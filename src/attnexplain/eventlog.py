@@ -1,10 +1,10 @@
 """Event-log ingestion, statistics, splitting, and prefix extraction.
 
 A log stores traces as sequences of small integer activity ids. The
-vocabulary lists the business activities in first-appearance order and
-always ends with two reserved symbols: PAD (``_``, the masking symbol)
-and END (``<END>``, the end-of-trace prediction target). PAD never
-appears inside a trace; END is only ever a prefix target.
+vocabulary is a tuple of labels, indexed by id: the business activities
+in first-appearance order, then two reserved symbols: PAD (``_``, the
+masking symbol) and END (``<END>``, the end-of-trace prediction target).
+PAD never appears inside a trace; END is only ever a prefix target.
 """
 
 from __future__ import annotations
@@ -31,12 +31,6 @@ END_LABEL = "<END>"
 
 
 @dataclass(frozen=True)
-class Activity:
-    id: int
-    label: str
-
-
-@dataclass(frozen=True)
 class Trace:
     case_id: str
     activities: tuple[int, ...]
@@ -55,6 +49,14 @@ def _prefix_ids(prefix) -> np.ndarray:
     return np.asarray(getattr(prefix, "activities", prefix), dtype=int)
 
 
+def _last_activity(prefix, pad_id: int) -> int | None:
+    """The last non-PAD activity id of a prefix, or None if it is all PAD."""
+    for aid in reversed(_prefix_ids(prefix).tolist()):
+        if aid != pad_id:
+            return aid
+    return None
+
+
 @dataclass(frozen=True)
 class LogStats:
     num_cases: int
@@ -68,15 +70,14 @@ class LogStats:
 class EventLog:
     """Immutable collection of traces over a closed activity vocabulary."""
 
-    def __init__(self, traces: Sequence[Trace], vocabulary: Sequence[Activity]):
+    def __init__(self, traces: Sequence[Trace], vocabulary: Sequence[str]):
         self.traces: tuple[Trace, ...] = tuple(traces)
-        self.vocabulary: tuple[Activity, ...] = tuple(vocabulary)
-        labels = [a.label for a in self.vocabulary]
-        if len(set(labels)) != len(labels):
+        self.vocabulary: tuple[str, ...] = tuple(vocabulary)
+        if len(set(self.vocabulary)) != len(self.vocabulary):
             raise SchemaError("duplicate activity labels in vocabulary")
-        if labels[-2:] != [PAD_LABEL, END_LABEL]:
+        if self.vocabulary[-2:] != (PAD_LABEL, END_LABEL):
             raise SchemaError("vocabulary must end with PAD and END symbols")
-        self._label_to_id = {a.label: a.id for a in self.vocabulary}
+        self._label_to_id = {label: i for i, label in enumerate(self.vocabulary)}
 
     @property
     def num_activities(self) -> int:
@@ -94,10 +95,10 @@ class EventLog:
     @property
     def activity_labels(self) -> list[str]:
         """Business activity labels, indexed by activity id."""
-        return [a.label for a in self.vocabulary[: self.num_activities]]
+        return list(self.vocabulary[: self.num_activities])
 
     def label(self, activity_id: int) -> str:
-        return self.vocabulary[activity_id].label
+        return self.vocabulary[activity_id]
 
     def id_of(self, label: str) -> int:
         return self._label_to_id[label]
@@ -152,11 +153,7 @@ def build_log(label_traces: Iterable[tuple[str, Sequence[str]]]) -> EventLog:
             traces.append(Trace(case_id=case_id, activities=tuple(ids)))
     if not traces:
         raise EmptyLogError("log contains no non-empty traces")
-    vocab = [Activity(i, lab) for lab, i in label_to_id.items()]
-    n = len(vocab)
-    vocab.append(Activity(n, PAD_LABEL))
-    vocab.append(Activity(n + 1, END_LABEL))
-    return EventLog(traces, vocab)
+    return EventLog(traces, [*label_to_id, PAD_LABEL, END_LABEL])
 
 
 def parse_csv(path, case_col: str, activity_col: str, time_col: str | None = None) -> EventLog:
@@ -198,15 +195,16 @@ def parse_csv(path, case_col: str, activity_col: str, time_col: str | None = Non
     return build_log(label_traces)
 
 
-def write_csv(logobj: EventLog, path, case_col="case", activity_col="activity", time_col="time") -> None:
-    """Serialize a log so that ``parse_csv`` round-trips it exactly.
+def write_csv(logobj: EventLog, path) -> None:
+    """Serialize a log so that ``parse_csv`` with columns ``case``,
+    ``activity`` and ``time`` round-trips it exactly.
 
     Synthetic integer timestamps preserve within-case event order; cases
     are written in trace order.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow([case_col, activity_col, time_col])
+        writer.writerow(["case", "activity", "time"])
         for trace in logobj.traces:
             for pos, aid in enumerate(trace.activities):
                 writer.writerow([trace.case_id, logobj.label(aid), pos])
@@ -290,21 +288,18 @@ def split(logobj: EventLog, train_frac: float, seed: int) -> tuple[EventLog, Eve
     return train, test
 
 
-def extract_prefixes(logobj: EventLog, min_len: int = 1) -> list[Prefix]:
-    """All prefixes with length >= min_len, next-activity targets, plus the
-    full-length prefix targeting END. Deterministic order: trace order,
-    then length ascending.
+def extract_prefixes(logobj: EventLog) -> list[Prefix]:
+    """All prefixes with next-activity targets, plus the full-length
+    prefix targeting END. Deterministic order: trace order, then length
+    ascending.
     """
-    if min_len < 1:
-        raise ValueError(f"min_len must be >= 1, got {min_len}")
     out = []
     end_id = logobj.end_id
     for trace in logobj.traces:
         acts = trace.activities
-        n = len(acts)
-        for r in range(min_len, n):
+        for r in range(1, len(acts)):
             out.append(Prefix(activities=acts[:r], target=acts[r], source_case=trace.case_id))
-        if n >= min_len:
+        if acts:
             out.append(Prefix(activities=acts, target=end_id, source_case=trace.case_id))
     return out
 

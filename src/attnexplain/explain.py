@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .attnstats import (
     max_normalize,
 )
 from .errors import DegenerateInputError
-from .eventlog import _prefix_ids
+from .eventlog import _last_activity, _prefix_ids
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,10 @@ def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
     for prefix, sub_seed in zip(prefixes, seeds):
         local = backward_local_graph(model, prefix, thresholds, n_mods=n_mods,
                                      seed=int(sub_seed))
-        non_pad = [a for a in _prefix_ids(prefix) if a != model.pad_id]
-        if not non_pad:
+        last = _last_activity(prefix, model.pad_id)
+        if last is None:
             continue
-        graph = merge_with_pruning(graph, local, labels[non_pad[-1]])
+        graph = merge_with_pruning(graph, local, labels[last])
     return graph
 
 
@@ -351,15 +351,3 @@ def to_json(graph: ExplanationGraph) -> str:
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-
-def from_json(text: str) -> ExplanationGraph:
-    payload = json.loads(text)
-    return ExplanationGraph.make(payload["vertices"], [tuple(e) for e in payload["edges"]])
-
-
-def export_graph(graph: ExplanationGraph, fmt: str) -> str:
-    if fmt == "dot":
-        return to_dot(graph)
-    if fmt == "json":
-        return to_json(graph)
-    raise ValueError(f"unknown graph format {fmt!r}")

@@ -14,12 +14,12 @@ excluded; a metric with no defined values reports None.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .attnstats import tvd
-from .eventlog import EventLog, Prefix, _prefix_ids, extract_prefixes
+from .eventlog import EventLog, Prefix, _last_activity, _prefix_ids, extract_prefixes
 from .explain import ExplanationGraph, Thresholds, likely_next, mask_positions
 
 
@@ -37,7 +37,7 @@ class MetricValue:
     undefined: int = 0
 
     def as_dict(self):
-        return {"mean": self.mean, "std": self.std, "n": self.n, "undefined": self.undefined}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,11 @@ def completeness(model, rules: set[Rule], prefixes,
     by_lhs = {r.lhs: r.rhs for r in rules}
     tp = fp = fn = n = 0
     for prefix in prefixes:
-        ids = _prefix_ids(prefix)
-        non_pad = [int(a) for a in ids if a != model.pad_id]
-        if not non_pad:
+        last = _last_activity(prefix, model.pad_id)
+        if last is None:
             continue
-        last = labels[non_pad[-1]]
-        predicted = by_lhs.get(last, frozenset())
-        p_orig, _ = model.forward(ids)
+        predicted = by_lhs.get(labels[last], frozenset())
+        p_orig, _ = model.forward(prefix)
         truth = {labels[a] for a in likely_next(p_orig, thresholds, model.num_activities)}
         tp += len(predicted & truth)
         fp += len(predicted - truth)
@@ -180,13 +178,12 @@ def completeness(model, rules: set[Rule], prefixes,
 def _firing_rhs(model, explainer, prefix) -> frozenset[str] | None:
     """Right-hand side of the rule firing for the prefix's last non-PAD
     activity, under an explanation computed on that prefix alone."""
-    ids = _prefix_ids(prefix)
-    non_pad = [int(a) for a in ids if a != model.pad_id]
-    if not non_pad:
+    last = _last_activity(prefix, model.pad_id)
+    if last is None:
         return None
-    last = model.activity_labels[non_pad[-1]]
+    label = model.activity_labels[last]
     graph = explainer(model, [prefix])
-    return frozenset(graph.successors(last)) if last in graph.vertices else frozenset()
+    return frozenset(graph.successors(label)) if label in graph.vertices else frozenset()
 
 
 def _jaccard(a: frozenset, b: frozenset) -> float:
@@ -220,10 +217,12 @@ def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     return _summary(values, undefined)
 
 
-def contrastivity(model, explainer, prefixes, seed: int = 0,
-                  max_pairs: int = 1000) -> MetricValue:
-    """1 - Jaccard similarity over sampled prefix pairs with different
-    last activities."""
+_MAX_PAIRS = 1000
+
+
+def contrastivity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
+    """1 - Jaccard similarity over prefix pairs with different last
+    activities, at most ``_MAX_PAIRS`` of them sampled."""
     lasts = [int(np.asarray(p.activities)[-1]) for p in prefixes]
     pairs = [
         (i, j)
@@ -234,8 +233,8 @@ def contrastivity(model, explainer, prefixes, seed: int = 0,
     if not pairs:
         return MetricValue(mean=None, std=None, n=0, undefined=len(prefixes))
     rng = np.random.default_rng(seed)
-    if len(pairs) > max_pairs:
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
+    if len(pairs) > _MAX_PAIRS:
+        idx = rng.choice(len(pairs), size=_MAX_PAIRS, replace=False)
         pairs = [pairs[i] for i in sorted(idx.tolist())]
     rhs_cache: dict[int, frozenset | None] = {}
 
@@ -256,7 +255,7 @@ def contrastivity(model, explainer, prefixes, seed: int = 0,
 
 
 def sample_prefixes(logobj: EventLog, sample_frac: float, seed: int) -> list[Prefix]:
-    prefixes = extract_prefixes(logobj, min_len=1)
+    prefixes = extract_prefixes(logobj)
     if sample_frac >= 1.0:
         return prefixes
     rng = np.random.default_rng(seed)

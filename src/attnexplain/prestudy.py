@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -55,11 +55,7 @@ class Exp1Result:
     def to_json(self) -> str:
         payload = {
             "scope": self.scope,
-            "points": [
-                {"baseline_seed": pt.baseline_seed, "modified_seed": pt.modified_seed,
-                 "mean_jsd": pt.mean_jsd, "mean_tvd": pt.mean_tvd, "n_samples": pt.n_samples}
-                for pt in self.points
-            ],
+            "points": [asdict(pt) for pt in self.points],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -119,7 +115,7 @@ def experiment1(logobj: EventLog, repeats: int = 5, config: ModelConfig = ModelC
     root = np.random.SeedSequence(entropy=config.seed)
     split_seed, *model_seeds = [int(s) for s in root.generate_state(repeats + 1)]
     train_log, test_log = split(logobj, train_frac, seed=split_seed)
-    test_prefixes = extract_prefixes(test_log, min_len=1)
+    test_prefixes = extract_prefixes(test_log)
 
     points = []
     for seed in model_seeds:
@@ -134,9 +130,13 @@ def experiment1(logobj: EventLog, repeats: int = 5, config: ModelConfig = ModelC
     return Exp1Result(points=tuple(points), scope=scope)
 
 
-def experiment2(model: TransformerModel, prefixes, n_bins: int = 20) -> Exp2Result:
+_N_BINS = 20
+
+
+def experiment2(model: TransformerModel, prefixes) -> Exp2Result:
     """Per prefix and position, TVD between the input-masked and the
-    attention-masked prediction."""
+    attention-masked prediction, histogrammed in ``_N_BINS`` bins over
+    [0, 1]."""
     rows = []
     for idx, prefix in enumerate(prefixes):
         ids = _prefix_ids(prefix)
@@ -146,7 +146,7 @@ def experiment2(model: TransformerModel, prefixes, n_bins: int = 20) -> Exp2Resu
             p_am, _ = model.forward(ids, masked_positions={pos})
             rows.append((idx, pos, tvd(p_m, p_am)))
     values = [v for _, _, v in rows]
-    hist, edges = np.histogram(values, bins=n_bins, range=(0.0, 1.0))
+    hist, edges = np.histogram(values, bins=_N_BINS, range=(0.0, 1.0))
     return Exp2Result(
         tvd_values=tuple(values),
         rows=tuple(rows),

@@ -52,6 +52,11 @@ class ModelConfig:
             raise ValueError(f"d_k={self.d_k} not divisible by h={self.h}")
         if self.attention_mode not in (ATTENTION_LEARNED, ATTENTION_FROZEN_UNIFORM):
             raise ValueError(f"unknown attention_mode {self.attention_mode!r}")
+        for name in ("d_k", "ff_dim", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
@@ -87,29 +92,21 @@ class TransformerModel:
     # ---------------------------------------------------------------- setup
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        d, h, ff = self.config.d_k, self.config.h, self.config.ff_dim
-        dh = d // h
-        C, V = self.num_classes, self.vocab_size
-
-        def glorot(*shape):
-            limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
-            return rng.uniform(-limit, limit, size=shape)
-
-        params = {
-            "embed": rng.normal(0.0, 0.1, size=(V, d)),
-            "Wq": glorot(h, d, dh),
-            "Wk": glorot(h, d, dh),
-            "Wv": glorot(h, d, dh),
-            "Wo": glorot(d, d),
-            "ln1_g": np.ones(d), "ln1_b": np.zeros(d),
-            "W1": glorot(d, ff), "b1": np.zeros(ff),
-            "W2": glorot(ff, d), "b2": np.zeros(d),
-            "ln2_g": np.ones(d), "ln2_b": np.zeros(d),
-            "Wout": glorot(d, C), "bout": np.zeros(C),
-        }
-        if self.config.attention_mode == ATTENTION_FROZEN_UNIFORM:
-            params["Wq"] = np.zeros_like(params["Wq"])
-            params["Wk"] = np.zeros_like(params["Wk"])
+        """Embedding ~ normal(0, 0.1), weight matrices Glorot-uniform, layer
+        norm gains one, biases zero; drawn in ``expected_shapes`` order."""
+        params = {}
+        for name, shape in self.expected_shapes().items():
+            if name == "embed":
+                params[name] = rng.normal(0.0, 0.1, size=shape)
+            elif name.startswith("W"):
+                limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+                params[name] = rng.uniform(-limit, limit, size=shape)
+            elif name.endswith("_g"):
+                params[name] = np.ones(shape)
+            else:
+                params[name] = np.zeros(shape)
+        for name in self.frozen_param_names():
+            params[name] = np.zeros_like(params[name])
         return params
 
     def expected_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -319,7 +316,10 @@ class TransformerModel:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta.get("format_version") != 1:
             raise CheckpointError(f"unsupported checkpoint version {meta.get('format_version')}")
-        config = ModelConfig(**meta["config"])
+        try:
+            config = ModelConfig(**meta["config"])
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"invalid model configuration in {path}: {e}") from e
         params = {name: data[name].astype(float) for name in data.files if name != "__meta__"}
         return cls(config, meta["activity_labels"], params=params)
 
@@ -349,9 +349,9 @@ def _layer_norm_backward(dy, cache, gamma):
 
 
 def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
-    """Train on all prefixes (min length 1) of the log; deterministic per
-    config seed. Raises DivergenceError on a non-finite loss."""
-    prefixes = extract_prefixes(logobj, min_len=1)
+    """Train on all prefixes of the log; deterministic per config seed.
+    Raises DivergenceError on a non-finite loss."""
+    prefixes = extract_prefixes(logobj)
     if not prefixes:
         raise TrainingDataError("no prefixes extractable from the log")
     too_long = max(len(p.activities) for p in prefixes)

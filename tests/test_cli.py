@@ -142,6 +142,7 @@ def write_log(path, traces):
 OUT = ["--out-dir", "{tmp}/o"]
 LONG_LOG = ["--log", "{tmp}/long.csv", "--checkpoint", "{ckpt}"]
 LONGER_THAN_CHECKPOINT = "length 9, beyond the checkpoint's max_len 8"
+TRAIN = [*OUT, "train", "--log", "{log}", *TRAIN_FLAGS]
 EXIT_CASES = {
     # case: (argv, exit code, part of the error message); "{log}" is the
     # synthetic log, "{ckpt}" the max_len-8 checkpoint trained on it and
@@ -163,6 +164,24 @@ EXIT_CASES = {
         [*OUT, "evaluate", "--method", "backward", *LONG_LOG], 4, LONGER_THAN_CHECKPOINT),
     "exp2-log-longer-than-checkpoint": (
         [*OUT, "prestudy", "--which", "exp2", *LONG_LOG], 4, LONGER_THAN_CHECKPOINT),
+    "log-vocabulary-differs-from-checkpoint": (
+        [*OUT, "explain", "--method", "backward", "--log", "{tmp}/cba.csv",
+         "--checkpoint", "{ckpt}"], 4,
+        "log activities ['C', 'B', 'A'] differ from the checkpoint's ['A', 'B', 'C']"),
+    "batch-size-zero": ([*TRAIN, "--batch-size", "0"], 2, "batch_size must be >= 1"),
+    "epochs-negative": ([*TRAIN, "--epochs", "-1"], 2, "epochs must be >= 1"),
+    "ff-dim-zero": ([*TRAIN, "--ff-dim", "0"], 2, "ff_dim must be >= 1"),
+    "learning-rate-zero": ([*TRAIN, "--learning-rate", "0"], 2, "learning_rate must be > 0"),
+    "learning-rate-negative": ([*TRAIN, "--learning-rate", "-0.01"], 2,
+                               "learning_rate must be > 0"),
+    "config-not-an-object": (["--config", "{tmp}/list.json", *OUT, "stats", "--log", "{log}"],
+                             4, "is not a JSON object"),
+    "config-value-outside-choices": (
+        ["--config", "{tmp}/scope.json", *OUT, "prestudy", "--which", "exp1", "--log", "{log}"],
+        2, "scope='bogus'"),
+    "config-value-of-wrong-type": (
+        ["--config", "{tmp}/n_mods.json", *OUT, "explain", "--method", "backward",
+         "--log", "{log}", "--checkpoint", "{ckpt}"], 2, "n_mods='x'"),
 }
 
 
@@ -170,13 +189,24 @@ EXIT_CASES = {
 def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
     (tmp_path / "bad.csv").write_text("x,y\n1,2\n")
     (tmp_path / "config.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "scope.json").write_text('{"scope": "bogus"}')
+    (tmp_path / "n_mods.json").write_text('{"n_mods": "x"}')
     write_log(tmp_path / "long.csv", [["A", "B", "C"] * 3] * 10)
+    write_log(tmp_path / "cba.csv", [["C", "B", "A"]] * 10)
     argv, code, message = EXIT_CASES[case]
     capsys.readouterr()
     assert main([a.format(log=log_file, ckpt=checkpoint, tmp=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_missing_out_dir_fails_before_training(log_file, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("trained before the options were checked")
+    monkeypatch.setattr("attnexplain.cli.train", fail)
+    assert main(["train", "--log", str(log_file), *TRAIN_FLAGS]) == 2
 
 
 def test_exit_code_numeric_on_divergence(tmp_path, log_file):

@@ -162,20 +162,13 @@ def test_split_rejects_bad_fraction(abc_log):
 
 
 def test_prefix_count_identity(abc_log):
-    # one prefix per event at min length 1
-    prefixes = extract_prefixes(abc_log, min_len=1)
+    # one prefix per event
+    prefixes = extract_prefixes(abc_log)
     assert len(prefixes) == abc_log.stats.num_events
 
 
 def test_prefix_targets(abc_log):
-    prefixes = extract_prefixes(abc_log, min_len=1)
+    prefixes = extract_prefixes(abc_log)
     first_trace = [p for p in prefixes if p.source_case == "c1"]
     assert [p.activities for p in first_trace] == [(0,), (0, 1), (0, 1, 2)]
     assert [p.target for p in first_trace] == [1, 2, abc_log.end_id]
-
-
-def test_prefix_min_len(abc_log):
-    prefixes = extract_prefixes(abc_log, min_len=2)
-    assert all(len(p.activities) >= 2 for p in prefixes)
-    # the length-2 trace still yields its full-length END prefix
-    assert any(p.source_case == "c3" and p.target == abc_log.end_id for p in prefixes)

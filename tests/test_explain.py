@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,6 @@ from attnexplain.explain import (
     backward_explain,
     bipartite_local_graph,
     compute_relevance_score,
-    export_graph,
-    from_json,
     likely_next,
     mask_positions,
     merge_with_pruning,
@@ -289,12 +289,6 @@ def test_dot_output_is_sorted_and_quoted():
 
 def test_json_round_trip():
     g = ExplanationGraph.make({"A", "B", "C"}, {("A", "B"), ("B", "C")})
-    assert from_json(to_json(g)) == g
-
-
-def test_export_graph_formats():
-    g = ExplanationGraph.make({"A"}, set())
-    assert export_graph(g, "dot") == to_dot(g)
-    assert export_graph(g, "json") == to_json(g)
-    with pytest.raises(ValueError):
-        export_graph(g, "xml")
+    payload = json.loads(to_json(g))
+    assert set(payload["vertices"]) == g.vertices
+    assert {tuple(e) for e in payload["edges"]} == g.edges

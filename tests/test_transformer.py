@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,10 @@ def test_config_validation():
         ModelConfig(h=0)
     with pytest.raises(ValueError):
         ModelConfig(attention_mode="nope")
+    for bad in ({"d_k": 0, "h": 1}, {"batch_size": 0}, {"epochs": -1}, {"ff_dim": 0},
+                {"learning_rate": 0.0}, {"learning_rate": -0.01}):
+        with pytest.raises(ValueError):
+            ModelConfig(**bad)
 
 
 def test_sinusoidal_positions_values():
@@ -177,6 +183,18 @@ def test_load_rejects_shape_mismatch(tmp_path, abc_log):
     data["Wo"] = data["Wo"][:-1]
     np.savez(tmp_path / "bad.npz", **data)
     with pytest.raises(CheckpointError):
+        TransformerModel.load(tmp_path / "bad.npz")
+
+
+def test_load_rejects_invalid_stored_config(tmp_path, abc_log):
+    from attnexplain.errors import CheckpointError
+    TransformerModel(TINY_CONFIG, abc_log.activity_labels).save(tmp_path / "model.npz")
+    data = dict(np.load(tmp_path / "model.npz"))
+    meta = json.loads(bytes(data["__meta__"]).decode())
+    meta["config"]["h"] = 3  # d_k=8 is not divisible by 3
+    data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(tmp_path / "bad.npz", **data)
+    with pytest.raises(CheckpointError, match="not divisible"):
         TransformerModel.load(tmp_path / "bad.npz")
 
 
