@@ -27,8 +27,9 @@ class LogParseError(AttnExplainError):
         self.position = position
 
 
-class UsageError(AttnExplainError):
-    """An option value is invalid or inconsistent with another option."""
+class UsageError(AttnExplainError, ValueError):
+    """An option value is invalid or inconsistent with another option.
+    Also a ValueError, as the library raises it for bad arguments."""
 
 
 class SplitError(AttnExplainError):

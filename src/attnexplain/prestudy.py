@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .attnstats import flatten, jsd, tvd
+from .errors import UsageError
 from .eventlog import EventLog, _prefix_ids, extract_prefixes, split
 from .explain import mask_positions
 from .transformer import (
@@ -110,7 +111,7 @@ def experiment1(logobj: EventLog, repeats: int = 5, config: ModelConfig = ModelC
     each pair on the test prefixes. ``max_len`` is raised to the longest
     trace of the whole log, so that every test prefix fits."""
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise UsageError(f"repeats must be >= 1, got {repeats}")
     config = replace(config, max_len=max(config.max_len, logobj.stats.max_len))
     root = np.random.SeedSequence(entropy=config.seed)
     split_seed, *model_seeds = [int(s) for s in root.generate_state(repeats + 1)]

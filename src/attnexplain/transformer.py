@@ -9,11 +9,20 @@ the business activities plus END; PAD is an input-only symbol.
 Two attention modes exist: ``learned`` (normal training) and
 ``frozen_uniform``, where every attention row is exactly the uniform
 distribution and the query/key projections receive no gradients.
+
+Every contraction is a matmul on reshaped views. The per-head projections
+``Wq``, ``Wk`` and ``Wv`` are stored as ``(h, d, dh)`` arrays (checkpoint
+format v1); at use each is reshaped to ``(d, d)`` with head-major columns
+and the three are concatenated into one ``(d, 3d)`` Q|K|V matrix, so the
+forward projects with a single product and the backward takes all three
+gradients from one. Nothing keeps the fused copy, because training
+updates the parameters in place. ``frozen_uniform`` projects V only.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -57,6 +66,9 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if (not isinstance(self.pad_dropout, numbers.Real) or isinstance(self.pad_dropout, bool)
+                or not 0.0 <= self.pad_dropout < 1.0):
+            raise ValueError(f"pad_dropout must be a number in [0, 1), got {self.pad_dropout!r}")
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
@@ -137,6 +149,10 @@ class TransformerModel:
     def frozen_param_names(self) -> set[str]:
         return {"Wq", "Wk"} if self.frozen_attention else set()
 
+    def _projection_names(self) -> tuple[str, ...]:
+        """The projections the forward computes, in fused column order."""
+        return ("Wv",) if self.frozen_attention else ("Wq", "Wk", "Wv")
+
     def num_params(self) -> int:
         return int(sum(p.size for p in self.params.values()))
 
@@ -145,6 +161,10 @@ class TransformerModel:
     def _forward_batch(self, ids: np.ndarray, keep_cache: bool = False,
                        masked_positions=None):
         """Forward a (B, T) id batch.
+
+        Q, K and V come from one ``(B*T, d) @ (d, 3d)`` product on the
+        fused ``Wq|Wk|Wv`` matrix, built from the ``(h, d, dh)`` parameters
+        on each call; ``frozen_uniform`` projects V only.
 
         ``masked_positions`` zeroes the given rows/columns of every
         head's post-softmax attention matrix (the attention-masking
@@ -161,13 +181,18 @@ class TransformerModel:
         scale = 1.0 / np.sqrt(d)
 
         X0 = p["embed"][ids] + self.pos_enc[:T][None, :, :]
-        Q = np.einsum("btd,hde->bhte", X0, p["Wq"])
-        K = np.einsum("btd,hde->bhte", X0, p["Wk"])
-        Vv = np.einsum("btd,hde->bhte", X0, p["Wv"])
+        names = self._projection_names()
+        W = np.concatenate([_head_columns(p[n]) for n in names], axis=1)
+        # (B*T, k*d) -> (k, B, h, T, dh): one (T, dh) block per projection and head.
+        QKV = (X0.reshape(B * T, d) @ W).reshape(B, T, len(names), h, d // h)
+        QKV = QKV.transpose(2, 0, 3, 1, 4)
+        Vv = QKV[-1]
         if self.frozen_attention:
+            Q = K = None
             A = np.full((B, h, T, T), 1.0 / T)
         else:
-            S = np.einsum("bhte,bhse->bhts", Q, K) * scale
+            Q, K = QKV[0], QKV[1]
+            S = (Q @ K.swapaxes(-1, -2)) * scale
             S = S - S.max(axis=-1, keepdims=True)
             expS = np.exp(S)
             A = expS / expS.sum(axis=-1, keepdims=True)
@@ -181,7 +206,7 @@ class TransformerModel:
             A = A.copy()
             A[:, :, idx, :] = 0.0
             A[:, :, :, idx] = 0.0
-        H = np.einsum("bhts,bhse->bhte", A, Vv)
+        H = A @ Vv
         Hc = H.transpose(0, 2, 1, 3).reshape(B, T, d)
         M = Hc @ p["Wo"]
         R1 = X0 + M
@@ -199,9 +224,8 @@ class TransformerModel:
 
         cache = None
         if keep_cache:
-            cache = dict(ids=ids, X0=X0, Q=Q, K=K, V=Vv, A=A, H=H, Hc=Hc,
-                         N1=N1, ln1=ln1_cache, U=U, Urelu=Urelu,
-                         N2=N2, ln2=ln2_cache, pooled=pooled, probs=probs)
+            cache = dict(X0=X0, W=W, Q=Q, K=K, V=Vv, A=A, Hc=Hc, N1=N1, ln1=ln1_cache,
+                         U=U, Urelu=Urelu, ln2=ln2_cache, pooled=pooled)
         return probs, att, cache
 
     def forward(self, prefix, masked_positions=None):
@@ -224,7 +248,7 @@ class TransformerModel:
         cfg = self.config
         B, T = ids.shape
         d, h = cfg.d_k, cfg.h
-        dh = d // h
+        BT = B * T
         scale = 1.0 / np.sqrt(d)
 
         probs, _, c = self._forward_batch(ids, keep_cache=True)
@@ -243,35 +267,37 @@ class TransformerModel:
         dR2, g["ln2_g"], g["ln2_b"] = _layer_norm_backward(dN2, c["ln2"], p["ln2_g"])
         dN1 = dR2.copy()
         dF = dR2
-        g["W2"] = np.einsum("btf,btd->fd", c["Urelu"], dF)
+        g["W2"] = c["Urelu"].reshape(BT, -1).T @ dF.reshape(BT, d)
         g["b2"] = dF.sum(axis=(0, 1))
         dUrelu = dF @ p["W2"].T
         dU = dUrelu * (c["U"] > 0.0)
-        g["W1"] = np.einsum("btd,btf->df", c["N1"], dU)
+        g["W1"] = c["N1"].reshape(BT, d).T @ dU.reshape(BT, -1)
         g["b1"] = dU.sum(axis=(0, 1))
         dN1 += dU @ p["W1"].T
         dR1, g["ln1_g"], g["ln1_b"] = _layer_norm_backward(dN1, c["ln1"], p["ln1_g"])
         dX0 = dR1.copy()
         dM = dR1
-        g["Wo"] = np.einsum("btd,bte->de", c["Hc"], dM)
+        g["Wo"] = c["Hc"].reshape(BT, d).T @ dM.reshape(BT, d)
         dHc = dM @ p["Wo"].T
-        dH = dHc.reshape(B, T, h, dh).transpose(0, 2, 1, 3)
-        A, Vv = c["A"], c["V"]
-        dV = np.einsum("bhts,bhte->bhse", A, dH)
-        g["Wv"] = np.einsum("btd,bhte->hde", c["X0"], dV)
-        dX0 += np.einsum("bhte,hde->btd", dV, p["Wv"])
+        dH = dHc.reshape(B, T, h, d // h).transpose(0, 2, 1, 3)
+        A = c["A"]
+        dV = A.swapaxes(-1, -2) @ dH
         if self.frozen_attention:
             g["Wq"] = np.zeros_like(p["Wq"])
             g["Wk"] = np.zeros_like(p["Wk"])
+            dQKV = dV[None]
         else:
-            dA = np.einsum("bhte,bhse->bhts", dH, Vv)
+            dA = dH @ c["V"].swapaxes(-1, -2)
             dS = A * (dA - np.sum(dA * A, axis=-1, keepdims=True))
-            dQ = np.einsum("bhts,bhse->bhte", dS, c["K"]) * scale
-            dK = np.einsum("bhts,bhte->bhse", dS, c["Q"]) * scale
-            g["Wq"] = np.einsum("btd,bhte->hde", c["X0"], dQ)
-            g["Wk"] = np.einsum("btd,bhte->hde", c["X0"], dK)
-            dX0 += np.einsum("bhte,hde->btd", dQ, p["Wq"])
-            dX0 += np.einsum("bhte,hde->btd", dK, p["Wk"])
+            dQ = (dS @ c["K"]) * scale
+            dK = (dS.swapaxes(-1, -2) @ c["Q"]) * scale
+            dQKV = np.stack([dQ, dK, dV])
+        # (k, B, h, T, dh) -> (B*T, k*d), the layout of the fused product.
+        dQKV = dQKV.transpose(1, 3, 0, 2, 4).reshape(BT, -1)
+        gW = c["X0"].reshape(BT, d).T @ dQKV
+        for i, name in enumerate(self._projection_names()):
+            g[name] = _head_blocks(gW[:, i * d:(i + 1) * d], h)
+        dX0 += (dQKV @ c["W"].T).reshape(B, T, d)
         g["embed"] = np.zeros_like(p["embed"])
         np.add.at(g["embed"], ids, dX0)
         return loss, g
@@ -322,6 +348,16 @@ class TransformerModel:
             raise CheckpointError(f"invalid model configuration in {path}: {e}") from e
         params = {name: data[name].astype(float) for name in data.files if name != "__meta__"}
         return cls(config, meta["activity_labels"], params=params)
+
+
+def _head_columns(W):
+    """(h, d, dh) per-head projection -> (d, h*dh), head-major columns."""
+    return W.transpose(1, 0, 2).reshape(W.shape[1], -1)
+
+
+def _head_blocks(G, h):
+    """Inverse of ``_head_columns``: (d, h*dh) -> (h, d, dh)."""
+    return G.reshape(G.shape[0], h, -1).transpose(1, 0, 2)
 
 
 def _layer_norm(x, gamma, beta):

@@ -182,16 +182,31 @@ EXIT_CASES = {
     "config-value-of-wrong-type": (
         ["--config", "{tmp}/n_mods.json", *OUT, "explain", "--method", "backward",
          "--log", "{log}", "--checkpoint", "{ckpt}"], 2, "n_mods='x'"),
+    "pad-dropout-not-a-number": (["--config", "{tmp}/pad_x.json", *TRAIN], 2,
+                                 "pad_dropout must be a number in [0, 1), got 'x'"),
+    "pad-dropout-above-range": (["--config", "{tmp}/pad_1.5.json", *TRAIN], 2,
+                                "pad_dropout must be a number in [0, 1), got 1.5"),
+    "pad-dropout-negative": (["--config", "{tmp}/pad_-0.1.json", *TRAIN], 2,
+                             "pad_dropout must be a number in [0, 1), got -0.1"),
+    "exp1-repeats-zero": ([*OUT, "prestudy", "--which", "exp1", "--log", "{log}",
+                           "--repeats", "0"], 2, "repeats must be >= 1, got 0"),
+}
+CONFIG_FILES = {
+    "config.json": "{not json",
+    "list.json": "[1, 2]",
+    "scope.json": '{"scope": "bogus"}',
+    "n_mods.json": '{"n_mods": "x"}',
+    "pad_x.json": '{"pad_dropout": "x"}',
+    "pad_1.5.json": '{"pad_dropout": 1.5}',
+    "pad_-0.1.json": '{"pad_dropout": -0.1}',
 }
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
 def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
     (tmp_path / "bad.csv").write_text("x,y\n1,2\n")
-    (tmp_path / "config.json").write_text("{not json")
-    (tmp_path / "list.json").write_text("[1, 2]")
-    (tmp_path / "scope.json").write_text('{"scope": "bogus"}')
-    (tmp_path / "n_mods.json").write_text('{"n_mods": "x"}')
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
     write_log(tmp_path / "long.csv", [["A", "B", "C"] * 3] * 10)
     write_log(tmp_path / "cba.csv", [["C", "B", "A"]] * 10)
     argv, code, message = EXIT_CASES[case]

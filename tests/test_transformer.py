@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +26,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(attention_mode="nope")
     for bad in ({"d_k": 0, "h": 1}, {"batch_size": 0}, {"epochs": -1}, {"ff_dim": 0},
-                {"learning_rate": 0.0}, {"learning_rate": -0.01}):
+                {"learning_rate": 0.0}, {"learning_rate": -0.01},
+                {"pad_dropout": "x"}, {"pad_dropout": None}, {"pad_dropout": True},
+                {"pad_dropout": 1.0}, {"pad_dropout": 1.5}, {"pad_dropout": -0.1},
+                {"pad_dropout": float("nan")}):
         with pytest.raises(ValueError):
             ModelConfig(**bad)
+    for good in (0, 0.0, 0.5, np.float64(0.25)):
+        assert ModelConfig(pad_dropout=good).pad_dropout == good
 
 
 def test_sinusoidal_positions_values():
@@ -94,6 +100,49 @@ def test_gradient_check_frozen(abc_log):
     assert np.isfinite(err) and err < 1e-4
 
 
+@pytest.mark.parametrize("mode", ["learned", ATTENTION_FROZEN_UNIFORM])
+def test_batch_loss_and_grads_are_row_means(abc_log, mode):
+    # h=2, B=3: the head and row reshapes of the batched backward, which
+    # the B=1 gradient check cannot tell apart
+    model = TransformerModel(replace(TINY_CONFIG, attention_mode=mode), abc_log.activity_labels,
+                             rng=np.random.default_rng(5))
+    ids = np.array([[0, 1, 2, 0], [2, 2, 1, 3], [1, 0, 3, 2]])
+    targets = np.array([1, 3, 0])
+    loss, grads = model.loss_and_grads(ids, targets)
+    rows = [model.loss_and_grads(ids[i:i + 1], targets[i:i + 1]) for i in range(3)]
+    assert loss == pytest.approx(np.mean([row_loss for row_loss, _ in rows]), abs=1e-12)
+    for name, grad in grads.items():
+        mean = np.mean([row_grads[name] for _, row_grads in rows], axis=0)
+        np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_batch_forward_rows_match_single_forward(tiny_model):
+    ids = np.array([[0, 1, 2, 0, 1], [2, 2, 1, 3, 0], [1, 0, 3, 2, 2]])
+    probs, att, _ = tiny_model._forward_batch(ids)
+    for row, probs_row, att_row in zip(ids, probs, att):
+        single_probs, single_att = tiny_model.forward(row)
+        np.testing.assert_allclose(probs_row, single_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att_row, single_att, rtol=0, atol=1e-12)
+
+
+def test_frozen_forward_and_backward_never_read_qk(abc_log):
+    cfg = replace(TINY_CONFIG, attention_mode=ATTENTION_FROZEN_UNIFORM)
+    model = TransformerModel(cfg, abc_log.activity_labels)
+    model.params["Wq"][:] = np.nan
+    model.params["Wk"][:] = np.nan
+    ids = np.array([[0, 1, 2], [2, 1, 0]])
+    probs, _, cache = model._forward_batch(ids, True)
+    assert np.all(np.isfinite(probs))
+    # the forward projects V alone: no Q or K, and a (d, d) fused matrix
+    assert cache["Q"] is None and cache["K"] is None
+    assert cache["W"].shape == (cfg.d_k, cfg.d_k)
+    loss, grads = model.loss_and_grads(ids, np.array([1, 3]))
+    assert np.isfinite(loss)
+    for name, grad in grads.items():
+        assert np.all(np.isfinite(grad)), name
+    assert np.all(grads["Wq"] == 0.0) and np.all(grads["Wk"] == 0.0)
+
+
 def test_frozen_uniform_attention_exact(abc_log):
     cfg = ModelConfig(d_k=8, h=2, max_len=8, ff_dim=8,
                       attention_mode=ATTENTION_FROZEN_UNIFORM)
@@ -119,7 +168,6 @@ def test_train_deterministic(abc_log):
 
 def test_train_seed_changes_weights(abc_log):
     m1 = train(abc_log, TINY_CONFIG)
-    from dataclasses import replace
     m2 = train(abc_log, replace(TINY_CONFIG, seed=9))
     assert any(not np.array_equal(m1.params[n], m2.params[n]) for n in m1.params)
 
@@ -191,11 +239,13 @@ def test_load_rejects_invalid_stored_config(tmp_path, abc_log):
     TransformerModel(TINY_CONFIG, abc_log.activity_labels).save(tmp_path / "model.npz")
     data = dict(np.load(tmp_path / "model.npz"))
     meta = json.loads(bytes(data["__meta__"]).decode())
-    meta["config"]["h"] = 3  # d_k=8 is not divisible by 3
-    data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(tmp_path / "bad.npz", **data)
-    with pytest.raises(CheckpointError, match="not divisible"):
-        TransformerModel.load(tmp_path / "bad.npz")
+    # d_k=8 is not divisible by h=3
+    for key, value, message in (("h", 3, "not divisible"), ("pad_dropout", 1.5, "pad_dropout")):
+        bad_meta = {**meta, "config": {**meta["config"], key: value}}
+        data["__meta__"] = np.frombuffer(json.dumps(bad_meta).encode(), dtype=np.uint8)
+        np.savez(tmp_path / "bad.npz", **data)
+        with pytest.raises(CheckpointError, match=message):
+            TransformerModel.load(tmp_path / "bad.npz")
 
 
 def test_weighted_f1_perfect_and_degenerate(trained_chain_model):
