@@ -54,6 +54,7 @@ EXIT_NUMERIC = 5
 # and the prefix of the one-line error message.
 _EXIT_CODES = (
     ((LogParseError, SchemaError, EmptyLogError, SynthSpecError, CheckpointError), EXIT_PARSE, ""),
+    (UnicodeDecodeError, EXIT_PARSE, "input is not UTF-8: "),
     ((UsageError, SplitError), EXIT_USAGE, ""),
     (OSError, EXIT_IO, ""),
     (KeyError, EXIT_USAGE, "missing required option "),
@@ -77,17 +78,21 @@ def _load_config_file(path) -> dict:
     return config
 
 
-def _check_file_value(action, key, value) -> None:
-    """A config-file value must be one its flag could give: of the flag's
-    type (bool for a switch, str if untyped) and among its choices."""
+def _file_value(action, key, value):
+    """A config-file value as its flag would give it. The value must be of
+    the flag's type (bool for a switch, str if untyped; an int also
+    passes for a float, a bool for neither) and among its choices."""
     kind = action.type or (bool if action.nargs == 0 else str)
+    accepted = (int, float) if kind is float else kind
     try:
-        valid = kind(value) == value
-    except (TypeError, ValueError, OverflowError):
+        valid = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
+        value = kind(value) if valid else value
+    except OverflowError:  # an int beyond the float range
         valid = False
     if not valid or (action.choices is not None and value not in action.choices):
         raise UsageError(f"config value {key}={value!r} is not valid for "
                          f"{'/'.join(action.option_strings)}")
+    return value
 
 
 def _resolve(args, parser) -> dict:
@@ -99,7 +104,7 @@ def _resolve(args, parser) -> dict:
     actions = {a.dest: a for a in (*parser._actions, *commands[args.command]._actions)}
     for key, value in resolved.items():
         if key in options:
-            _check_file_value(actions[key], key, value)
+            resolved[key] = _file_value(actions[key], key, value)
     resolved.update({k: v for k, v in options.items() if v is not None})
     return resolved
 
@@ -133,13 +138,23 @@ def _model_config(resolved) -> ModelConfig:
 
 
 def _thresholds(resolved) -> Thresholds:
-    return Thresholds(**{k: resolved[k] for k in _THRESHOLD_FIELDS
-                         if resolved.get(k) is not None})
+    try:
+        return Thresholds(**{k: resolved[k] for k in _THRESHOLD_FIELDS
+                             if resolved.get(k) is not None})
+    except ValueError as e:
+        raise UsageError(f"invalid thresholds: {e}") from e
+
+
+def _option(resolved, key, default, valid, rule):
+    """A resolved option value, or its default; UsageError unless ``valid``."""
+    value = resolved.get(key, default)
+    if not valid(value):
+        raise UsageError(f"{key} must be {rule}, got {value!r}")
+    return value
 
 
 def _split(resolved, logobj: EventLog) -> tuple[EventLog, EventLog]:
-    return split(logobj, float(resolved.get("train_frac", 0.7)),
-                 seed=int(resolved.get("seed", 0)))
+    return split(logobj, resolved.get("train_frac", 0.7), seed=resolved.get("seed", 0))
 
 
 def _test_log(resolved, model) -> EventLog:
@@ -176,8 +191,6 @@ def _add_model_flags(p):
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--attention-mode", dest="attention_mode",
-                   choices=["learned", "frozen_uniform"])
 
 
 def _add_threshold_flags(p):
@@ -213,8 +226,8 @@ def cmd_stats(resolved) -> int:
 def cmd_synth(resolved) -> int:
     out = Path(resolved["out_dir"])
     spec = synthlog.parse_spec_file(resolved["spec"])
-    logobj, truth = synthlog.synth_log(spec, int(resolved.get("n_traces", 1000)),
-                                       int(resolved.get("seed", 0)))
+    logobj, truth = synthlog.synth_log(spec, resolved.get("n_traces", 1000),
+                                       resolved.get("seed", 0))
     _write_resolved(out, resolved, "synth")
     write_csv(logobj, out / "log.csv")
     (out / "ground_truth_edges.json").write_text(
@@ -251,9 +264,9 @@ def cmd_prestudy(resolved) -> int:
         logobj = _read_log(resolved)
         result = prestudy.experiment1(
             logobj,
-            repeats=int(resolved.get("repeats", 5)),
+            repeats=resolved.get("repeats", 5),
             config=_model_config(resolved),
-            train_frac=float(resolved.get("train_frac", 0.7)),
+            train_frac=resolved.get("train_frac", 0.7),
             scope=resolved.get("scope", "all_heads"),
         )
         _write_resolved(out, resolved, "prestudy")
@@ -275,9 +288,9 @@ def cmd_prestudy(resolved) -> int:
 
 def _explainer_handle(resolved):
     thresholds = _thresholds(resolved)
-    n_mods = int(resolved.get("n_mods", 20))
-    subset_cap = int(resolved.get("subset_cap", 256))
-    seed = int(resolved.get("seed", 0))
+    n_mods = _option(resolved, "n_mods", 20, lambda v: v >= 0, ">= 0")
+    subset_cap = _option(resolved, "subset_cap", 256, lambda v: v >= 1, ">= 1")
+    seed = resolved.get("seed", 0)
     if resolved["method"] == "backward":
         def handle(model, prefixes):
             return backward_explain(model, prefixes, thresholds, n_mods=n_mods, seed=seed)
@@ -296,8 +309,8 @@ def _explain_prefixes(resolved, model) -> list:
 
 def cmd_explain(resolved) -> int:
     out = Path(resolved["out_dir"])
-    model = TransformerModel.load(resolved["checkpoint"])
     handle, thresholds = _explainer_handle(resolved)
+    model = TransformerModel.load(resolved["checkpoint"])
     prefixes = _explain_prefixes(resolved, model)
     graph = handle(model, prefixes)
     _write_resolved(out, resolved, "explain")
@@ -306,7 +319,7 @@ def cmd_explain(resolved) -> int:
     provenance = {
         "method": resolved["method"],
         "thresholds": asdict(thresholds),
-        "seed": int(resolved.get("seed", 0)),
+        "seed": resolved.get("seed", 0),
         "n_prefixes": len(prefixes),
         "n_vertices": len(graph.vertices),
         "n_edges": len(graph.edges),
@@ -319,12 +332,12 @@ def cmd_explain(resolved) -> int:
 
 def cmd_evaluate(resolved) -> int:
     out = Path(resolved["out_dir"])
-    model = TransformerModel.load(resolved["checkpoint"])
     handle, thresholds = _explainer_handle(resolved)
+    sample_frac = _option(resolved, "sample_frac", 1.0, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+    model = TransformerModel.load(resolved["checkpoint"])
     report = metrics.evaluate_all(
         model, handle, _test_log(resolved, model),
-        sample_frac=float(resolved.get("sample_frac", 1.0)),
-        thresholds=thresholds, seed=int(resolved.get("seed", 0)),
+        sample_frac=sample_frac, thresholds=thresholds, seed=resolved.get("seed", 0),
     )
     _write_resolved(out, resolved, "evaluate")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -356,6 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model and report weighted F1")
     _add_log_flags(p)
     _add_model_flags(p)
+    p.add_argument("--attention-mode", dest="attention_mode",
+                   choices=["learned", "frozen_uniform"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("prestudy", help="run reliability experiment 1 or 2")
@@ -392,7 +407,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_resolve(args, parser))
-    except (AttnExplainError, OSError, KeyError) as e:
+    except (AttnExplainError, OSError, KeyError, UnicodeDecodeError) as e:
         code, prefix = next((code, prefix) for types, code, prefix in _EXIT_CODES
                             if isinstance(e, types))
         sys.stderr.write(f"error: {prefix}{e}\n")

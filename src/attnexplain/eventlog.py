@@ -146,6 +146,8 @@ def build_log(label_traces: Iterable[tuple[str, Sequence[str]]]) -> EventLog:
         for lab in labels:
             if lab in (PAD_LABEL, END_LABEL):
                 raise SchemaError(f"reserved symbol {lab!r} used as activity name")
+            if not lab:
+                raise SchemaError(f"empty activity name in case {case_id!r}")
             if lab not in label_to_id:
                 label_to_id[lab] = len(label_to_id)
             ids.append(label_to_id[lab])
@@ -164,7 +166,7 @@ def parse_csv(path, case_col: str, activity_col: str, time_col: str | None = Non
     usual ISO format) unless they parse as floats.
     """
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
+        reader = csv.DictReader(f, restval="")  # a short row reads as empty fields
         if reader.fieldnames is None:
             raise EmptyLogError(f"empty CSV file: {path}")
         needed = [case_col, activity_col] + ([time_col] if time_col else [])

@@ -16,6 +16,8 @@ an adjacency matrix (edge direction: column activity -> row activity).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -42,6 +44,16 @@ class Thresholds:
     delta_pred: float = 0.1
     delta_edge: float | None = None
     sim_eps: float = 0.02
+
+    def __post_init__(self):
+        for name in ("delta_sim", "delta_attr", "delta_pred", "delta_edge", "sim_eps"):
+            value = getattr(self, name)
+            if name == "delta_edge" and value is None:
+                continue
+            high, rule = (math.inf, ">= 0") if name == "sim_eps" else (1.0, "in [0, 1]")
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not (math.isfinite(value) and 0.0 <= value <= high)):
+                raise ValueError(f"{name} must be a finite number {rule}, got {value!r}")
 
     def edge_threshold(self, num_activities: int) -> float:
         if self.delta_edge is not None:
@@ -94,7 +106,8 @@ def mask_positions(ids, positions, pad_id: int) -> np.ndarray:
 
 def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
                         seed: int = 0):
-    """Relevant activity ids for a prefix, plus the aggregated score map.
+    """Relevant activity ids for a prefix and the aggregated score map,
+    followed by the unmodified prefix's ``(probs, attention)``.
 
     Attention of the unmodified prefix always contributes; a random
     modification contributes only when its prediction stays within
@@ -117,7 +130,7 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
             sums[aid] = sums.get(aid, 0.0) + value
     psi = max_normalize(sums)
     a_r = {aid for aid, value in psi.items() if value > thresholds.delta_attr}
-    return a_r, psi
+    return a_r, psi, p_orig, att_orig
 
 
 def likely_next(probs, thresholds: Thresholds, num_activities: int) -> set[int]:
@@ -159,8 +172,7 @@ def merge_with_pruning(graph: ExplanationGraph, local: ExplanationGraph,
 
 def backward_local_graph(model, prefix, thresholds: Thresholds, n_mods: int = 20,
                          seed: int = 0) -> ExplanationGraph:
-    a_r, _ = relevant_activities(model, prefix, thresholds, n_mods=n_mods, seed=seed)
-    probs, _ = model.forward(_prefix_ids(prefix))
+    a_r, _, probs, _ = relevant_activities(model, prefix, thresholds, n_mods=n_mods, seed=seed)
     p_r = likely_next(probs, thresholds, model.num_activities)
     labels = model.activity_labels
     return bipartite_local_graph({labels[a] for a in a_r}, {labels[a] for a in p_r})
@@ -253,9 +265,9 @@ def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
     ids = _prefix_ids(prefix)
     nA = model.num_activities
     rng = np.random.default_rng(seed)
-    a_r, _ = relevant_activities(model, prefix, thresholds, n_mods=n_mods, seed=seed)
+    a_r, _, p_orig, att_orig = relevant_activities(model, prefix, thresholds, n_mods=n_mods,
+                                                   seed=seed)
     positions = tuple(i for i, aid in enumerate(ids) if int(aid) in a_r)
-    p_orig, att_orig = model.forward(ids)
     psi_orig = aggregate_activity_scores(aggregate_event_scores(att_orig), ids, model.pad_id)
     p_r = likely_next(p_orig, thresholds, nA)
     K_few = np.zeros((nA, nA))

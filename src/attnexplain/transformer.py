@@ -158,17 +158,18 @@ class TransformerModel:
 
     # -------------------------------------------------------------- forward
 
-    def _forward_batch(self, ids: np.ndarray, keep_cache: bool = False,
-                       masked_positions=None):
+    def _forward_batch(self, ids: np.ndarray, keep_cache: bool = False, att_mask=None):
         """Forward a (B, T) id batch.
 
         Q, K and V come from one ``(B*T, d) @ (d, 3d)`` product on the
         fused ``Wq|Wk|Wv`` matrix, built from the ``(h, d, dh)`` parameters
         on each call; ``frozen_uniform`` projects V only.
 
-        ``masked_positions`` zeroes the given rows/columns of every
-        head's post-softmax attention matrix (the attention-masking
-        pathway of the pre-study); it is only valid for B = 1.
+        ``att_mask``, a (B, T) boolean array, zeroes the rows and columns
+        of every head's post-softmax attention matrix at the positions it
+        marks True, each batch row with its own mask (the
+        attention-masking pathway of the pre-study). The returned
+        attention is always the unmasked one.
         """
         cfg = self.config
         p = self.params
@@ -196,16 +197,10 @@ class TransformerModel:
             S = S - S.max(axis=-1, keepdims=True)
             expS = np.exp(S)
             A = expS / expS.sum(axis=-1, keepdims=True)
-        att = A.copy()
-        if masked_positions:
-            if B != 1:
-                raise ValueError("attention masking only supported for a single prefix")
-            idx = sorted(masked_positions)
-            if idx and (idx[0] < 0 or idx[-1] >= T):
-                raise IndexError(f"masked position outside prefix of length {T}")
-            A = A.copy()
-            A[:, :, idx, :] = 0.0
-            A[:, :, :, idx] = 0.0
+        att = A
+        if att_mask is not None:
+            keep = ~att_mask
+            A = A * (keep[:, None, :, None] & keep[:, None, None, :])
         H = A @ Vv
         Hc = H.transpose(0, 2, 1, 3).reshape(B, T, d)
         M = Hc @ p["Wo"]
@@ -233,10 +228,15 @@ class TransformerModel:
 
         Returns ``(probs, attention)`` with ``probs`` over activities +
         END and ``attention`` of shape (h, T, T), post-softmax and taken
-        before any attention masking is applied.
+        before any attention masking is applied. ``masked_positions``
+        indexes the prefix as numpy does; one outside it raises IndexError.
         """
         ids = _prefix_ids(prefix)
-        probs, att, _ = self._forward_batch(ids[None, :], masked_positions=masked_positions)
+        att_mask = None
+        if masked_positions:
+            att_mask = np.zeros((1, len(ids)), dtype=bool)
+            att_mask[0, list(masked_positions)] = True
+        probs, att, _ = self._forward_batch(ids[None, :], False, att_mask)
         return probs[0], att[0]
 
     # ------------------------------------------------------------- backward
@@ -401,7 +401,6 @@ def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
     targets = np.array([model.target_class(p.target) for p in prefixes])
     id_arrays = [np.asarray(p.activities, dtype=int) for p in prefixes]
     lengths = np.array([len(a) for a in id_arrays])
-    frozen = model.frozen_param_names()
 
     step = 0
     for _epoch in range(config.epochs):
@@ -424,9 +423,8 @@ def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
             loss, grads = model.loss_and_grads(ids, targets[batch])
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at step {step}", step=step)
+            # Frozen Q/K get exact zero gradients, so they stay at 0.0.
             for name, grad in grads.items():
-                if name in frozen:
-                    continue
                 model.params[name] -= config.learning_rate * grad
             step += 1
     for name, arr in model.params.items():

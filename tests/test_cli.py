@@ -143,6 +143,10 @@ OUT = ["--out-dir", "{tmp}/o"]
 LONG_LOG = ["--log", "{tmp}/long.csv", "--checkpoint", "{ckpt}"]
 LONGER_THAN_CHECKPOINT = "length 9, beyond the checkpoint's max_len 8"
 TRAIN = [*OUT, "train", "--log", "{log}", *TRAIN_FLAGS]
+EXPLAIN = [*OUT, "explain", "--method", "attention-exploration", "--log", "{log}",
+           "--checkpoint", "{ckpt}"]
+EVALUATE = [*OUT, "evaluate", "--method", "backward", "--log", "{log}", "--checkpoint", "{ckpt}"]
+NOT_UTF8 = "input is not UTF-8"
 EXIT_CASES = {
     # case: (argv, exit code, part of the error message); "{log}" is the
     # synthetic log, "{ckpt}" the max_len-8 checkpoint trained on it and
@@ -190,6 +194,31 @@ EXIT_CASES = {
                              "pad_dropout must be a number in [0, 1), got -0.1"),
     "exp1-repeats-zero": ([*OUT, "prestudy", "--which", "exp1", "--log", "{log}",
                            "--repeats", "0"], 2, "repeats must be >= 1, got 0"),
+    "config-epochs-float": (["--config", "{tmp}/epochs_2.0.json", *TRAIN], 2, "epochs=2.0"),
+    "config-seed-float": (["--config", "{tmp}/seed_1.0.json", *TRAIN], 2, "seed=1.0"),
+    "config-epochs-bool": (["--config", "{tmp}/epochs_true.json", *TRAIN], 2, "epochs=True"),
+    "config-learning-rate-bool": (["--config", "{tmp}/lr_true.json", *TRAIN], 2,
+                                  "learning_rate=True"),
+    "sample-frac-nan": ([*EVALUATE, "--sample-frac", "nan"], 2,
+                        "sample_frac must be in (0, 1], got nan"),
+    "sample-frac-negative": ([*EVALUATE, "--sample-frac", "-1"], 2,
+                             "sample_frac must be in (0, 1], got -1.0"),
+    "sample-frac-zero": ([*EVALUATE, "--sample-frac", "0"], 2,
+                         "sample_frac must be in (0, 1], got 0.0"),
+    "n-mods-negative": ([*EXPLAIN, "--n-mods", "-3"], 2, "n_mods must be >= 0, got -3"),
+    "subset-cap-zero": ([*EXPLAIN, "--subset-cap", "0"], 2, "subset_cap must be >= 1, got 0"),
+    "delta-sim-nan": ([*EXPLAIN, "--delta-sim", "nan"], 2,
+                      "delta_sim must be a finite number in [0, 1], got nan"),
+    "delta-attr-negative": ([*EVALUATE, "--delta-attr", "-1"], 2,
+                            "delta_attr must be a finite number in [0, 1], got -1.0"),
+    "delta-pred-above-one": ([*EXPLAIN, "--delta-pred", "2"], 2,
+                             "delta_pred must be a finite number in [0, 1], got 2.0"),
+    "log-not-utf8": ([*OUT, "stats", "--log", "{tmp}/not_utf8.csv"], 4, NOT_UTF8),
+    "config-not-utf8": (["--config", "{tmp}/not_utf8.json", *OUT, "stats", "--log", "{log}"],
+                        4, NOT_UTF8),
+    "spec-not-utf8": ([*OUT, "synth", "--spec", "{tmp}/not_utf8.spec"], 4, NOT_UTF8),
+    "log-empty-activity": ([*OUT, "stats", "--log", "{tmp}/empty_activity.csv"], 4,
+                           "empty activity name in case 'c1'"),
 }
 CONFIG_FILES = {
     "config.json": "{not json",
@@ -199,6 +228,11 @@ CONFIG_FILES = {
     "pad_x.json": '{"pad_dropout": "x"}',
     "pad_1.5.json": '{"pad_dropout": 1.5}',
     "pad_-0.1.json": '{"pad_dropout": -0.1}',
+    "epochs_2.0.json": '{"epochs": 2.0}',
+    "seed_1.0.json": '{"seed": 1.0}',
+    "epochs_true.json": '{"epochs": true}',
+    "lr_true.json": '{"learning_rate": true}',
+    "empty_activity.csv": "case,activity,time\nc1,A,1\nc1,,2\n",
 }
 
 
@@ -207,6 +241,8 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
     (tmp_path / "bad.csv").write_text("x,y\n1,2\n")
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)
+    for name in ("not_utf8.csv", "not_utf8.json", "not_utf8.spec"):
+        (tmp_path / name).write_bytes(b"case,activity,time\nc1,\xff\xfe,1\n")
     write_log(tmp_path / "long.csv", [["A", "B", "C"] * 3] * 10)
     write_log(tmp_path / "cba.csv", [["C", "B", "A"]] * 10)
     argv, code, message = EXIT_CASES[case]
@@ -215,6 +251,29 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_config_file_values_take_their_flag_type(tmp_path, log_file):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train_frac": 1, "seed": 3}))
+    out = tmp_path / "stats"
+    assert main(["--config", str(config), "--out-dir", str(out), "stats",
+                 "--log", str(log_file)]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["train_frac"] == 1.0 and isinstance(resolved["train_frac"], float)
+    assert resolved["seed"] == 3 and isinstance(resolved["seed"], int)
+
+
+def test_attention_mode_is_a_train_option_only(tmp_path, log_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path / "o"), "prestudy", "--which", "exp1",
+              "--log", str(log_file), "--attention-mode", "frozen_uniform"])
+    assert exc.value.code == 2
+    assert "--attention-mode" in capsys.readouterr().err
+    out = tmp_path / "frozen"
+    assert main(["--out-dir", str(out), "train", "--log", str(log_file), *TRAIN_FLAGS,
+                 "--attention-mode", "frozen_uniform"]) == 0
+    assert TransformerModel.load(out / "checkpoint.npz").config.attention_mode == "frozen_uniform"
 
 
 def test_missing_out_dir_fails_before_training(log_file, monkeypatch):

@@ -35,6 +35,21 @@ def test_reserved_symbols_rejected_as_activities():
         build_log([("c1", [END_LABEL])])
 
 
+def test_empty_activity_rejected(tmp_path):
+    with pytest.raises(SchemaError, match="empty activity name in case 'c1'"):
+        build_log([("c1", ["A", ""])])
+    # a short CSV row reads as empty fields, so its activity is empty too
+    for rows in ("c1,A,1\nc1,,2\n", "c1,A,1\nc1\n"):
+        path = tmp_path / "log.csv"
+        path.write_text("case,activity,time\n" + rows)
+        with pytest.raises(SchemaError, match="empty activity name"):
+            parse_csv(path, "case", "activity", "time")
+    path = tmp_path / "log.xes"
+    path.write_text(XES_DOC.replace('value="W_B"', 'value=""', 1))
+    with pytest.raises(SchemaError, match="empty activity name in case 't1'"):
+        parse_xes(path)
+
+
 def test_empty_log_rejected():
     with pytest.raises(EmptyLogError):
         build_log([])

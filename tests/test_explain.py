@@ -11,6 +11,7 @@ from attnexplain.explain import (
     Thresholds,
     attention_exploration_explain,
     backward_explain,
+    backward_local_graph,
     bipartite_local_graph,
     compute_relevance_score,
     likely_next,
@@ -69,6 +70,38 @@ def test_thresholds_default_edge_is_uniform_row_value():
     assert Thresholds(delta_edge=0.9).edge_threshold(4) == 0.9
 
 
+THRESHOLD_NAMES = ("delta_sim", "delta_attr", "delta_pred", "delta_edge", "sim_eps")
+threshold_values = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.5, -1e-9, 0.0, 1.0, 1.5]
+) | st.floats(0.0, 1.0)
+
+
+def threshold_is_valid(name, value):
+    if value is None:
+        return name == "delta_edge"
+    high = float("inf") if name == "sim_eps" else 1.0
+    return bool(np.isfinite(value)) and 0.0 <= value <= high
+
+
+@given(st.dictionaries(st.sampled_from(THRESHOLD_NAMES), threshold_values | st.none()))
+@settings(max_examples=50, deadline=None)
+def test_thresholds_build_or_raise_value_error(fields):
+    valid = all(threshold_is_valid(name, value) for name, value in fields.items())
+    try:
+        Thresholds(**fields)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid
+
+
+def test_thresholds_reject_non_numbers():
+    for bad in ({"delta_sim": "0.2"}, {"delta_attr": True}, {"sim_eps": None},
+                {"delta_pred": None}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            Thresholds(**bad)
+
+
 def test_explanation_graph_validates_edges():
     with pytest.raises(ValueError):
         ExplanationGraph.make({"A"}, {("A", "B")})
@@ -117,7 +150,7 @@ def test_relevant_activities_zero_threshold_keeps_all():
     table = {ids: (np.array([0.25, 0.25, 0.25, 0.25]),
                    att_with_column_scores([0.5, 0.3, 0.2]))}
     model = FixedModel(labels, table)
-    a_r, psi = relevant_activities(model, ids, Thresholds(delta_attr=0.0), n_mods=0)
+    a_r, psi, _, _ = relevant_activities(model, ids, Thresholds(delta_attr=0.0), n_mods=0)
     assert a_r == {0, 1, 2}
     assert psi[0] == 1.0
 
@@ -132,7 +165,7 @@ def test_relevant_activities_two_head_ranking():
     att[1, 0, :] = [0.1, 0.05, 0.4, 0.5, 0.15]
     probs = np.array([0.05, 0.45, 0.05, 0.40, 0.05, 0.0])
     model = FixedModel(labels, {ids: (probs, att)})
-    a_r, psi = relevant_activities(model, ids, Thresholds(delta_attr=0.5), n_mods=0)
+    a_r, psi, _, _ = relevant_activities(model, ids, Thresholds(delta_attr=0.5), n_mods=0)
     sums = {"B": 0.1 + 0.5, "A": 0.05, "C": 0.4, "E": 0.15}
     top = max(sums.values())
     assert psi[1] == pytest.approx(sums["B"] / top * 2 / 2)  # heads scale out
@@ -150,15 +183,36 @@ def test_relevant_activities_dissimilar_mods_excluded():
         (0, 2): (np.array([1.0, 0.0, 0.0]), att_with_column_scores([0.3, 0.0])),
     }
     model = FixedModel(labels, table)
-    _, psi = relevant_activities(model, ids, Thresholds(delta_sim=0.2, delta_attr=0.5),
-                                 n_mods=8, seed=0)
+    _, psi, _, _ = relevant_activities(model, ids, Thresholds(delta_sim=0.2, delta_attr=0.5),
+                                       n_mods=8, seed=0)
     # (2,1) masks A and flips the prediction: its huge B score is ignored;
     # (0,2) agrees and adds to A only
     assert psi[0] == 1.0
     assert psi[1] < 0.5
 
 
+def test_relevant_activities_returns_the_unmodified_forward(tiny_model):
+    ids = np.array([0, 1, 2, 0])
+    _, _, probs, att = relevant_activities(tiny_model, ids, Thresholds(), n_mods=4)
+    expected_probs, expected_att = tiny_model.forward(ids)
+    np.testing.assert_array_equal(probs, expected_probs)
+    np.testing.assert_array_equal(att, expected_att)
+
+
 # ------------------------------------------------------ backward explainer
+
+
+def test_backward_local_graph_forwards_the_prefix_once(tiny_model, monkeypatch):
+    calls = []
+    forward = tiny_model.forward
+
+    def counting_forward(prefix, masked_positions=None):
+        calls.append(prefix)
+        return forward(prefix, masked_positions)
+
+    monkeypatch.setattr(tiny_model, "forward", counting_forward)
+    backward_local_graph(tiny_model, (0, 1, 2), Thresholds(), n_mods=0)
+    assert len(calls) == 1
 
 
 def test_bipartite_local_graph():

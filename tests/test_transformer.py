@@ -125,6 +125,25 @@ def test_batch_forward_rows_match_single_forward(tiny_model):
         np.testing.assert_allclose(att_row, single_att, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["learned", ATTENTION_FROZEN_UNIFORM])
+def test_batch_forward_applies_each_rows_attention_mask(abc_log, mode):
+    model = TransformerModel(replace(TINY_CONFIG, attention_mode=mode), abc_log.activity_labels,
+                             rng=np.random.default_rng(3))
+    ids = np.array([[0, 1, 2, 0, 1], [2, 2, 1, 3, 0], [1, 0, 3, 2, 2]])
+    att_mask = np.array([[False, True, False, False, True],
+                         [False, False, False, False, False],
+                         [True, True, True, True, True]])
+    probs, att, _ = model._forward_batch(ids, False, att_mask)
+    for row, mask_row, probs_row, att_row in zip(ids, att_mask, probs, att):
+        masked = set(np.flatnonzero(mask_row).tolist())
+        single_probs, single_att = model.forward(row, masked_positions=masked)
+        np.testing.assert_allclose(probs_row, single_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att_row, single_att, rtol=0, atol=1e-12)
+        ref_probs, ref_att = reference_forward(model, row, masked_positions=masked)
+        np.testing.assert_allclose(probs_row, ref_probs, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(att_row, ref_att, rtol=0, atol=1e-6)
+
+
 def test_frozen_forward_and_backward_never_read_qk(abc_log):
     cfg = replace(TINY_CONFIG, attention_mode=ATTENTION_FROZEN_UNIFORM)
     model = TransformerModel(cfg, abc_log.activity_labels)
