@@ -9,8 +9,6 @@ per-event and per-activity relevance scores.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
@@ -120,14 +118,3 @@ def aggregate_activity_scores(eta: np.ndarray, activities, pad_id: int) -> dict[
     """Max-normalized per-activity attention scores for one prefix."""
     return max_normalize(activity_score_sums(eta, activities, pad_id))
 
-
-def attention_to_csv(att: np.ndarray) -> str:
-    """Attention tensor as a CSV grid (one block per head), for external
-    heatmap rendering."""
-    att = np.asarray(att, dtype=float)
-    buf = io.StringIO()
-    for j, head in enumerate(att):
-        buf.write(f"head,{j}\n")
-        for row in head:
-            buf.write(",".join(f"{x:.10g}" for x in row) + "\n")
-    return buf.getvalue()

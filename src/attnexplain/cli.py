@@ -106,6 +106,7 @@ def _resolve(args, parser) -> dict:
         if key in options:
             resolved[key] = _file_value(actions[key], key, value)
     resolved.update({k: v for k, v in options.items() if v is not None})
+    _option(resolved, "seed", 0, lambda v: v >= 0, ">= 0")  # numpy takes no negative seed
     return resolved
 
 

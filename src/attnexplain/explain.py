@@ -127,7 +127,7 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
         for aid, value in activity_score_sums(
             aggregate_event_scores(att_mod), masked, model.pad_id
         ).items():
-            sums[aid] = sums.get(aid, 0.0) + value
+            sums[aid] += value  # a masked variant holds only the prefix's activities
     psi = max_normalize(sums)
     a_r = {aid for aid, value in psi.items() if value > thresholds.delta_attr}
     return a_r, psi, p_orig, att_orig
@@ -136,8 +136,8 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
 def likely_next(probs, thresholds: Thresholds, num_activities: int) -> set[int]:
     """Activity ids with prediction probability strictly above
     ``delta_pred``; the END class is excluded."""
-    probs = np.asarray(probs, dtype=float)
-    return {aid for aid in range(num_activities) if probs[aid] > thresholds.delta_pred}
+    probs = np.asarray(probs, dtype=float)[:num_activities]
+    return set(np.flatnonzero(probs > thresholds.delta_pred).tolist())
 
 
 # ---------------------------------------------------------- Backward Explainer
@@ -216,28 +216,18 @@ def compute_relevance_score(ids, masked_ids, psi_orig: dict[int, float],
     p_masked = np.asarray(p_masked, dtype=float)
     K = np.zeros((num_activities, num_activities))
     masked_at = masked_ids != ids
+    # Each cell adds its masked scores before its kept ones, in position order.
+    masked = ids[masked_at].tolist()
+    kept = [a for a in masked_ids[~masked_at].tolist() if a < num_activities]
     for a in p_r:
-        similar = abs(p_orig[a] - p_masked[a]) <= sim_eps
-        for pos in range(len(ids)):
-            if masked_at[pos]:
-                a_m = int(ids[pos])
-                s = p_orig[a] * psi_orig.get(a_m, 0.0)
-                if similar:
-                    s = -s
-                K[a, a_m] += s
-        for pos in range(len(ids)):
-            if masked_at[pos]:
-                continue
-            a_n = int(masked_ids[pos])
-            if a_n >= num_activities:
-                continue
-            if similar:
-                s = psi_masked.get(a_n, 0.0) * p_orig[a]
-            else:
-                s = abs(psi_orig.get(a_n, 0.0) - psi_masked.get(a_n, 0.0)) * abs(
-                    p_orig[a] - p_masked[a]
-                )
-            K[a, a_n] += s
+        p_a, delta = p_orig[a], abs(p_orig[a] - p_masked[a])
+        similar = delta <= sim_eps
+        for a_m in masked:
+            s = p_a * psi_orig.get(a_m, 0.0)
+            K[a, a_m] += -s if similar else s
+        for a_n in kept:
+            psi_n = psi_masked.get(a_n, 0.0)
+            K[a, a_n] += psi_n * p_a if similar else abs(psi_orig.get(a_n, 0.0) - psi_n) * delta
     return K
 
 
@@ -275,8 +265,6 @@ def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
     all_positions = set(range(len(ids)))
 
     def accumulate(target, mask_set):
-        if not mask_set:
-            return
         masked = mask_positions(ids, mask_set, model.pad_id)
         p_m, att_m = model.forward(masked)
         try:
@@ -306,10 +294,8 @@ def row_normalize(matrix: np.ndarray) -> np.ndarray:
     weighted, which is what the edge decision needs. All-zero rows stay
     zero."""
     out = np.abs(np.array(matrix, dtype=float))
-    for i, row in enumerate(out):
-        total = row.sum()
-        out[i] = row / total if total > 0.0 else 0.0
-    return out
+    totals = out.sum(axis=1, keepdims=True)
+    return np.divide(out, totals, out=np.zeros_like(out), where=totals > 0.0)
 
 
 def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
@@ -329,14 +315,9 @@ def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thre
         K_most += km
     delta = thresholds.edge_threshold(nA)
     combined = (row_normalize(K_few) > delta) | (row_normalize(K_most) > delta)
-    labels = model.activity_labels
-    edges = {
-        (labels[col], labels[row])
-        for row in range(nA)
-        for col in range(nA)
-        if combined[row, col]
-    }
-    return ExplanationGraph.make(set(labels), edges)
+    labels = np.array(model.activity_labels, dtype=object)
+    rows, cols = np.nonzero(combined)
+    return ExplanationGraph.make(labels, zip(labels[cols], labels[rows]))
 
 
 # ------------------------------------------------------------------- export

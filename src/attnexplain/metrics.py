@@ -222,8 +222,8 @@ _MAX_PAIRS = 1000
 
 def contrastivity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     """1 - Jaccard similarity over prefix pairs with different last
-    activities, at most ``_MAX_PAIRS`` of them sampled."""
-    lasts = [int(np.asarray(p.activities)[-1]) for p in prefixes]
+    non-PAD activities, at most ``_MAX_PAIRS`` of them sampled."""
+    lasts = [_last_activity(p, model.pad_id) for p in prefixes]
     pairs = [
         (i, j)
         for i in range(len(prefixes))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SynthSpecError
+from .errors import SynthSpecError, UsageError
 from .eventlog import EventLog, build_log
 
 KINDS = ("sequence", "xor", "and", "loop")
@@ -112,9 +112,7 @@ def enumerate_language(spec: SynthSpec) -> list[tuple[str, ...]]:
         b1, b2 = spec.branches
         middles = _interleavings(b1, b2)
         return [spec.pre + m + spec.post for m in middles]
-    if spec.kind == "loop":
-        return [spec.body * k for k in range(1, spec.max_iter + 1)]
-    raise SynthSpecError(f"unknown kind {spec.kind!r}")
+    return [spec.body * k for k in range(1, spec.max_iter + 1)]  # loop
 
 
 def _interleavings(a: tuple[str, ...], b: tuple[str, ...]) -> list[tuple[str, ...]]:
@@ -154,12 +152,10 @@ def sample_trace(spec: SynthSpec, rng: np.random.Generator) -> tuple[str, ...]:
             else:
                 middle.append(b2[j]); j += 1
         return spec.pre + tuple(middle) + spec.post
-    if spec.kind == "loop":
-        k = 1
-        while k < spec.max_iter and rng.random() < spec.p_repeat:
-            k += 1
-        return spec.body * k
-    raise SynthSpecError(f"unknown kind {spec.kind!r}")
+    k = 1  # loop
+    while k < spec.max_iter and rng.random() < spec.p_repeat:
+        k += 1
+    return spec.body * k
 
 
 def iteration_probabilities(spec: SynthSpec) -> list[float]:
@@ -179,7 +175,7 @@ def synth_log(spec: SynthSpec, n_traces: int, seed: int) -> tuple[EventLog, set[
     not over the sample, so it does not depend on the seed.
     """
     if n_traces < 1:
-        raise SynthSpecError(f"n_traces must be >= 1, got {n_traces}")
+        raise UsageError(f"n_traces must be >= 1, got {n_traces}")
     rng = np.random.default_rng(seed)
     label_traces = [(f"case_{i}", list(sample_trace(spec, rng))) for i in range(n_traces)]
     # build_log orders the vocabulary by first appearance, which would
@@ -213,6 +209,13 @@ def parse_spec_file(path) -> SynthSpec:
     def words(key, default=""):
         return tuple(kv.get(key, default).split())
 
+    def number(key, kind, default):
+        try:
+            return kind(kv.get(key, default))
+        except ValueError:
+            rule = "an integer" if kind is int else "a number"
+            raise SynthSpecError(f"{path}: {key} must be {rule}, got {kv[key]!r}") from None
+
     if kind == "sequence":
         return SynthSpec(kind="sequence", activities=words("activities"))
     if kind in ("xor", "and"):
@@ -224,8 +227,8 @@ def parse_spec_file(path) -> SynthSpec:
         return SynthSpec(
             kind="loop",
             body=words("body"),
-            max_iter=int(kv.get("max_iter", "3")),
-            p_repeat=float(kv.get("p_repeat", "0.5")),
+            max_iter=number("max_iter", int, "3"),
+            p_repeat=number("p_repeat", float, "0.5"),
         )
     raise SynthSpecError(f"{path}: unknown kind {kind!r}")
 

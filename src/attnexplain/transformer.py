@@ -339,7 +339,14 @@ class TransformerModel:
             raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
         if "__meta__" not in data:
             raise CheckpointError(f"{path} is not a model checkpoint")
-        meta = json.loads(bytes(data["__meta__"]).decode())
+        try:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise CheckpointError(f"unreadable checkpoint metadata in {path}: {e}") from e
+        if not (isinstance(meta, dict) and "config" in meta
+                and isinstance(meta.get("activity_labels"), list)):
+            raise CheckpointError(f"checkpoint metadata in {path} is not an object "
+                                  "with config and an activity_labels list")
         if meta.get("format_version") != 1:
             raise CheckpointError(f"unsupported checkpoint version {meta.get('format_version')}")
         try:

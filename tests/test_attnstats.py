@@ -8,7 +8,6 @@ from attnexplain.attnstats import (
     activity_score_sums,
     aggregate_activity_scores,
     aggregate_event_scores,
-    attention_to_csv,
     cosine_distance,
     flatten,
     jsd,
@@ -158,12 +157,3 @@ def test_aggregate_activity_scores_top_is_one():
     scores = aggregate_activity_scores(eta, [0, 1, 0], pad_id=3)
     assert scores[0] == 1.0
     assert scores[1] == pytest.approx(0.5)
-
-
-def test_attention_to_csv_layout():
-    att = np.array([[[0.25, 0.75], [0.5, 0.5]]])
-    text = attention_to_csv(att)
-    lines = text.strip().split("\n")
-    assert lines[0] == "head,0"
-    assert lines[1] == "0.25,0.75"
-    assert lines[2] == "0.5,0.5"

@@ -147,6 +147,8 @@ EXPLAIN = [*OUT, "explain", "--method", "attention-exploration", "--log", "{log}
            "--checkpoint", "{ckpt}"]
 EVALUATE = [*OUT, "evaluate", "--method", "backward", "--log", "{log}", "--checkpoint", "{ckpt}"]
 NOT_UTF8 = "input is not UTF-8"
+BAD_CHECKPOINT = [*OUT, "prestudy", "--which", "exp2", "--log", "{log}", "--checkpoint"]
+NOT_META_OBJECT = "is not an object with config and an activity_labels list"
 EXIT_CASES = {
     # case: (argv, exit code, part of the error message); "{log}" is the
     # synthetic log, "{ckpt}" the max_len-8 checkpoint trained on it and
@@ -219,6 +221,26 @@ EXIT_CASES = {
     "spec-not-utf8": ([*OUT, "synth", "--spec", "{tmp}/not_utf8.spec"], 4, NOT_UTF8),
     "log-empty-activity": ([*OUT, "stats", "--log", "{tmp}/empty_activity.csv"], 4,
                            "empty activity name in case 'c1'"),
+    "checkpoint-meta-not-json": ([*BAD_CHECKPOINT, "{tmp}/meta_not_json.npz"], 4,
+                                 "unreadable checkpoint metadata"),
+    "checkpoint-meta-not-object": ([*BAD_CHECKPOINT, "{tmp}/meta_list.npz"], 4,
+                                   NOT_META_OBJECT),
+    "checkpoint-meta-without-config": ([*BAD_CHECKPOINT, "{tmp}/meta_no_config.npz"], 4,
+                                       NOT_META_OBJECT),
+    "spec-max-iter-not-a-number": ([*OUT, "synth", "--spec", "{tmp}/max_iter_x.spec"], 4,
+                                   "max_iter must be an integer, got 'x'"),
+    "seed-negative-train": (["--seed", "-1", *TRAIN], 2, "seed must be >= 0, got -1"),
+    "seed-negative-synth": (["--seed", "-1", *OUT, "synth", "--spec", "{tmp}/spec.txt"], 2,
+                            "seed must be >= 0, got -1"),
+    "config-seed-negative": (["--config", "{tmp}/seed_-1.json", *OUT, "stats", "--log", "{log}"],
+                             2, "seed must be >= 0, got -1"),
+    "synth-n-traces-zero": ([*OUT, "synth", "--spec", "{tmp}/spec.txt", "--n-traces", "0"], 2,
+                            "n_traces must be >= 1, got 0"),
+}
+CHECKPOINT_METAS = {
+    "meta_not_json.npz": b"{not json",
+    "meta_list.npz": b"[1, 2]",
+    "meta_no_config.npz": b'{"format_version": 1, "activity_labels": ["A", "B", "C"]}',
 }
 CONFIG_FILES = {
     "config.json": "{not json",
@@ -233,6 +255,8 @@ CONFIG_FILES = {
     "epochs_true.json": '{"epochs": true}',
     "lr_true.json": '{"learning_rate": true}',
     "empty_activity.csv": "case,activity,time\nc1,A,1\nc1,,2\n",
+    "seed_-1.json": '{"seed": -1}',
+    "max_iter_x.spec": "kind = loop\nbody = A B\nmax_iter = x\n",
 }
 
 
@@ -243,6 +267,8 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
         (tmp_path / name).write_text(text)
     for name in ("not_utf8.csv", "not_utf8.json", "not_utf8.spec"):
         (tmp_path / name).write_bytes(b"case,activity,time\nc1,\xff\xfe,1\n")
+    for name, meta in CHECKPOINT_METAS.items():
+        np.savez(tmp_path / name, __meta__=np.frombuffer(meta, dtype=np.uint8))
     write_log(tmp_path / "long.csv", [["A", "B", "C"] * 3] * 10)
     write_log(tmp_path / "cba.csv", [["C", "B", "A"]] * 10)
     argv, code, message = EXIT_CASES[case]

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attnexplain.explain import (
@@ -297,6 +297,62 @@ def test_compute_relevance_score_dissimilar_branch():
     np.testing.assert_allclose(K, expected, atol=1e-12)
 
 
+def reference_relevance(ids, masked, psi_orig, psi_masked, p_orig, p_masked, p_r,
+                        sim_eps, num_activities):
+    """compute_relevance_score read position by position: for each predicted
+    activity, the masked positions first, then the kept non-PAD ones."""
+    K = np.zeros((num_activities, num_activities))
+    for a in p_r:
+        similar = abs(p_orig[a] - p_masked[a]) <= sim_eps
+        for a_o, a_m in zip(ids, masked):
+            if a_m != a_o:
+                s = p_orig[a] * psi_orig.get(a_o, 0.0)
+                K[a, a_o] += -s if similar else s
+        for a_o, a_m in zip(ids, masked):
+            if a_m == a_o and a_m < num_activities:
+                if similar:
+                    K[a, a_m] += psi_masked.get(a_m, 0.0) * p_orig[a]
+                else:
+                    K[a, a_m] += (abs(psi_orig.get(a_m, 0.0) - psi_masked.get(a_m, 0.0))
+                                  * abs(p_orig[a] - p_masked[a]))
+    return K
+
+
+@st.composite
+def relevance_cases(draw):
+    nA = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(0, nA), min_size=1, max_size=10))  # nA is PAD
+    hide = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    masked = [nA if h else a for a, h in zip(ids, hide)]
+    psi = st.dictionaries(st.integers(0, nA - 1), st.floats(0, 1))  # keys may be missing
+    p_orig = draw(st.lists(st.floats(0, 1), min_size=nA + 1, max_size=nA + 1))
+    moved = draw(st.lists(st.floats(-0.2, 0.2) | st.just(0.0), min_size=nA + 1,
+                          max_size=nA + 1))
+    return dict(ids=ids, masked=masked, psi_orig=draw(psi), psi_masked=draw(psi),
+                p_orig=np.array(p_orig), p_masked=np.array(p_orig) + moved,
+                p_r=draw(st.sets(st.integers(0, nA - 1))),
+                sim_eps=draw(st.sampled_from([0.0, 0.05, 1.0])), num_activities=nA)
+
+
+# Activity 0 both masked and kept, a PAD in the prefix, missing psi keys.
+SHARED_ACTIVITY_CASE = dict(ids=[0, 1, 0, 2], masked=[2, 1, 0, 2], psi_orig={0: 0.5},
+                            psi_masked={1: 1.0}, p_orig=np.array([0.3, 0.6, 0.1]),
+                            p_masked=np.array([0.3, 0.2, 0.1]), p_r={0, 1},
+                            sim_eps=0.0, num_activities=2)
+
+
+@given(relevance_cases())
+@example(SHARED_ACTIVITY_CASE)
+@example({**SHARED_ACTIVITY_CASE, "p_r": set()})
+@settings(max_examples=200, deadline=None)
+def test_compute_relevance_score_matches_position_by_position(case):
+    K = compute_relevance_score(np.array(case["ids"]), np.array(case["masked"]),
+                                case["psi_orig"], case["psi_masked"], case["p_orig"],
+                                case["p_masked"], case["p_r"], case["sim_eps"],
+                                case["num_activities"])
+    assert np.array_equal(K, reference_relevance(**case))
+
+
 def test_row_normalize_magnitudes():
     m = np.array([[3.0, 1.0], [-1.0, 0.0], [0.0, 0.0]])
     out = row_normalize(m)
@@ -306,14 +362,22 @@ def test_row_normalize_magnitudes():
 
 
 @given(st.lists(st.lists(st.floats(-5, 5), min_size=3, max_size=3),
-                min_size=1, max_size=5))
+                min_size=1, max_size=5),
+       st.lists(st.booleans(), min_size=5, max_size=5))
 @settings(max_examples=100, deadline=None)
-def test_row_normalize_rows_sum_to_one_or_zero(rows):
-    out = row_normalize(np.array(rows))
+def test_row_normalize_rows_sum_to_one_or_zero(rows, zero_rows):
+    m = np.array(rows)
+    m[np.array(zero_rows[:len(rows)])] = 0.0
+    out = row_normalize(m)
     for row in out:
         assert np.all(row >= 0.0)
         total = row.sum()
         assert total == pytest.approx(1.0, abs=1e-9) or total == 0.0
+    expected = np.zeros_like(m)  # row by row
+    for i, row in enumerate(np.abs(m)):
+        if row.sum() > 0.0:
+            expected[i] = row / row.sum()
+    assert np.array_equal(out, expected)
 
 
 def test_attention_exploration_determinism():

@@ -209,6 +209,17 @@ def test_contrastivity_no_dissimilar_pairs_is_undefined():
     assert value.mean is None
 
 
+def test_contrastivity_pairs_by_last_non_pad_activity():
+    model = TableModel(["A", "B"], {}, default=[0.5, 0.5, 0.0])
+    explainer = lambda m, prefixes: constant_explainer_graph()
+    pad = model.pad_id
+    # <A, PAD> and <B, A> both end in A once the PAD is skipped
+    value = contrastivity(model, explainer, [prefix((0, pad)), prefix((1, 0))], seed=0)
+    assert value.mean is None and value.undefined == 2
+    value = contrastivity(model, explainer, [prefix((0, pad)), prefix((0, 1))], seed=0)
+    assert value.n == 1
+
+
 def test_contrastivity_disjoint_rules_is_one():
     model = TableModel(["A", "B"], {}, default=[0.5, 0.5, 0.0])
 
