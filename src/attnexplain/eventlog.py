@@ -234,9 +234,7 @@ def parse_xes(path, activity_prefix: str | None = None, lifecycle: str | None = 
     def _attr(elem, key):
         for child in elem:
             tag = child.tag.split("}")[-1]
-            if tag == "string" and child.get("key") == key:
-                return child.get("value")
-            if tag == "date" and child.get("key") == key:
+            if tag in ("string", "date") and child.get("key") == key:
                 return child.get("value")
         return None
 

@@ -98,12 +98,6 @@ def random_maskings(length: int, n_mods: int, rng: np.random.Generator) -> list[
     return out
 
 
-def mask_positions(ids, positions, pad_id: int) -> np.ndarray:
-    masked = np.asarray(ids, dtype=int).copy()
-    masked[list(positions)] = pad_id
-    return masked
-
-
 def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
                         seed: int = 0):
     """Relevant activity ids for a prefix and the aggregated score map,
@@ -114,14 +108,15 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
     ``delta_sim`` cosine distance of the original.
     """
     ids = _prefix_ids(prefix)
-    p_orig, att_orig = model.forward(ids)
+    maskings = random_maskings(len(ids), n_mods, np.random.default_rng(seed))
+    variants = np.tile(ids, (len(maskings), 1))
+    for row, positions in zip(variants, maskings):
+        row[list(positions)] = model.pad_id
+    variants = variants[(variants != model.pad_id).any(axis=1)]
+    probs, att = model.predict(np.vstack([ids, variants]))
+    p_orig, att_orig = probs[0], att[0]
     sums = activity_score_sums(aggregate_event_scores(att_orig), ids, model.pad_id)
-    rng = np.random.default_rng(seed)
-    for positions in random_maskings(len(ids), n_mods, rng):
-        masked = mask_positions(ids, positions, model.pad_id)
-        if np.all(masked == model.pad_id):
-            continue
-        p_mod, att_mod = model.forward(masked)
+    for masked, p_mod, att_mod in zip(variants, probs[1:], att[1:]):
         if cosine_distance(p_mod, p_orig) > thresholds.delta_sim:
             continue
         for aid, value in activity_score_sums(
@@ -231,59 +226,53 @@ def compute_relevance_score(ids, masked_ids, psi_orig: dict[int, float],
     return K
 
 
-def _subsets(positions: tuple[int, ...], cap: int, rng: np.random.Generator):
-    """All subsets when small enough, else ``cap`` distinct sampled ones."""
-    n = len(positions)
+def _subsets(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """Subsets of ``n`` items as rows of a boolean matrix: all of them, in
+    binary counting order, when n <= 8, else ``cap`` distinct sampled ones."""
     if n <= 8:
-        for mask in range(1 << n):
-            yield tuple(positions[i] for i in range(n) if mask >> i & 1)
-        return
-    seen = set()
+        return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    seen = {}
     attempts = 0
     while len(seen) < cap and attempts < cap * 20:
         attempts += 1
         bits = rng.random(n) < 0.5
-        subset = tuple(positions[i] for i in range(n) if bits[i])
-        if subset not in seen:
-            seen.add(subset)
-            yield subset
+        seen.setdefault(bits.tobytes(), bits)
+    return np.array(list(seen.values()), dtype=bool).reshape(-1, n)
 
 
 def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
                               subset_cap: int = 256, seed: int = 0, n_mods: int = 20):
-    """The per-prefix few/most scenario score matrices K_few, K_most."""
+    """The per-prefix few/most scenario score matrices K_few, K_most,
+    stacked into one (2, |A|, |A|) array."""
     ids = _prefix_ids(prefix)
     nA = model.num_activities
     rng = np.random.default_rng(seed)
     a_r, _, p_orig, att_orig = relevant_activities(model, prefix, thresholds, n_mods=n_mods,
                                                    seed=seed)
-    positions = tuple(i for i, aid in enumerate(ids) if int(aid) in a_r)
     psi_orig = aggregate_activity_scores(aggregate_event_scores(att_orig), ids, model.pad_id)
     p_r = likely_next(p_orig, thresholds, nA)
-    K_few = np.zeros((nA, nA))
-    K_most = np.zeros((nA, nA))
-    all_positions = set(range(len(ids)))
-
-    def accumulate(target, mask_set):
-        masked = mask_positions(ids, mask_set, model.pad_id)
-        p_m, att_m = model.forward(masked)
-        try:
-            psi_m = aggregate_activity_scores(aggregate_event_scores(att_m), masked,
-                                              model.pad_id)
-        except DegenerateInputError:
-            psi_m = {}  # fully masked variant: only masked-activity scores apply
-        target += compute_relevance_score(
-            ids, masked, psi_orig, psi_m, p_orig, p_m, p_r,
-            thresholds.sim_eps, nA,
-        )
-
-    for subset in _subsets(positions, subset_cap, rng):
-        subset_set = set(subset)
-        if subset_set:  # few scenario: mask the relevant positions chosen
-            accumulate(K_few, subset_set)
-        if subset_set != set(positions):  # most scenario: mask the rest
-            accumulate(K_most, all_positions - subset_set)
-    return K_few, K_most
+    relevant = np.isin(ids, list(a_r))
+    subsets = _subsets(int(relevant.sum()), subset_cap, rng)
+    chosen = np.zeros((len(subsets), len(ids)), dtype=bool)
+    chosen[:, relevant] = subsets
+    # few scenario: mask a non-empty chosen subset of the relevant
+    # positions; most scenario: mask all but a chosen proper subset.
+    scenarios = (chosen[chosen.any(axis=1)], ~chosen[(chosen != relevant).any(axis=1)])
+    K = np.zeros((2, nA, nA))
+    for K_scenario, masks in zip(K, scenarios):
+        variants = np.where(masks, model.pad_id, ids)
+        probs, att = model.predict(variants)
+        for masked, p_m, att_m in zip(variants, probs, att):
+            try:
+                psi_m = aggregate_activity_scores(aggregate_event_scores(att_m), masked,
+                                                  model.pad_id)
+            except DegenerateInputError:
+                psi_m = {}  # fully masked variant: only masked-activity scores apply
+            K_scenario += compute_relevance_score(
+                ids, masked, psi_orig, psi_m, p_orig, p_m, p_r,
+                thresholds.sim_eps, nA,
+            )
+    return K
 
 
 def row_normalize(matrix: np.ndarray) -> np.ndarray:
@@ -304,17 +293,14 @@ def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thre
     """Aggregate score matrices across prefixes and read the thresholded,
     OR-combined result as an adjacency matrix."""
     nA = model.num_activities
-    K_few = np.zeros((nA, nA))
-    K_most = np.zeros((nA, nA))
+    K = np.zeros((2, nA, nA))  # K_few, K_most
     seeds = np.random.SeedSequence(entropy=seed).generate_state(max(len(prefixes), 1))
     for prefix, sub_seed in zip(prefixes, seeds):
-        kf, km = score_matrices_for_prefix(
+        K += score_matrices_for_prefix(
             model, prefix, thresholds, subset_cap=subset_cap, seed=int(sub_seed), n_mods=n_mods,
         )
-        K_few += kf
-        K_most += km
     delta = thresholds.edge_threshold(nA)
-    combined = (row_normalize(K_few) > delta) | (row_normalize(K_most) > delta)
+    combined = (row_normalize(K[0]) > delta) | (row_normalize(K[1]) > delta)
     labels = np.array(model.activity_labels, dtype=object)
     rows, cols = np.nonzero(combined)
     return ExplanationGraph.make(labels, zip(labels[cols], labels[rows]))

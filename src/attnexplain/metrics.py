@@ -13,6 +13,7 @@ excluded; a metric with no defined values reports None.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .attnstats import tvd
 from .eventlog import EventLog, Prefix, _last_activity, _prefix_ids, extract_prefixes
-from .explain import ExplanationGraph, Thresholds, likely_next, mask_positions
+from .explain import ExplanationGraph, Thresholds, likely_next
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,9 @@ def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
             undefined += 1  # END has no graph representation
             continue
         predicted = labels[top]
-        model_imp, expl_imp = [], []
-        for pos in range(len(ids)):
-            masked = mask_positions(ids, [pos], model.pad_id)
-            p_m, _ = model.forward(masked)
-            model_imp.append(tvd(p_orig, p_m))
-            expl_imp.append(1.0 if (labels[int(ids[pos])], predicted) in graph.edges else 0.0)
+        probs, _ = model.predict(np.where(np.eye(len(ids), dtype=bool), model.pad_id, ids))
+        model_imp = [tvd(p_orig, p_m) for p_m in probs]
+        expl_imp = [float((labels[aid], predicted) in graph.edges) for aid in ids.tolist()]
         corr = _pearson(model_imp, expl_imp)
         if corr is None:
             undefined += 1
@@ -203,11 +201,10 @@ def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
         if len(ids) < 2:
             undefined += 1
             continue
-        pos = int(rng.integers(len(ids)))
-        perturbed = Prefix(
-            activities=tuple(mask_positions(ids, [pos], model.pad_id).tolist()),
-            target=prefix.target, source_case=prefix.source_case,
-        )
+        activities = ids.tolist()
+        activities[int(rng.integers(len(ids)))] = model.pad_id
+        perturbed = Prefix(activities=tuple(activities), target=prefix.target,
+                           source_case=prefix.source_case)
         r_orig = _firing_rhs(model, explainer, prefix)
         r_pert = _firing_rhs(model, explainer, perturbed)
         if r_orig is None or r_pert is None:
@@ -236,13 +233,7 @@ def contrastivity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     if len(pairs) > _MAX_PAIRS:
         idx = rng.choice(len(pairs), size=_MAX_PAIRS, replace=False)
         pairs = [pairs[i] for i in sorted(idx.tolist())]
-    rhs_cache: dict[int, frozenset | None] = {}
-
-    def rhs(i):
-        if i not in rhs_cache:
-            rhs_cache[i] = _firing_rhs(model, explainer, prefixes[i])
-        return rhs_cache[i]
-
+    rhs = functools.cache(lambda i: _firing_rhs(model, explainer, prefixes[i]))
     values = []
     undefined = 0
     for i, j in pairs:

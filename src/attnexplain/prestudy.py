@@ -20,7 +20,6 @@ import numpy as np
 from .attnstats import flatten, jsd, tvd
 from .errors import UsageError
 from .eventlog import EventLog, _prefix_ids, extract_prefixes, split
-from .explain import mask_positions
 from .transformer import (
     ATTENTION_FROZEN_UNIFORM,
     ATTENTION_LEARNED,
@@ -141,11 +140,11 @@ def experiment2(model: TransformerModel, prefixes) -> Exp2Result:
     rows = []
     for idx, prefix in enumerate(prefixes):
         ids = _prefix_ids(prefix)
-        for pos in range(len(ids)):
-            masked_input = mask_positions(ids, [pos], model.pad_id)
-            p_m, _ = model.forward(masked_input)
-            p_am, _ = model.forward(ids, masked_positions={pos})
-            rows.append((idx, pos, tvd(p_m, p_am)))
+        single = np.eye(len(ids), dtype=bool)  # row ``pos`` masks position ``pos``
+        p_input, _ = model.predict(np.where(single, model.pad_id, ids))
+        p_attention, _ = model.predict(np.tile(ids, (len(ids), 1)), att_mask=single)
+        rows.extend((idx, pos, tvd(p_m, p_am))
+                    for pos, (p_m, p_am) in enumerate(zip(p_input, p_attention)))
     values = [v for _, _, v in rows]
     hist, edges = np.histogram(values, bins=_N_BINS, range=(0.0, 1.0))
     return Exp2Result(

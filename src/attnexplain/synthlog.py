@@ -30,6 +30,8 @@ from .eventlog import EventLog, build_log
 
 KINDS = ("sequence", "xor", "and", "loop")
 MAX_ACTIVITIES = 10
+# Building a loop's trace language is quadratic in max_iter (0.16 s at 1000).
+MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ class SynthSpec:
         if self.kind == "loop":
             if not self.body:
                 raise SynthSpecError("loop needs a non-empty body")
-            if self.max_iter < 1:
-                raise SynthSpecError("loop max_iter must be >= 1")
+            if not 1 <= self.max_iter <= MAX_ITER:
+                raise SynthSpecError(f"loop max_iter {self.max_iter} outside [1, {MAX_ITER}]")
             if not 0.0 <= self.p_repeat < 1.0:
                 raise SynthSpecError("loop p_repeat must be in [0, 1)")
 

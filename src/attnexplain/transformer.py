@@ -17,6 +17,10 @@ and the three are concatenated into one ``(d, 3d)`` Q|K|V matrix, so the
 forward projects with a single product and the backward takes all three
 gradients from one. Nothing keeps the fused copy, because training
 updates the parameters in place. ``frozen_uniform`` projects V only.
+The forward's products are stacked per batch row, never taken over rows
+flattened together: BLAS picks its kernels by matrix shape, so a flattened
+product lets a row's last bits depend on its batch. Stacked, each row of
+``predict`` is bitwise equal to ``forward`` on that row alone.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ ATTENTION_LEARNED = "learned"
 ATTENTION_FROZEN_UNIFORM = "frozen_uniform"
 
 _LN_EPS = 1e-5
+# Tokens per ``predict`` chunk; bounds memory at about 8 KiB a token (T = 24).
+_PREDICT_TOKENS = 192
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ class TransformerModel:
             if rng is None:
                 rng = np.random.default_rng(config.seed)
             self.params = self._init_params(rng)
-        self._check_shapes()
+        self._check_params()
 
     # ---------------------------------------------------------------- setup
 
@@ -134,13 +140,17 @@ class TransformerModel:
             "Wout": (d, C), "bout": (C,),
         }
 
-    def _check_shapes(self):
-        for name, shape in self.expected_shapes().items():
-            if name not in self.params:
-                raise CheckpointError(f"missing parameter {name}")
+    def _check_params(self):
+        expected, names = self.expected_shapes(), self.params.keys()
+        if names != expected.keys():
+            raise CheckpointError(f"missing parameters {sorted(expected.keys() - names)}, "
+                                  f"unexpected {sorted(names - expected.keys())}")
+        for name, shape in expected.items():
             got = self.params[name].shape
             if tuple(got) != shape:
                 raise CheckpointError(f"parameter {name}: expected shape {shape}, got {got}")
+            if not np.all(np.isfinite(self.params[name])):
+                raise CheckpointError(f"parameter {name} holds NaN or infinite values")
 
     @property
     def frozen_attention(self) -> bool:
@@ -161,9 +171,10 @@ class TransformerModel:
     def _forward_batch(self, ids: np.ndarray, keep_cache: bool = False, att_mask=None):
         """Forward a (B, T) id batch.
 
-        Q, K and V come from one ``(B*T, d) @ (d, 3d)`` product on the
+        Q, K and V come from one ``(B, T, d) @ (d, 3d)`` product on the
         fused ``Wq|Wk|Wv`` matrix, built from the ``(h, d, dh)`` parameters
-        on each call; ``frozen_uniform`` projects V only.
+        on each call; ``frozen_uniform`` projects V only. It and the head's
+        product are stacked per row, so no row depends on the rest.
 
         ``att_mask``, a (B, T) boolean array, zeroes the rows and columns
         of every head's post-softmax attention matrix at the positions it
@@ -184,8 +195,8 @@ class TransformerModel:
         X0 = p["embed"][ids] + self.pos_enc[:T][None, :, :]
         names = self._projection_names()
         W = np.concatenate([_head_columns(p[n]) for n in names], axis=1)
-        # (B*T, k*d) -> (k, B, h, T, dh): one (T, dh) block per projection and head.
-        QKV = (X0.reshape(B * T, d) @ W).reshape(B, T, len(names), h, d // h)
+        # (B, T, k*d) -> (k, B, h, T, dh): one (T, dh) block per projection and head.
+        QKV = (X0 @ W).reshape(B, T, len(names), h, d // h)
         QKV = QKV.transpose(2, 0, 3, 1, 4)
         Vv = QKV[-1]
         if self.frozen_attention:
@@ -212,7 +223,7 @@ class TransformerModel:
         R2 = N1 + F
         N2, ln2_cache = _layer_norm(R2, p["ln2_g"], p["ln2_b"])
         pooled = N2.mean(axis=1)
-        logits = pooled @ p["Wout"] + p["bout"]
+        logits = (pooled[:, None, :] @ p["Wout"])[:, 0] + p["bout"]
         logits = logits - logits.max(axis=-1, keepdims=True)
         expl = np.exp(logits)
         probs = expl / expl.sum(axis=-1, keepdims=True)
@@ -223,6 +234,22 @@ class TransformerModel:
                          U=U, Urelu=Urelu, ln2=ln2_cache, pooled=pooled)
         return probs, att, cache
 
+    def predict(self, ids, att_mask=None):
+        """``(probs, attention)``, (B, C) and (B, h, T, T), for a (B, T) id
+        batch and an optional (B, T) ``att_mask`` as ``_forward_batch``
+        takes. Runs ``_PREDICT_TOKENS`` tokens at a time; each row equals
+        ``forward`` on that row alone, bit for bit."""
+        ids = np.asarray(ids, dtype=int)
+        B, T = ids.shape
+        probs = np.empty((B, self.num_classes))
+        att = np.empty((B, self.config.h, T, T))
+        step = max(1, _PREDICT_TOKENS // max(T, 1))
+        for start in range(0, B, step):
+            rows = slice(start, start + step)
+            mask = None if att_mask is None else att_mask[rows]
+            probs[rows], att[rows], _ = self._forward_batch(ids[rows], False, mask)
+        return probs, att
+
     def forward(self, prefix, masked_positions=None):
         """Predict for one prefix (a Prefix or an id sequence).
 
@@ -232,11 +259,9 @@ class TransformerModel:
         indexes the prefix as numpy does; one outside it raises IndexError.
         """
         ids = _prefix_ids(prefix)
-        att_mask = None
-        if masked_positions:
-            att_mask = np.zeros((1, len(ids)), dtype=bool)
-            att_mask[0, list(masked_positions)] = True
-        probs, att, _ = self._forward_batch(ids[None, :], False, att_mask)
+        att_mask = np.zeros((1, len(ids)), dtype=bool)  # all False masks nothing, exactly
+        att_mask[0, list(masked_positions or ())] = True
+        probs, att = self.predict(ids[None, :], att_mask)
         return probs[0], att[0]
 
     # ------------------------------------------------------------- backward
@@ -472,13 +497,8 @@ def gradient_check(model: TransformerModel, prefix, n_samples: int = 30, step: f
 
 def weighted_f1(model: TransformerModel, prefixes) -> float:
     """Support-weighted F1 of argmax predictions over prefix targets."""
-    y_true, y_pred = [], []
-    for p in prefixes:
-        probs, _ = model.forward(p)
-        y_pred.append(int(np.argmax(probs)))
-        y_true.append(model.target_class(p.target))
-    y_true = np.array(y_true)
-    y_pred = np.array(y_pred)
+    y_true = np.array([model.target_class(p.target) for p in prefixes])
+    y_pred = np.array([np.argmax(model.forward(p)[0]) for p in prefixes])
     total = len(y_true)
     score = 0.0
     for cls in np.unique(y_true):

@@ -227,8 +227,17 @@ EXIT_CASES = {
                                    NOT_META_OBJECT),
     "checkpoint-meta-without-config": ([*BAD_CHECKPOINT, "{tmp}/meta_no_config.npz"], 4,
                                        NOT_META_OBJECT),
+    "checkpoint-nan-parameter": ([*BAD_CHECKPOINT, "{tmp}/nan_param.npz"], 4,
+                                 "parameter Wout holds NaN or infinite values"),
+    "checkpoint-inf-parameter-explain": (
+        [*OUT, "explain", "--method", "backward", "--log", "{log}", "--checkpoint",
+         "{tmp}/inf_param.npz"], 4, "parameter embed holds NaN or infinite values"),
+    "checkpoint-unknown-parameter": ([*BAD_CHECKPOINT, "{tmp}/extra_param.npz"], 4,
+                                     "missing parameters [], unexpected ['extra']"),
     "spec-max-iter-not-a-number": ([*OUT, "synth", "--spec", "{tmp}/max_iter_x.spec"], 4,
                                    "max_iter must be an integer, got 'x'"),
+    "spec-max-iter-above-limit": ([*OUT, "synth", "--spec", "{tmp}/max_iter_big.spec"], 4,
+                                  "loop max_iter 20000 outside [1, 1000]"),
     "seed-negative-train": (["--seed", "-1", *TRAIN], 2, "seed must be >= 0, got -1"),
     "seed-negative-synth": (["--seed", "-1", *OUT, "synth", "--spec", "{tmp}/spec.txt"], 2,
                             "seed must be >= 0, got -1"),
@@ -257,6 +266,7 @@ CONFIG_FILES = {
     "empty_activity.csv": "case,activity,time\nc1,A,1\nc1,,2\n",
     "seed_-1.json": '{"seed": -1}',
     "max_iter_x.spec": "kind = loop\nbody = A B\nmax_iter = x\n",
+    "max_iter_big.spec": "kind = loop\nbody = A B\nmax_iter = 20000\n",
 }
 
 
@@ -269,6 +279,13 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
         (tmp_path / name).write_bytes(b"case,activity,time\nc1,\xff\xfe,1\n")
     for name, meta in CHECKPOINT_METAS.items():
         np.savez(tmp_path / name, __meta__=np.frombuffer(meta, dtype=np.uint8))
+    with np.load(checkpoint) as data:
+        arrays = dict(data)
+    nan_wout, inf_embed = arrays["Wout"].copy(), arrays["embed"].copy()
+    nan_wout[0, 0], inf_embed[-1, -1] = np.nan, -np.inf
+    np.savez(tmp_path / "nan_param.npz", **{**arrays, "Wout": nan_wout})
+    np.savez(tmp_path / "inf_param.npz", **{**arrays, "embed": inf_embed})
+    np.savez(tmp_path / "extra_param.npz", **arrays, extra=np.zeros(1, dtype="<f4"))
     write_log(tmp_path / "long.csv", [["A", "B", "C"] * 3] * 10)
     write_log(tmp_path / "cba.csv", [["C", "B", "A"]] * 10)
     argv, code, message = EXIT_CASES[case]

@@ -15,7 +15,6 @@ from attnexplain.explain import (
     bipartite_local_graph,
     compute_relevance_score,
     likely_next,
-    mask_positions,
     merge_with_pruning,
     random_maskings,
     relevant_activities,
@@ -51,6 +50,11 @@ class FixedModel:
         probs = np.full(self.num_classes, 1.0 / self.num_classes)
         att = np.full((1, T, T), 1.0 / T)
         return probs, att
+
+    def predict(self, ids, att_mask=None):
+        """``forward`` per row, stacked; like ``forward``, it ignores masks."""
+        rows = [self.forward(row) for row in ids]
+        return np.array([p for p, _ in rows]), np.array([a for _, a in rows])
 
 
 def att_with_column_scores(scores):
@@ -108,11 +112,6 @@ def test_explanation_graph_validates_edges():
     g = ExplanationGraph.make({"A", "B"}, {("A", "B")})
     assert g.successors("A") == {"B"}
     assert g.successors("B") == set()
-
-
-def test_mask_positions():
-    masked = mask_positions(np.array([0, 1, 2]), [0, 2], pad_id=9)
-    np.testing.assert_array_equal(masked, [9, 1, 9])
 
 
 @given(length=st.integers(1, 12), n_mods=st.integers(0, 30), seed=st.integers(0, 99))
@@ -204,15 +203,15 @@ def test_relevant_activities_returns_the_unmodified_forward(tiny_model):
 
 def test_backward_local_graph_forwards_the_prefix_once(tiny_model, monkeypatch):
     calls = []
-    forward = tiny_model.forward
+    predict = tiny_model.predict
 
-    def counting_forward(prefix, masked_positions=None):
-        calls.append(prefix)
-        return forward(prefix, masked_positions)
+    def counting_predict(ids, att_mask=None):
+        calls.append(ids)
+        return predict(ids, att_mask)
 
-    monkeypatch.setattr(tiny_model, "forward", counting_forward)
+    monkeypatch.setattr(tiny_model, "predict", counting_predict)
     backward_local_graph(tiny_model, (0, 1, 2), Thresholds(), n_mods=0)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0].shape == (1, 3)
 
 
 def test_bipartite_local_graph():

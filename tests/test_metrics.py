@@ -40,6 +40,11 @@ class TableModel:
             return np.asarray(self.default, dtype=float), att
         return np.full(self.num_classes, 1.0 / self.num_classes), att
 
+    def predict(self, ids, att_mask=None):
+        """``forward`` per row, stacked; like ``forward``, it ignores masks."""
+        rows = [self.forward(row) for row in ids]
+        return np.array([p for p, _ in rows]), np.array([a for _, a in rows])
+
 
 def prefix(ids, target=0):
     return Prefix(activities=tuple(ids), target=target, source_case="c")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from attnexplain.errors import SynthSpecError
 from attnexplain.eventlog import END_LABEL
 from attnexplain.synthlog import (
+    MAX_ITER,
     SynthSpec,
     and_split,
     deterministic_continuations,
@@ -62,6 +63,9 @@ def test_spec_validation():
         xor("A", ["B"], "C")  # single branch
     with pytest.raises(SynthSpecError):
         loop(["A"], max_iter=0)
+    with pytest.raises(SynthSpecError, match=r"max_iter 1001 outside \[1, 1000\]"):
+        loop(["A"], max_iter=MAX_ITER + 1)
+    assert loop(["A"], max_iter=MAX_ITER).max_iter == MAX_ITER
     with pytest.raises(SynthSpecError):
         loop(["A"], p_repeat=1.0)
     with pytest.raises(SynthSpecError):

@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnexplain.errors import DivergenceError, TrainingDataError
 from attnexplain.eventlog import build_log, extract_prefixes
 from attnexplain.transformer import (
     ATTENTION_FROZEN_UNIFORM,
+    _PREDICT_TOKENS,
     ModelConfig,
     TransformerModel,
     gradient_check,
@@ -121,8 +124,8 @@ def test_batch_forward_rows_match_single_forward(tiny_model):
     probs, att, _ = tiny_model._forward_batch(ids)
     for row, probs_row, att_row in zip(ids, probs, att):
         single_probs, single_att = tiny_model.forward(row)
-        np.testing.assert_allclose(probs_row, single_probs, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(att_row, single_att, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(probs_row, single_probs)
+        np.testing.assert_array_equal(att_row, single_att)
 
 
 @pytest.mark.parametrize("mode", ["learned", ATTENTION_FROZEN_UNIFORM])
@@ -137,11 +140,34 @@ def test_batch_forward_applies_each_rows_attention_mask(abc_log, mode):
     for row, mask_row, probs_row, att_row in zip(ids, att_mask, probs, att):
         masked = set(np.flatnonzero(mask_row).tolist())
         single_probs, single_att = model.forward(row, masked_positions=masked)
-        np.testing.assert_allclose(probs_row, single_probs, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(att_row, single_att, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(probs_row, single_probs)
+        np.testing.assert_array_equal(att_row, single_att)
         ref_probs, ref_att = reference_forward(model, row, masked_positions=masked)
         np.testing.assert_allclose(probs_row, ref_probs, rtol=0, atol=1e-6)
         np.testing.assert_allclose(att_row, ref_att, rtol=0, atol=1e-6)
+
+
+PREDICT_MODELS = {mode: TransformerModel(replace(TINY_CONFIG, attention_mode=mode),
+                                         ["A", "B", "C"], rng=np.random.default_rng(5))
+                  for mode in ("learned", ATTENTION_FROZEN_UNIFORM)}
+
+
+@given(mode=st.sampled_from(sorted(PREDICT_MODELS)), T=st.integers(1, TINY_CONFIG.max_len),
+       extra_rows=st.integers(0, 8), seed=st.integers(0, 2**32 - 1), masked=st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_predict_rows_equal_forward_exactly(mode, T, extra_rows, seed, masked):
+    model = PREDICT_MODELS[mode]
+    B = _PREDICT_TOKENS // T + 1 + extra_rows  # one full chunk and part of a second
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, model.vocab_size, size=(B, T))
+    att_mask = rng.random((B, T)) < 0.4 if masked else None
+    probs, att = model.predict(ids, att_mask)
+    assert probs.shape == (B, model.num_classes) and att.shape == (B, TINY_CONFIG.h, T, T)
+    for i, row in enumerate(ids):
+        positions = set() if att_mask is None else set(np.flatnonzero(att_mask[i]).tolist())
+        single_probs, single_att = model.forward(row, masked_positions=positions)
+        np.testing.assert_array_equal(probs[i], single_probs)
+        np.testing.assert_array_equal(att[i], single_att)
 
 
 def test_frozen_forward_and_backward_never_read_qk(abc_log):
