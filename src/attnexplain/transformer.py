@@ -21,6 +21,15 @@ The forward's products are stacked per batch row, never taken over rows
 flattened together: BLAS picks its kernels by matrix shape, so a flattened
 product lets a row's last bits depend on its batch. Stacked, each row of
 ``predict`` is bitwise equal to ``forward`` on that row alone.
+
+Short-axis reductions are BLAS products too, because at training shapes
+(small batches, T <= 24) a numpy reduction costs more in call overhead
+than in arithmetic: the layer-norm means and variances are ``x @ (1/d)``,
+the softmax row sums ``e @ ones(T)``, the layer-norm gain and bias
+gradients ``ones(B*T) @ rows`` and the embedding gradient a one-hot
+product. Only the softmax's row max stays a reduction. ``train`` moves
+the parameters into one flat buffer that the parameter dict views, so a
+step is one gradient concatenation and one ``flat -= lr * gflat``.
 """
 
 from __future__ import annotations
@@ -67,7 +76,7 @@ class ModelConfig:
             raise ValueError(f"d_k={self.d_k} not divisible by h={self.h}")
         if self.attention_mode not in (ATTENTION_LEARNED, ATTENTION_FROZEN_UNIFORM):
             raise ValueError(f"unknown attention_mode {self.attention_mode!r}")
-        for name in ("d_k", "ff_dim", "epochs", "batch_size"):
+        for name in ("d_k", "max_len", "ff_dim", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.learning_rate > 0.0:
@@ -187,14 +196,15 @@ class TransformerModel:
         B, T = ids.shape
         if T < 1 or T > cfg.max_len:
             raise ValueError(f"prefix length {T} outside [1, {cfg.max_len}]")
-        if np.any(ids < 0) or np.any(ids >= self.vocab_size):
+        if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise IndexError("activity id outside vocabulary")
         d, h = cfg.d_k, cfg.h
         scale = 1.0 / np.sqrt(d)
 
         X0 = p["embed"][ids] + self.pos_enc[:T][None, :, :]
         names = self._projection_names()
-        W = np.concatenate([_head_columns(p[n]) for n in names], axis=1)
+        # (k*h, d, dh) -> (d, k*h*dh): column blocks in (projection, head) order.
+        W = np.concatenate([p[n] for n in names]).transpose(1, 0, 2).reshape(d, -1)
         # (B, T, k*d) -> (k, B, h, T, dh): one (T, dh) block per projection and head.
         QKV = (X0 @ W).reshape(B, T, len(names), h, d // h)
         QKV = QKV.transpose(2, 0, 3, 1, 4)
@@ -207,7 +217,7 @@ class TransformerModel:
             S = (Q @ K.swapaxes(-1, -2)) * scale
             S = S - S.max(axis=-1, keepdims=True)
             expS = np.exp(S)
-            A = expS / expS.sum(axis=-1, keepdims=True)
+            A = expS / (expS @ np.ones((T, 1)))
         att = A
         if att_mask is not None:
             keep = ~att_mask
@@ -278,7 +288,7 @@ class TransformerModel:
 
         probs, _, c = self._forward_batch(ids, keep_cache=True)
         eps = 1e-12
-        loss = float(-np.mean(np.log(probs[np.arange(B), targets] + eps)))
+        loss = float(-np.log(probs[np.arange(B), targets] + eps).sum() / B)
 
         dlogits = probs.copy()
         dlogits[np.arange(B), targets] -= 1.0
@@ -288,9 +298,8 @@ class TransformerModel:
         g["Wout"] = c["pooled"].T @ dlogits
         g["bout"] = dlogits.sum(axis=0)
         dpooled = dlogits @ p["Wout"].T
-        dN2 = np.repeat(dpooled[:, None, :], T, axis=1) / T
+        dN2 = np.broadcast_to((dpooled / T)[:, None, :], (B, T, d))
         dR2, g["ln2_g"], g["ln2_b"] = _layer_norm_backward(dN2, c["ln2"], p["ln2_g"])
-        dN1 = dR2.copy()
         dF = dR2
         g["W2"] = c["Urelu"].reshape(BT, -1).T @ dF.reshape(BT, d)
         g["b2"] = dF.sum(axis=(0, 1))
@@ -298,33 +307,34 @@ class TransformerModel:
         dU = dUrelu * (c["U"] > 0.0)
         g["W1"] = c["N1"].reshape(BT, d).T @ dU.reshape(BT, -1)
         g["b1"] = dU.sum(axis=(0, 1))
-        dN1 += dU @ p["W1"].T
+        dN1 = dR2 + dU @ p["W1"].T
         dR1, g["ln1_g"], g["ln1_b"] = _layer_norm_backward(dN1, c["ln1"], p["ln1_g"])
-        dX0 = dR1.copy()
         dM = dR1
         g["Wo"] = c["Hc"].reshape(BT, d).T @ dM.reshape(BT, d)
         dHc = dM @ p["Wo"].T
         dH = dHc.reshape(B, T, h, d // h).transpose(0, 2, 1, 3)
         A = c["A"]
-        dV = A.swapaxes(-1, -2) @ dH
+        names = self._projection_names()
+        # Laid out (B, T, k, h, dh), so the fused (B*T, k*d) layout below is
+        # a reshape; blocks[i] views projection i's (B, h, T, dh) gradient.
+        dQKV = np.empty((B, T, len(names), h, d // h))
+        blocks = dQKV.transpose(2, 0, 3, 1, 4)
+        np.matmul(A.swapaxes(-1, -2), dH, out=blocks[-1])
         if self.frozen_attention:
             g["Wq"] = np.zeros_like(p["Wq"])
             g["Wk"] = np.zeros_like(p["Wk"])
-            dQKV = dV[None]
         else:
             dA = dH @ c["V"].swapaxes(-1, -2)
-            dS = A * (dA - np.sum(dA * A, axis=-1, keepdims=True))
-            dQ = (dS @ c["K"]) * scale
-            dK = (dS.swapaxes(-1, -2) @ c["Q"]) * scale
-            dQKV = np.stack([dQ, dK, dV])
-        # (k, B, h, T, dh) -> (B*T, k*d), the layout of the fused product.
-        dQKV = dQKV.transpose(1, 3, 0, 2, 4).reshape(BT, -1)
+            dS = A * (dA - (dA * A) @ np.ones((T, 1)))
+            dS *= scale
+            np.matmul(dS, c["K"], out=blocks[0])
+            np.matmul(dS.swapaxes(-1, -2), c["Q"], out=blocks[1])
+        dQKV = dQKV.reshape(BT, -1)
         gW = c["X0"].reshape(BT, d).T @ dQKV
-        for i, name in enumerate(self._projection_names()):
+        for i, name in enumerate(names):
             g[name] = _head_blocks(gW[:, i * d:(i + 1) * d], h)
-        dX0 += (dQKV @ c["W"].T).reshape(B, T, d)
-        g["embed"] = np.zeros_like(p["embed"])
-        np.add.at(g["embed"], ids, dX0)
+        dX0 = dR1 + (dQKV @ c["W"].T).reshape(B, T, d)
+        g["embed"] = _embedding_grad(ids, dX0, self.vocab_size)
         return loss, g
 
     # ------------------------------------------------------------ accessors
@@ -382,34 +392,36 @@ class TransformerModel:
         return cls(config, meta["activity_labels"], params=params)
 
 
-def _head_columns(W):
-    """(h, d, dh) per-head projection -> (d, h*dh), head-major columns."""
-    return W.transpose(1, 0, 2).reshape(W.shape[1], -1)
-
-
 def _head_blocks(G, h):
-    """Inverse of ``_head_columns``: (d, h*dh) -> (h, d, dh)."""
+    """(d, h*dh) head-major columns -> (h, d, dh) per-head blocks."""
     return G.reshape(G.shape[0], h, -1).transpose(1, 0, 2)
 
 
+def _embedding_grad(ids, dX, vocab_size):
+    """Sum of the (B, T, d) rows of ``dX`` per id in ``ids``, as the
+    (V, B*T) one-hot matrix times ``dX``'s (B*T, d) rows."""
+    onehot = ids.reshape(-1, 1) == np.arange(vocab_size)
+    return onehot.T @ dX.reshape(ids.size, -1)
+
+
 def _layer_norm(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
-    return gamma * xhat + beta, (xhat, inv)
+    """Row-wise layer norm; the mean and the variance are products with
+    ``w = 1/d``, kept in the cache for the backward."""
+    w = np.full((x.shape[-1], 1), 1.0 / x.shape[-1])
+    xc = x - x @ w
+    inv = 1.0 / np.sqrt((xc * xc) @ w + _LN_EPS)
+    xhat = xc * inv
+    return gamma * xhat + beta, (xhat, inv, w)
 
 
 def _layer_norm_backward(dy, cache, gamma):
-    xhat, inv = cache
-    dgamma = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    dbeta = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+    xhat, inv, w = cache
+    d = dy.shape[-1]
+    ones = np.ones(dy.size // d)
+    dgamma = ones @ (dy * xhat).reshape(-1, d)
+    dbeta = ones @ dy.reshape(-1, d)
     dxhat = dy * gamma
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    dx = inv * (dxhat - dxhat @ w - xhat * ((dxhat * xhat) @ w))
     return dx, dgamma, dbeta
 
 
@@ -422,17 +434,27 @@ def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
     prefixes = extract_prefixes(logobj)
     if not prefixes:
         raise TrainingDataError("no prefixes extractable from the log")
-    too_long = max(len(p.activities) for p in prefixes)
-    if too_long > config.max_len:
-        config = replace(config, max_len=too_long)
+    lengths = np.array([len(p.activities) for p in prefixes])
+    longest = int(lengths.max())
+    if longest > config.max_len:
+        config = replace(config, max_len=longest)
 
     init_seed, epoch_seed = np.random.SeedSequence(entropy=config.seed).spawn(2)
     model = TransformerModel(config, logobj.activity_labels, rng=np.random.default_rng(init_seed))
     epoch_rng = np.random.default_rng(epoch_seed)
 
     targets = np.array([model.target_class(p.target) for p in prefixes])
-    id_arrays = [np.asarray(p.activities, dtype=int) for p in prefixes]
-    lengths = np.array([len(a) for a in id_arrays])
+    # Every prefix padded once; a batch is a row selection of its columns.
+    all_ids = np.full((len(prefixes), longest), model.pad_id)
+    all_ids[np.arange(longest) < lengths[:, None]] = np.concatenate(
+        [p.activities for p in prefixes])
+    # The parameters become views into one buffer, updated in one step.
+    names = list(model.params)
+    flat = np.concatenate([model.params[n].ravel() for n in names])
+    gflat = np.empty_like(flat)
+    ends = np.cumsum([model.params[n].size for n in names])
+    model.params = {n: flat[end - model.params[n].size:end].reshape(model.params[n].shape)
+                    for n, end in zip(names, ends)}
 
     step = 0
     for _epoch in range(config.epochs):
@@ -443,12 +465,12 @@ def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
         for length in np.unique(lengths):
             bucket = order[lengths[order] == length]
             for start in range(0, len(bucket), config.batch_size):
-                batches.append(bucket[start:start + config.batch_size])
+                batches.append((bucket[start:start + config.batch_size], length))
         # Interleave length buckets; processing lengths in order makes
         # the pooled representation forget shorter prefixes.
         batch_order = epoch_rng.permutation(len(batches))
-        for batch in (batches[i] for i in batch_order):
-            ids = np.stack([id_arrays[i] for i in batch])
+        for batch, length in (batches[i] for i in batch_order):
+            ids = all_ids[batch, :length]
             if config.pad_dropout > 0.0:
                 drop = epoch_rng.random(ids.shape) < config.pad_dropout
                 ids = np.where(drop, model.pad_id, ids)
@@ -456,8 +478,8 @@ def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at step {step}", step=step)
             # Frozen Q/K get exact zero gradients, so they stay at 0.0.
-            for name, grad in grads.items():
-                model.params[name] -= config.learning_rate * grad
+            np.concatenate([grads[n].ravel() for n in names], out=gflat)
+            flat -= config.learning_rate * gflat
             step += 1
     for name, arr in model.params.items():
         if not np.all(np.isfinite(arr)):
@@ -496,9 +518,15 @@ def gradient_check(model: TransformerModel, prefix, n_samples: int = 30, step: f
 
 
 def weighted_f1(model: TransformerModel, prefixes) -> float:
-    """Support-weighted F1 of argmax predictions over prefix targets."""
+    """Support-weighted F1 of argmax predictions over prefix targets.
+    Same-length prefixes are predicted in one batch."""
     y_true = np.array([model.target_class(p.target) for p in prefixes])
-    y_pred = np.array([np.argmax(model.forward(p)[0]) for p in prefixes])
+    lengths = np.array([len(p.activities) for p in prefixes])
+    y_pred = np.empty(len(prefixes), dtype=int)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        probs, _ = model.predict([prefixes[i].activities for i in rows])
+        y_pred[rows] = probs.argmax(axis=1)
     total = len(y_true)
     score = 0.0
     for cls in np.unique(y_true):

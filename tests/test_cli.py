@@ -176,6 +176,7 @@ EXIT_CASES = {
         "log activities ['C', 'B', 'A'] differ from the checkpoint's ['A', 'B', 'C']"),
     "batch-size-zero": ([*TRAIN, "--batch-size", "0"], 2, "batch_size must be >= 1"),
     "epochs-negative": ([*TRAIN, "--epochs", "-1"], 2, "epochs must be >= 1"),
+    "max-len-negative": ([*TRAIN, "--max-len", "-3"], 2, "max_len must be >= 1, got -3"),
     "ff-dim-zero": ([*TRAIN, "--ff-dim", "0"], 2, "ff_dim must be >= 1"),
     "learning-rate-zero": ([*TRAIN, "--learning-rate", "0"], 2, "learning_rate must be > 0"),
     "learning-rate-negative": ([*TRAIN, "--learning-rate", "-0.01"], 2,
@@ -234,6 +235,8 @@ EXIT_CASES = {
          "{tmp}/inf_param.npz"], 4, "parameter embed holds NaN or infinite values"),
     "checkpoint-unknown-parameter": ([*BAD_CHECKPOINT, "{tmp}/extra_param.npz"], 4,
                                      "missing parameters [], unexpected ['extra']"),
+    "checkpoint-max-len-negative": ([*BAD_CHECKPOINT, "{tmp}/max_len_neg.npz"], 4,
+                                    "max_len must be >= 1, got -1"),
     "spec-max-iter-not-a-number": ([*OUT, "synth", "--spec", "{tmp}/max_iter_x.spec"], 4,
                                    "max_iter must be an integer, got 'x'"),
     "spec-max-iter-above-limit": ([*OUT, "synth", "--spec", "{tmp}/max_iter_big.spec"], 4,
@@ -286,6 +289,10 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
     np.savez(tmp_path / "nan_param.npz", **{**arrays, "Wout": nan_wout})
     np.savez(tmp_path / "inf_param.npz", **{**arrays, "embed": inf_embed})
     np.savez(tmp_path / "extra_param.npz", **arrays, extra=np.zeros(1, dtype="<f4"))
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta["config"]["max_len"] = -1
+    np.savez(tmp_path / "max_len_neg.npz", **{**arrays, "__meta__": np.frombuffer(
+        json.dumps(meta).encode(), dtype=np.uint8)})
     write_log(tmp_path / "long.csv", [["A", "B", "C"] * 3] * 10)
     write_log(tmp_path / "cba.csv", [["C", "B", "A"]] * 10)
     argv, code, message = EXIT_CASES[case]

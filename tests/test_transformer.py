@@ -10,10 +10,14 @@ from attnexplain.errors import DivergenceError, TrainingDataError
 from attnexplain.eventlog import build_log, extract_prefixes
 from attnexplain.transformer import (
     ATTENTION_FROZEN_UNIFORM,
+    _LN_EPS,
     _PREDICT_TOKENS,
     ModelConfig,
     TransformerModel,
     gradient_check,
+    _embedding_grad,
+    _layer_norm,
+    _layer_norm_backward,
     sinusoidal_positions,
     train,
     weighted_f1,
@@ -101,6 +105,50 @@ def test_gradient_check_frozen(abc_log):
     model = TransformerModel(cfg, abc_log.activity_labels)
     err = gradient_check(model, np.array([0, 1, 2]), n_samples=20, seed=0)
     assert np.isfinite(err) and err < 1e-4
+
+
+@given(d=st.integers(1, 64), rows=st.integers(1, 12), log_scale=st.floats(-3, 3),
+       constant=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_layer_norm_matches_mean_var_reference(d, rows, log_scale, constant, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    shape = (rows, 2, d)
+    if constant:  # every row one value: variance 0
+        x = np.broadcast_to(rng.normal(size=(rows, 2, 1)) * scale, shape).copy()
+    else:
+        x = (rng.normal(size=shape) + rng.normal()) * scale
+    gamma, beta, dy = rng.normal(size=d), rng.normal(size=d), rng.normal(size=x.shape)
+
+    y, cache = _layer_norm(x, gamma, beta)
+    dx, dgamma, dbeta = _layer_norm_backward(dy, cache, gamma)
+
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    dxhat = dy * gamma
+    ref_dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    # Both here and in the model a row's mean is rounded to a few ulps of
+    # its values, and the norm divides by the row's spread; so the absolute
+    # tolerance grows with |x| / spread: about 1 for spread rows, up to
+    # |x| / sqrt(eps) for constant ones, whose exact output is beta.
+    atol = 1e-12 * max(1.0, float(np.max(np.abs(x) * inv)))
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
+    np.testing.assert_allclose(y, gamma * xhat + beta, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(dgamma, (dy * xhat).sum(axis=(0, 1)), rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(dbeta, dy.sum(axis=(0, 1)), rtol=1e-12, atol=1e-12)
+
+
+def test_embedding_grad_sums_repeated_ids():
+    # id 2 repeats within row 0 and across rows 0, 1 and 2; id 4 is unused
+    ids = np.array([[2, 0, 2, 1], [3, 2, 1, 1], [2, 2, 2, 0]])
+    dX = np.random.default_rng(4).normal(size=(*ids.shape, 6))
+    expected = np.zeros((5, 6))
+    np.add.at(expected, ids, dX)
+    grad = _embedding_grad(ids, dX, 5)
+    np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-14)
+    assert np.all(grad[4] == 0.0)
 
 
 @pytest.mark.parametrize("mode", ["learned", ATTENTION_FROZEN_UNIFORM])
@@ -209,6 +257,50 @@ def test_train_deterministic(abc_log):
     m2 = train(abc_log, TINY_CONFIG)
     for name in m1.params:
         np.testing.assert_array_equal(m1.params[name], m2.params[name])
+
+
+def _reference_sgd_train(logobj, config):
+    """``train`` as a straight loop: batches assembled with ``np.stack``,
+    the same random draws, one ``param -= lr * grad`` per parameter."""
+    prefixes = extract_prefixes(logobj)
+    config = replace(config, max_len=max(config.max_len,
+                                         max(len(p.activities) for p in prefixes)))
+    init_seed, epoch_seed = np.random.SeedSequence(entropy=config.seed).spawn(2)
+    model = TransformerModel(config, logobj.activity_labels, rng=np.random.default_rng(init_seed))
+    epoch_rng = np.random.default_rng(epoch_seed)
+    targets = np.array([model.target_class(p.target) for p in prefixes])
+    id_arrays = [np.asarray(p.activities, dtype=int) for p in prefixes]
+    lengths = np.array([len(a) for a in id_arrays])
+    for _epoch in range(config.epochs):
+        order = epoch_rng.permutation(len(prefixes))
+        batches = []
+        for length in np.unique(lengths):
+            bucket = order[lengths[order] == length]
+            for start in range(0, len(bucket), config.batch_size):
+                batches.append(bucket[start:start + config.batch_size])
+        batch_order = epoch_rng.permutation(len(batches))
+        for batch in (batches[i] for i in batch_order):
+            ids = np.stack([id_arrays[i] for i in batch])
+            if config.pad_dropout > 0.0:
+                drop = epoch_rng.random(ids.shape) < config.pad_dropout
+                ids = np.where(drop, model.pad_id, ids)
+            _, grads = model.loss_and_grads(ids, targets[batch])
+            for name, grad in grads.items():
+                model.params[name] -= config.learning_rate * grad
+    return model
+
+
+@pytest.mark.parametrize("mode", ["learned", ATTENTION_FROZEN_UNIFORM])
+def test_train_matches_reference_sgd_loop(mode):
+    # prefixes of lengths 1 to 4, several batches per length, PAD dropout on
+    logobj = build_log([(f"c{i}", trace) for i, trace in enumerate(
+        [["A", "B", "C", "D"], ["A", "C"], ["B", "C", "D"], ["A", "B", "D"]] * 3)])
+    config = replace(TINY_CONFIG, attention_mode=mode, epochs=3, batch_size=3, pad_dropout=0.3)
+    model = train(logobj, config)
+    reference = _reference_sgd_train(logobj, config)
+    assert model.params.keys() == reference.params.keys()
+    for name in model.params:
+        np.testing.assert_array_equal(model.params[name], reference.params[name], err_msg=name)
 
 
 def test_train_seed_changes_weights(abc_log):
