@@ -4,7 +4,9 @@ Covers flattening attention tensors into L1-normalized distributions,
 the divergence/distance measures used by the pre-study (Jensen-Shannon
 divergence with natural log, total variation distance, cosine distance),
 and the column-sum aggregation that turns attention tensors into
-per-event and per-activity relevance scores.
+per-event and per-activity relevance scores. Activity scores are
+``(..., |A|)`` arrays indexed by activity id, one row per prefix of a
+batch; an activity absent from a prefix scores 0.
 """
 
 from __future__ import annotations
@@ -78,43 +80,36 @@ def cosine_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def aggregate_event_scores(att: np.ndarray) -> np.ndarray:
-    """Per-event total attention scores.
+    """Per-event total attention scores, (..., T) for (..., h, T, T).
 
     The heads' matrices are summed component-wise and each column j is
     summed: score j is the total attention paid *to* position j across
     all heads.
     """
     att = np.asarray(att, dtype=float)
-    if att.ndim != 3:
-        raise DimensionError(f"expected (h, T, T) tensor, got shape {att.shape}")
-    return att.sum(axis=0).sum(axis=0)
+    if att.ndim < 3:
+        raise DimensionError(f"expected (..., h, T, T) tensor, got shape {att.shape}")
+    return att.sum(axis=-3).sum(axis=-2)
 
 
-def activity_score_sums(eta: np.ndarray, activities, pad_id: int) -> dict[int, float]:
-    """Raw per-activity sums of event scores; PAD positions excluded."""
-    eta = np.asarray(eta, dtype=float)
-    activities = list(activities)
-    if len(eta) != len(activities):
-        raise DimensionError(f"|eta|={len(eta)} but |prefix|={len(activities)}")
-    sums: dict[int, float] = {}
-    for score, aid in zip(eta, activities):
-        if aid == pad_id:
-            continue
-        sums[aid] = sums.get(aid, 0.0) + float(score)
-    return sums
+def activity_score_sums(att: np.ndarray, ids, pad_id: int) -> np.ndarray:
+    """Raw per-activity sums of event scores, (B, |A|) for a (B, h, T, T)
+    attention batch over (B, T) ids; PAD positions are excluded. Each
+    activity's positions are added in position order."""
+    ids = np.asarray(ids, dtype=int)
+    eta = aggregate_event_scores(att)
+    if eta.shape != ids.shape or ids.ndim != 2:
+        raise DimensionError(f"event scores {eta.shape} but ids {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() > pad_id):
+        raise DimensionError(f"activity id outside [0, {pad_id}]")
+    B, width = len(ids), pad_id + 1
+    rows = ids + width * np.arange(B)[:, None]
+    sums = np.bincount(rows.ravel(), weights=eta.ravel(), minlength=B * width)
+    return sums.reshape(B, width)[:, :pad_id].astype(float, copy=False)
 
 
-def max_normalize(scores: dict[int, float]) -> dict[int, float]:
-    """Divide by the maximum component so the top score is exactly 1."""
-    if not scores:
-        raise DegenerateInputError("no activity scores to normalize (all-PAD prefix?)")
-    top = max(scores.values())
-    if top <= 0.0:
-        raise DegenerateInputError("non-positive maximum activity score")
-    return {aid: value / top for aid, value in scores.items()}
-
-
-def aggregate_activity_scores(eta: np.ndarray, activities, pad_id: int) -> dict[int, float]:
-    """Max-normalized per-activity attention scores for one prefix."""
-    return max_normalize(activity_score_sums(eta, activities, pad_id))
-
+def max_normalize(scores: np.ndarray) -> np.ndarray:
+    """Divide each row by its maximum so its top score is exactly 1; an
+    all-zero row (an all-PAD prefix) stays zero."""
+    top = scores.max(axis=-1, keepdims=True, initial=0.0)
+    return np.divide(scores, top, out=np.zeros_like(scores), where=top > 0.0)

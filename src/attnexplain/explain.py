@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attnstats import (
-    activity_score_sums,
-    aggregate_activity_scores,
-    aggregate_event_scores,
-    cosine_distance,
-    max_normalize,
-)
-from .errors import DegenerateInputError
+from .attnstats import activity_score_sums, cosine_distance, max_normalize
 from .eventlog import _last_activity, _prefix_ids
 
 
@@ -100,8 +93,8 @@ def random_maskings(length: int, n_mods: int, rng: np.random.Generator) -> list[
 
 def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
                         seed: int = 0):
-    """Relevant activity ids for a prefix and the aggregated score map,
-    followed by the unmodified prefix's ``(probs, attention)``.
+    """Relevant activity ids for a prefix and its aggregated ``(|A|,)``
+    score array ψ, followed by the unmodified prefix's ``(probs, attention)``.
 
     Attention of the unmodified prefix always contributes; a random
     modification contributes only when its prediction stays within
@@ -113,19 +106,15 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
     for row, positions in zip(variants, maskings):
         row[list(positions)] = model.pad_id
     variants = variants[(variants != model.pad_id).any(axis=1)]
-    probs, att = model.predict(np.vstack([ids, variants]))
+    batch = np.vstack([ids, variants])
+    probs, att = model.predict(batch)
     p_orig, att_orig = probs[0], att[0]
-    sums = activity_score_sums(aggregate_event_scores(att_orig), ids, model.pad_id)
-    for masked, p_mod, att_mod in zip(variants, probs[1:], att[1:]):
-        if cosine_distance(p_mod, p_orig) > thresholds.delta_sim:
-            continue
-        for aid, value in activity_score_sums(
-            aggregate_event_scores(att_mod), masked, model.pad_id
-        ).items():
-            sums[aid] += value  # a masked variant holds only the prefix's activities
-    psi = max_normalize(sums)
-    a_r = {aid for aid, value in psi.items() if value > thresholds.delta_attr}
-    return a_r, psi, p_orig, att_orig
+    sums = activity_score_sums(att, batch, model.pad_id)
+    for row, p_mod in zip(sums[1:], probs[1:]):
+        if cosine_distance(p_mod, p_orig) <= thresholds.delta_sim:
+            sums[0] += row  # in variant order: a reordered sum rounds differently
+    psi = max_normalize(sums[0])
+    return np.flatnonzero(psi > thresholds.delta_attr), psi, p_orig, att_orig
 
 
 def likely_next(probs, thresholds: Thresholds, num_activities: int) -> set[int]:
@@ -193,8 +182,8 @@ def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
 # ------------------------------------------------- Attention Exploration
 
 
-def compute_relevance_score(ids, masked_ids, psi_orig: dict[int, float],
-                            psi_masked: dict[int, float], p_orig, p_masked,
+def compute_relevance_score(ids, masked_ids, psi_orig: np.ndarray,
+                            psi_masked: np.ndarray, p_orig, p_masked,
                             p_r: set[int], sim_eps: float, num_activities: int) -> np.ndarray:
     """Signed relevance scores for one (prefix, masked prefix) pair.
 
@@ -203,7 +192,9 @@ def compute_relevance_score(ids, masked_ids, psi_orig: dict[int, float],
     attention, negated when the prediction for the predicted activity is
     unchanged (within ``sim_eps``). For each non-masked position, the
     score is masked attention times prediction when unchanged, otherwise
-    the product of the attention and prediction deltas.
+    the product of the attention and prediction deltas. ``psi_orig`` and
+    ``psi_masked`` are the two prefixes' activity scores, indexed by
+    activity id (an array, or a mapping holding every id the prefixes use).
     """
     ids = np.asarray(ids, dtype=int)
     masked_ids = np.asarray(masked_ids, dtype=int)
@@ -218,11 +209,11 @@ def compute_relevance_score(ids, masked_ids, psi_orig: dict[int, float],
         p_a, delta = p_orig[a], abs(p_orig[a] - p_masked[a])
         similar = delta <= sim_eps
         for a_m in masked:
-            s = p_a * psi_orig.get(a_m, 0.0)
+            s = p_a * psi_orig[a_m]
             K[a, a_m] += -s if similar else s
         for a_n in kept:
-            psi_n = psi_masked.get(a_n, 0.0)
-            K[a, a_n] += psi_n * p_a if similar else abs(psi_orig.get(a_n, 0.0) - psi_n) * delta
+            psi_n = psi_masked[a_n]
+            K[a, a_n] += psi_n * p_a if similar else abs(psi_orig[a_n] - psi_n) * delta
     return K
 
 
@@ -249,9 +240,9 @@ def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
     rng = np.random.default_rng(seed)
     a_r, _, p_orig, att_orig = relevant_activities(model, prefix, thresholds, n_mods=n_mods,
                                                    seed=seed)
-    psi_orig = aggregate_activity_scores(aggregate_event_scores(att_orig), ids, model.pad_id)
+    psi_orig = max_normalize(activity_score_sums(att_orig[None], ids[None], model.pad_id))[0]
     p_r = likely_next(p_orig, thresholds, nA)
-    relevant = np.isin(ids, list(a_r))
+    relevant = np.isin(ids, a_r)
     subsets = _subsets(int(relevant.sum()), subset_cap, rng)
     chosen = np.zeros((len(subsets), len(ids)), dtype=bool)
     chosen[:, relevant] = subsets
@@ -262,12 +253,8 @@ def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
     for K_scenario, masks in zip(K, scenarios):
         variants = np.where(masks, model.pad_id, ids)
         probs, att = model.predict(variants)
-        for masked, p_m, att_m in zip(variants, probs, att):
-            try:
-                psi_m = aggregate_activity_scores(aggregate_event_scores(att_m), masked,
-                                                  model.pad_id)
-            except DegenerateInputError:
-                psi_m = {}  # fully masked variant: only masked-activity scores apply
+        psi = max_normalize(activity_score_sums(att, variants, model.pad_id))
+        for masked, p_m, psi_m in zip(variants, probs, psi):
             K_scenario += compute_relevance_score(
                 ids, masked, psi_orig, psi_m, p_orig, p_m, p_r,
                 thresholds.sim_eps, nA,

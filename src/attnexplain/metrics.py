@@ -142,7 +142,9 @@ def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
         predicted = labels[top]
         probs, _ = model.predict(np.where(np.eye(len(ids), dtype=bool), model.pad_id, ids))
         model_imp = [tvd(p_orig, p_m) for p_m in probs]
-        expl_imp = [float((labels[aid], predicted) in graph.edges) for aid in ids.tolist()]
+        # A PAD position has no vertex in the graph, so no edge marks it.
+        expl_imp = [float(aid != model.pad_id and (labels[aid], predicted) in graph.edges)
+                    for aid in ids.tolist()]
         corr = _pearson(model_imp, expl_imp)
         if corr is None:
             undefined += 1

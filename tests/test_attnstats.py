@@ -6,7 +6,6 @@ from scipy.spatial import distance as sp_dist
 
 from attnexplain.attnstats import (
     activity_score_sums,
-    aggregate_activity_scores,
     aggregate_event_scores,
     cosine_distance,
     flatten,
@@ -135,25 +134,76 @@ def test_eta_total_is_heads_times_length():
     assert eta.sum() == pytest.approx(4 * 6, abs=1e-9)
 
 
-def test_activity_score_sums_groups_and_skips_pad():
-    eta = np.array([0.4, 0.3, 0.2, 0.1])
-    sums = activity_score_sums(eta, [1, 0, 1, 3], pad_id=3)
-    assert sums == {1: pytest.approx(0.6), 0: pytest.approx(0.3)}
+def test_aggregate_event_scores_keeps_batch_axes():
+    rng = np.random.default_rng(5)
+    att = rng.random((3, 2, 4, 4))
+    eta = aggregate_event_scores(att)
+    assert eta.shape == (3, 4)
+    for row, att_row in zip(eta, att):
+        assert np.array_equal(row, aggregate_event_scores(att_row))
     with pytest.raises(DimensionError):
-        activity_score_sums(eta, [0, 1], pad_id=3)
+        aggregate_event_scores(np.ones((4, 4)))
+
+
+def column_score_batch(rows):
+    """(B, 1, T, T) attention whose per-column sums are the given rows."""
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+    att = np.zeros((len(rows), 1, rows.shape[1], rows.shape[1]))
+    att[:, 0, 0, :] = rows
+    return att
+
+
+def test_activity_score_sums_groups_and_skips_pad():
+    att = column_score_batch([[0.4, 0.3, 0.2, 0.1], [0.5, 0.25, 0.125, 0.125]])
+    sums = activity_score_sums(att, [[1, 0, 1, 3], [3, 3, 3, 3]], pad_id=3)
+    assert sums.shape == (2, 3) and sums.dtype == float
+    np.testing.assert_allclose(sums[0], [0.3, 0.6, 0.0])  # the PAD's 0.1 is dropped
+    assert np.array_equal(sums[1], np.zeros(3))             # all-PAD row
+    with pytest.raises(DimensionError):
+        activity_score_sums(att, [[0, 1], [0, 1]], pad_id=3)
+    with pytest.raises(DimensionError):
+        activity_score_sums(att[:1], [[0, 1, 4, 2]], pad_id=3)  # past PAD
+
+
+def test_activity_score_sums_empty_batch():
+    sums = activity_score_sums(np.zeros((0, 2, 3, 3)), np.zeros((0, 3), dtype=int), pad_id=3)
+    assert sums.shape == (0, 3) and sums.dtype == float
+    assert max_normalize(sums).shape == (0, 3)
+
+
+def reference_score_sums(eta, activities, pad_id):
+    """Per-activity sums of one prefix as a dict, added position by position."""
+    sums = {}
+    for score, aid in zip(eta, activities):
+        if aid != pad_id:
+            sums[aid] = sums.get(aid, 0.0) + float(score)
+    return sums
+
+
+@given(st.integers(0, 4), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_activity_score_sums_rows_match_dict_loop(B, T, nA, seed):
+    rng = np.random.default_rng(seed)
+    att = rng.random((B, 2, T, T)) * 10.0 ** rng.integers(-3, 4)
+    ids = rng.integers(0, nA + 1, size=(B, T))  # id nA is PAD; T > nA repeats ids
+    sums = activity_score_sums(att, ids, pad_id=nA)
+    assert sums.shape == (B, nA)
+    for row, att_row, ids_row in zip(sums, att, ids):
+        expected = np.zeros(nA)
+        reference = reference_score_sums(aggregate_event_scores(att_row), ids_row, nA)
+        expected[list(reference)] = list(reference.values())
+        assert np.array_equal(row, expected)
 
 
 def test_max_normalize():
-    scores = max_normalize({0: 2.0, 1: 1.0, 2: 0.5})
-    assert scores == {0: 1.0, 1: 0.5, 2: 0.25}
-    with pytest.raises(DegenerateInputError):
-        max_normalize({})
-    with pytest.raises(DegenerateInputError):
-        max_normalize({0: 0.0})
+    scores = max_normalize(np.array([[2.0, 1.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.3, 0.0]]))
+    assert np.array_equal(scores, [[1.0, 0.5, 0.25], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert np.array_equal(max_normalize(np.array([0.0, 4.0])), [0.0, 1.0])  # one prefix
 
 
-def test_aggregate_activity_scores_top_is_one():
-    eta = np.array([0.4, 0.3, 0.2])
-    scores = aggregate_activity_scores(eta, [0, 1, 0], pad_id=3)
+def test_normalized_activity_scores_top_is_one():
+    att = column_score_batch([[0.4, 0.3, 0.2]])
+    scores = max_normalize(activity_score_sums(att, [[0, 1, 0]], pad_id=3))[0]
     assert scores[0] == 1.0
     assert scores[1] == pytest.approx(0.5)
+    assert scores[2] == 0.0

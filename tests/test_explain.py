@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attnexplain.attnstats import aggregate_event_scores, cosine_distance
 from attnexplain.explain import (
     EMPTY_GRAPH,
     ExplanationGraph,
@@ -22,6 +23,9 @@ from attnexplain.explain import (
     to_dot,
     to_json,
 )
+from attnexplain.transformer import TransformerModel
+from conftest import TINY_CONFIG
+from test_attnstats import reference_score_sums
 
 
 class FixedModel:
@@ -150,7 +154,7 @@ def test_relevant_activities_zero_threshold_keeps_all():
                    att_with_column_scores([0.5, 0.3, 0.2]))}
     model = FixedModel(labels, table)
     a_r, psi, _, _ = relevant_activities(model, ids, Thresholds(delta_attr=0.0), n_mods=0)
-    assert a_r == {0, 1, 2}
+    assert a_r.tolist() == [0, 1, 2]
     assert psi[0] == 1.0
 
 
@@ -169,7 +173,7 @@ def test_relevant_activities_two_head_ranking():
     top = max(sums.values())
     assert psi[1] == pytest.approx(sums["B"] / top * 2 / 2)  # heads scale out
     assert psi[2] == pytest.approx(sums["C"] / top)
-    assert a_r == {1, 2}
+    assert a_r.tolist() == [1, 2]
 
 
 def test_relevant_activities_dissimilar_mods_excluded():
@@ -188,6 +192,64 @@ def test_relevant_activities_dissimilar_mods_excluded():
     # (0,2) agrees and adds to A only
     assert psi[0] == 1.0
     assert psi[1] < 0.5
+
+
+ABC_MODEL = TransformerModel(TINY_CONFIG, ("A", "B", "C"))
+
+
+def similar_variant_sums(model, ids, thresholds, n_mods, seed):
+    """Per-activity sum dicts of a prefix and then of each of its
+    prediction-similar random variants, in variant order."""
+    ids = np.asarray(ids)
+    p_orig, att_orig = model.forward(ids)
+    rows = [reference_score_sums(aggregate_event_scores(att_orig), ids, model.pad_id)]
+    for positions in random_maskings(len(ids), n_mods, np.random.default_rng(seed)):
+        masked = ids.copy()
+        masked[list(positions)] = model.pad_id
+        if (masked == model.pad_id).all():
+            continue
+        p_mod, att_mod = model.forward(masked)
+        if cosine_distance(p_mod, p_orig) <= thresholds.delta_sim:
+            rows.append(reference_score_sums(aggregate_event_scores(att_mod), masked,
+                                             model.pad_id))
+    return rows
+
+
+def merged_psi(rows, num_activities):
+    """ψ as a dict loop builds it: the rows' sums added one activity at a
+    time, in row order, then divided by the top sum."""
+    sums = {}
+    for row in rows:
+        for aid, value in row.items():
+            sums[aid] = sums.get(aid, 0.0) + value
+    psi = np.zeros(num_activities)
+    top = max(sums.values(), default=0.0)
+    for aid, value in sums.items():
+        psi[aid] = value / top if top > 0.0 else 0.0
+    return psi
+
+
+# A prefix whose ψ changes when the original's sums are added after the
+# variants' instead of before them.
+MERGE_ORDER_CASE = ((0, 1, 2, 0), 20, 0, 1.0)
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=8),  # 3 is PAD
+       st.integers(0, 20), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2, 1.0]))
+@example(*MERGE_ORDER_CASE)
+@settings(max_examples=40, deadline=None)
+def test_relevant_activities_psi_matches_dict_loop(ids, n_mods, seed, delta_sim):
+    thresholds = Thresholds(delta_sim=delta_sim)
+    a_r, psi, _, _ = relevant_activities(ABC_MODEL, ids, thresholds, n_mods=n_mods, seed=seed)
+    rows = similar_variant_sums(ABC_MODEL, ids, thresholds, n_mods, seed)
+    assert np.array_equal(psi, merged_psi(rows, 3))
+    assert a_r.tolist() == np.flatnonzero(psi > thresholds.delta_attr).tolist()
+
+
+def test_merge_order_case_is_order_sensitive():
+    ids, n_mods, seed, delta_sim = MERGE_ORDER_CASE
+    rows = similar_variant_sums(ABC_MODEL, ids, Thresholds(delta_sim=delta_sim), n_mods, seed)
+    assert not np.array_equal(merged_psi(rows[1:] + rows[:1], 3), merged_psi(rows, 3))
 
 
 def test_relevant_activities_returns_the_unmodified_forward(tiny_model):
@@ -267,8 +329,8 @@ def test_compute_relevance_score_hand_traced():
     # similar; expected cells computed by hand
     ids = np.array([0, 1])
     masked = np.array([0, 3])
-    psi_orig = {0: 0.5, 1: 1.0}
-    psi_masked = {0: 1.0}
+    psi_orig = np.array([0.5, 1.0, 0.0])
+    psi_masked = np.array([1.0, 0.0, 0.0])
     p_orig = np.array([0.2, 0.7, 0.1, 0.0])
     p_masked = np.array([0.24, 0.66, 0.10, 0.0])
     K = compute_relevance_score(ids, masked, psi_orig, psi_masked, p_orig, p_masked,
@@ -284,8 +346,8 @@ def test_compute_relevance_score_hand_traced():
 def test_compute_relevance_score_dissimilar_branch():
     ids = np.array([0, 1])
     masked = np.array([0, 3])
-    psi_orig = {0: 0.5, 1: 1.0}
-    psi_masked = {0: 1.0}
+    psi_orig = np.array([0.5, 1.0, 0.0])
+    psi_masked = np.array([1.0, 0.0, 0.0])
     p_orig = np.array([0.2, 0.7, 0.1, 0.0])
     p_masked = np.array([0.6, 0.3, 0.1, 0.0])
     K = compute_relevance_score(ids, masked, psi_orig, psi_masked, p_orig, p_masked,
@@ -305,14 +367,14 @@ def reference_relevance(ids, masked, psi_orig, psi_masked, p_orig, p_masked, p_r
         similar = abs(p_orig[a] - p_masked[a]) <= sim_eps
         for a_o, a_m in zip(ids, masked):
             if a_m != a_o:
-                s = p_orig[a] * psi_orig.get(a_o, 0.0)
+                s = p_orig[a] * psi_orig[a_o]
                 K[a, a_o] += -s if similar else s
         for a_o, a_m in zip(ids, masked):
             if a_m == a_o and a_m < num_activities:
                 if similar:
-                    K[a, a_m] += psi_masked.get(a_m, 0.0) * p_orig[a]
+                    K[a, a_m] += psi_masked[a_m] * p_orig[a]
                 else:
-                    K[a, a_m] += (abs(psi_orig.get(a_m, 0.0) - psi_masked.get(a_m, 0.0))
+                    K[a, a_m] += (abs(psi_orig[a_m] - psi_masked[a_m])
                                   * abs(p_orig[a] - p_masked[a]))
     return K
 
@@ -323,7 +385,7 @@ def relevance_cases(draw):
     ids = draw(st.lists(st.integers(0, nA), min_size=1, max_size=10))  # nA is PAD
     hide = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
     masked = [nA if h else a for a, h in zip(ids, hide)]
-    psi = st.dictionaries(st.integers(0, nA - 1), st.floats(0, 1))  # keys may be missing
+    psi = st.lists(st.floats(0, 1), min_size=nA, max_size=nA).map(np.array)
     p_orig = draw(st.lists(st.floats(0, 1), min_size=nA + 1, max_size=nA + 1))
     moved = draw(st.lists(st.floats(-0.2, 0.2) | st.just(0.0), min_size=nA + 1,
                           max_size=nA + 1))
@@ -333,9 +395,9 @@ def relevance_cases(draw):
                 sim_eps=draw(st.sampled_from([0.0, 0.05, 1.0])), num_activities=nA)
 
 
-# Activity 0 both masked and kept, a PAD in the prefix, missing psi keys.
-SHARED_ACTIVITY_CASE = dict(ids=[0, 1, 0, 2], masked=[2, 1, 0, 2], psi_orig={0: 0.5},
-                            psi_masked={1: 1.0}, p_orig=np.array([0.3, 0.6, 0.1]),
+# Activity 0 both masked and kept, a PAD in the prefix.
+SHARED_ACTIVITY_CASE = dict(ids=[0, 1, 0, 2], masked=[2, 1, 0, 2], psi_orig=np.array([0.5, 0.0]),
+                            psi_masked=np.array([0.0, 1.0]), p_orig=np.array([0.3, 0.6, 0.1]),
                             p_masked=np.array([0.3, 0.2, 0.1]), p_r={0, 1},
                             sim_eps=0.0, num_activities=2)
 
@@ -384,6 +446,13 @@ def test_attention_exploration_determinism():
     g1 = attention_exploration_explain(model, prefixes, Thresholds(), seed=3)
     g2 = attention_exploration_explain(model, prefixes, Thresholds(), seed=3)
     assert g1 == g2
+
+
+def test_attention_exploration_without_relevant_activities_has_no_edges(tiny_model):
+    # no ψ exceeds delta_attr = 1, so both scenario batches have zero rows
+    g = attention_exploration_explain(tiny_model, [(0, 1, 2), (1, 3), (3, 3)],
+                                      Thresholds(delta_attr=1.0))
+    assert g.edges == frozenset()
 
 
 def test_attention_exploration_edge_ceiling():

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnexplain.eventlog import Prefix, build_log
-from attnexplain.explain import ExplanationGraph, Thresholds, likely_next
+from attnexplain.explain import (
+    ExplanationGraph,
+    Thresholds,
+    attention_exploration_explain,
+    backward_explain,
+    likely_next,
+)
 from attnexplain.metrics import (
     MetricValue,
     Rule,
@@ -15,6 +23,7 @@ from attnexplain.metrics import (
     graph_to_rules,
     sample_prefixes,
 )
+from test_explain import ABC_MODEL
 
 
 class TableModel:
@@ -174,6 +183,19 @@ def test_correctness_positive_when_masking_matters_on_edges():
     assert value.mean == pytest.approx(1.0)
 
 
+def test_correctness_scores_pad_positions_as_non_edges():
+    # masking A shifts the prediction, masking the PAD or B does not; the
+    # graph marks exactly the A edge; the all-PAD prefix marks nothing
+    model = TableModel(["A", "B"], {
+        (0, 2, 1): [0.9, 0.1, 0.0],
+        (2, 2, 1): [0.1, 0.9, 0.0],
+    }, default=[0.9, 0.1, 0.0])
+    g = ExplanationGraph.make({"A", "B"}, {("A", "A")})
+    value = correctness(model, g, [prefix((0, 2, 1)), prefix((2, 2))])
+    assert value.n == 1 and value.undefined == 1
+    assert value.mean == pytest.approx(1.0)
+
+
 # -------------------------------------------- continuity and contrastivity
 
 
@@ -263,6 +285,38 @@ def test_evaluate_all_report_shape():
     table = report.to_table()
     assert "Correctness" in table and "N +- N" in table  # constant model is undefined
     assert report.to_json().endswith("\n")
+
+
+PAD = ABC_MODEL.pad_id
+DEGENERATE_PREFIXES = st.one_of(
+    st.integers(1, 6).map(lambda n: (PAD,) * n),                             # all PAD
+    st.integers(0, PAD).map(lambda a: (a,)),                                  # length 1
+    st.tuples(st.integers(0, PAD - 1), st.integers(2, 6)).map(lambda t: (t[0],) * t[1]),
+    st.lists(st.integers(0, PAD), min_size=2, max_size=6).filter(lambda ids: PAD in ids)
+    .map(tuple),                                                              # holds a PAD
+)
+EXPLAINERS = (
+    lambda m, prefixes: backward_explain(m, prefixes, n_mods=4),
+    lambda m, prefixes: attention_exploration_explain(m, prefixes, subset_cap=8, n_mods=4),
+)
+
+
+@given(st.lists(DEGENERATE_PREFIXES, min_size=1, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_explainers_and_metrics_run_on_degenerate_prefixes(ids_list):
+    prefixes = [prefix(ids) for ids in ids_list]
+    for explainer in EXPLAINERS:
+        graph = explainer(ABC_MODEL, prefixes)
+        rules = graph_to_rules(graph)
+        values = [
+            correctness(ABC_MODEL, graph, prefixes),
+            completeness(ABC_MODEL, rules, prefixes)[0],
+            continuity(ABC_MODEL, explainer, prefixes),
+            contrastivity(ABC_MODEL, explainer, prefixes),
+        ]
+        for value in values:
+            assert value.mean is None or np.isfinite(value.mean)
+        assert compactness(rules)[0] == len(graph.vertices)
 
 
 def test_metric_value_serialization():
