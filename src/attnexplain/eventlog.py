@@ -77,7 +77,6 @@ class EventLog:
             raise SchemaError("duplicate activity labels in vocabulary")
         if self.vocabulary[-2:] != (PAD_LABEL, END_LABEL):
             raise SchemaError("vocabulary must end with PAD and END symbols")
-        self._label_to_id = {label: i for i, label in enumerate(self.vocabulary)}
 
     @property
     def num_activities(self) -> int:
@@ -99,9 +98,6 @@ class EventLog:
 
     def label(self, activity_id: int) -> str:
         return self.vocabulary[activity_id]
-
-    def id_of(self, label: str) -> int:
-        return self._label_to_id[label]
 
     def with_traces(self, traces: Sequence[Trace]) -> "EventLog":
         """New log sharing this log's vocabulary."""
@@ -167,13 +163,16 @@ def parse_csv(path, case_col: str, activity_col: str, time_col: str | None = Non
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f, restval="")  # a short row reads as empty fields
-        if reader.fieldnames is None:
-            raise EmptyLogError(f"empty CSV file: {path}")
-        needed = [case_col, activity_col] + ([time_col] if time_col else [])
-        missing = [c for c in needed if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"missing columns {missing} in {path}")
-        rows = list(reader)
+        try:
+            if reader.fieldnames is None:
+                raise EmptyLogError(f"empty CSV file: {path}")
+            needed = [case_col, activity_col] + ([time_col] if time_col else [])
+            missing = [c for c in needed if c not in reader.fieldnames]
+            if missing:
+                raise SchemaError(f"missing columns {missing} in {path}")
+            rows = list(reader)
+        except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+            raise LogParseError(f"malformed CSV in {path}: {e}") from e
     if not rows:
         raise EmptyLogError(f"no event rows in {path}")
 
@@ -229,6 +228,8 @@ def parse_xes(path, activity_prefix: str | None = None, lifecycle: str | None = 
     except ET.ParseError as e:
         raise LogParseError(f"malformed XES in {path}: {e.msg if hasattr(e, 'msg') else e}",
                             position=f"line {e.position[0]}, column {e.position[1]}") from e
+    except LookupError as e:  # an XML declaration naming an unknown encoding
+        raise LogParseError(f"malformed XES in {path}: {e}") from e
     root = tree.getroot()
 
     def _attr(elem, key):

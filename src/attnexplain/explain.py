@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,39 +183,47 @@ def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
 # ------------------------------------------------- Attention Exploration
 
 
-def compute_relevance_score(ids, masked_ids, psi_orig: np.ndarray,
-                            psi_masked: np.ndarray, p_orig, p_masked,
-                            p_r: set[int], sim_eps: float, num_activities: int) -> np.ndarray:
-    """Signed relevance scores for one (prefix, masked prefix) pair.
+def relevance_scores(ids: np.ndarray, variants: np.ndarray, psi_orig: np.ndarray,
+                     psi_var: np.ndarray, p_orig: np.ndarray, p_var: np.ndarray,
+                     p_r: set[int], sim_eps: float, num_activities: int) -> np.ndarray:
+    """Signed relevance scores of a prefix's (V, T) batch of masked
+    ``variants``, one (|A|, |A|) matrix per variant; rows index the
+    predicted activity, columns the influencing activity, and ψ is indexed
+    by activity id. A masked position scores prediction times original
+    attention, negated when the predicted activity's prediction is
+    unchanged (within ``sim_eps``). A kept position scores masked attention
+    times prediction when unchanged, otherwise the product of the attention
+    and prediction deltas; PAD and END score nothing. Each cell adds its
+    masked terms before its kept ones, each in position order, through one
+    ``np.bincount``, which adds in input order; the 0.0 it adds for the
+    other kind of position leaves every sum unchanged."""
+    nA = num_activities
+    real = ids < nA
+    cols = ids[real]
+    masked = (variants[:, real] != cols)[:, None]                        # (V, 1, T')
+    rows = np.fromiter(p_r, int, len(p_r))
+    p_a = p_orig[rows, None]                                             # (R, 1)
+    delta = np.abs(p_orig[rows] - p_var[:, rows])[:, :, None]            # (V, R, 1)
+    similar = delta <= sim_eps
+    psi_o, psi_m = psi_orig[cols], psi_var[:, None, cols]                # (T',), (V, 1, T')
+    s = p_a * psi_o
+    kept = np.where(similar, psi_m * p_a, np.abs(psi_o - psi_m) * delta)
+    terms = np.concatenate([np.where(masked, np.where(similar, -s, s), 0.0),
+                            np.where(masked, 0.0, kept)], axis=2)        # (V, R, 2T')
+    cells = (np.arange(len(variants))[:, None] * nA + rows)[:, :, None] * nA + np.tile(cols, 2)
+    return np.bincount(cells.ravel(), terms.ravel(),
+                       len(variants) * nA * nA).reshape(-1, nA, nA)
 
-    Rows index the predicted activity, columns the influencing activity.
-    For each masked position, the score is prediction times original
-    attention, negated when the prediction for the predicted activity is
-    unchanged (within ``sim_eps``). For each non-masked position, the
-    score is masked attention times prediction when unchanged, otherwise
-    the product of the attention and prediction deltas. ``psi_orig`` and
-    ``psi_masked`` are the two prefixes' activity scores, indexed by
-    activity id (an array, or a mapping holding every id the prefixes use).
-    """
-    ids = np.asarray(ids, dtype=int)
-    masked_ids = np.asarray(masked_ids, dtype=int)
-    p_orig = np.asarray(p_orig, dtype=float)
-    p_masked = np.asarray(p_masked, dtype=float)
-    K = np.zeros((num_activities, num_activities))
-    masked_at = masked_ids != ids
-    # Each cell adds its masked scores before its kept ones, in position order.
-    masked = ids[masked_at].tolist()
-    kept = [a for a in masked_ids[~masked_at].tolist() if a < num_activities]
-    for a in p_r:
-        p_a, delta = p_orig[a], abs(p_orig[a] - p_masked[a])
-        similar = delta <= sim_eps
-        for a_m in masked:
-            s = p_a * psi_orig[a_m]
-            K[a, a_m] += -s if similar else s
-        for a_n in kept:
-            psi_n = psi_masked[a_n]
-            K[a, a_n] += psi_n * p_a if similar else abs(psi_orig[a_n] - psi_n) * delta
-    return K
+
+def compute_relevance_score(ids, masked_ids, psi_orig, psi_masked, p_orig, p_masked,
+                            p_r: set[int], sim_eps: float, num_activities: int) -> np.ndarray:
+    """``relevance_scores`` of one (prefix, masked prefix) pair of id arrays.
+    ψ may also be a mapping from activity id; an id it omits scores 0.0."""
+    psi_orig, psi_masked = (
+        np.array([psi.get(a, 0.0) for a in range(num_activities)]) if isinstance(psi, Mapping)
+        else np.asarray(psi, dtype=float) for psi in (psi_orig, psi_masked))
+    return relevance_scores(ids, masked_ids[None], psi_orig, psi_masked[None], p_orig,
+                            p_masked[None], p_r, sim_eps, num_activities)[0]
 
 
 def _subsets(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
@@ -234,7 +243,10 @@ def _subsets(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
 def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
                               subset_cap: int = 256, seed: int = 0, n_mods: int = 20):
     """The per-prefix few/most scenario score matrices K_few, K_most,
-    stacked into one (2, |A|, |A|) array."""
+    stacked into one (2, |A|, |A|) array. Each scenario's variants are
+    scored as one batch: in each variant's matrix a cell adds its masked
+    terms before its kept ones, each in position order (one ``np.bincount``),
+    and ``np.cumsum`` then adds the variants in order."""
     ids = _prefix_ids(prefix)
     nA = model.num_activities
     rng = np.random.default_rng(seed)
@@ -251,14 +263,14 @@ def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
     scenarios = (chosen[chosen.any(axis=1)], ~chosen[(chosen != relevant).any(axis=1)])
     K = np.zeros((2, nA, nA))
     for K_scenario, masks in zip(K, scenarios):
+        if not (len(masks) and p_r):  # nothing to score: spare the forwards
+            continue
         variants = np.where(masks, model.pad_id, ids)
         probs, att = model.predict(variants)
         psi = max_normalize(activity_score_sums(att, variants, model.pad_id))
-        for masked, p_m, psi_m in zip(variants, probs, psi):
-            K_scenario += compute_relevance_score(
-                ids, masked, psi_orig, psi_m, p_orig, p_m, p_r,
-                thresholds.sim_eps, nA,
-            )
+        per_variant = relevance_scores(ids, variants, psi_orig, psi, p_orig, probs, p_r,
+                                       thresholds.sim_eps, nA)
+        K_scenario += np.cumsum(per_variant, axis=0)[-1]
     return K
 
 

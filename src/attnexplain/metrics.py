@@ -153,19 +153,30 @@ def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
     return _summary(values, undefined)
 
 
+def predict_by_length(model, sequences) -> np.ndarray:
+    """(N, C) ``predict`` probabilities for N id sequences of mixed
+    lengths, in input order; each length is one batch."""
+    lengths = np.array([len(seq) for seq in sequences])
+    probs = np.empty((len(sequences), model.num_classes))
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        probs[rows] = model.predict([sequences[i] for i in rows])[0]
+    return probs
+
+
 def completeness(model, rules: set[Rule], prefixes,
                  thresholds: Thresholds = Thresholds()):
     """(MetricValue for F1, precision, recall) of rule right-hand sides
     against the model's likely-next sets, micro-averaged over prefixes."""
     labels = model.activity_labels
     by_lhs = {r.lhs: r.rhs for r in rules}
+    probs = predict_by_length(model, [_prefix_ids(p) for p in prefixes])
     tp = fp = fn = n = 0
-    for prefix in prefixes:
+    for prefix, p_orig in zip(prefixes, probs):
         last = _last_activity(prefix, model.pad_id)
         if last is None:
             continue
         predicted = by_lhs.get(labels[last], frozenset())
-        p_orig, _ = model.forward(prefix)
         truth = {labels[a] for a in likely_next(p_orig, thresholds, model.num_activities)}
         tp += len(predicted & truth)
         fp += len(predicted - truth)

@@ -160,16 +160,6 @@ def sample_trace(spec: SynthSpec, rng: np.random.Generator) -> tuple[str, ...]:
     return spec.body * k
 
 
-def iteration_probabilities(spec: SynthSpec) -> list[float]:
-    """Exact P(k loop iterations), k = 1..max_iter, for the loop walk."""
-    if spec.kind != "loop":
-        raise SynthSpecError("iteration probabilities only defined for loops")
-    p = spec.p_repeat
-    probs = [(1 - p) * p ** (k - 1) for k in range(1, spec.max_iter)]
-    probs.append(p ** (spec.max_iter - 1))
-    return probs
-
-
 def synth_log(spec: SynthSpec, n_traces: int, seed: int) -> tuple[EventLog, set[tuple[str, str]]]:
     """Sample a log of ``n_traces`` walks; deterministic per seed.
 
@@ -251,15 +241,6 @@ def write_spec_file(spec: SynthSpec, path) -> None:
         lines.append(f"p_repeat = {spec.p_repeat}")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def directly_follows_edges(logobj: EventLog) -> set[tuple[str, str]]:
-    """Empirical directly-follows edges of a log, as label pairs."""
-    edges = set()
-    for trace in logobj.traces:
-        labels = [logobj.label(a) for a in trace.activities]
-        edges |= {(u, v) for u, v in zip(labels, labels[1:])}
-    return edges
 
 
 def deterministic_continuations(spec: SynthSpec) -> dict[tuple[str, ...], str]:

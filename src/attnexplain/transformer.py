@@ -46,7 +46,7 @@ from .errors import (
     TrainingDataError,
 )
 from .eventlog import EventLog, Prefix, _prefix_ids, extract_prefixes
-from .metrics import precision_recall_f1
+from .metrics import precision_recall_f1, predict_by_length
 
 ATTENTION_LEARNED = "learned"
 ATTENTION_FROZEN_UNIFORM = "frozen_uniform"
@@ -518,15 +518,9 @@ def gradient_check(model: TransformerModel, prefix, n_samples: int = 30, step: f
 
 
 def weighted_f1(model: TransformerModel, prefixes) -> float:
-    """Support-weighted F1 of argmax predictions over prefix targets.
-    Same-length prefixes are predicted in one batch."""
+    """Support-weighted F1 of argmax predictions over prefix targets."""
     y_true = np.array([model.target_class(p.target) for p in prefixes])
-    lengths = np.array([len(p.activities) for p in prefixes])
-    y_pred = np.empty(len(prefixes), dtype=int)
-    for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        probs, _ = model.predict([prefixes[i].activities for i in rows])
-        y_pred[rows] = probs.argmax(axis=1)
+    y_pred = predict_by_length(model, [p.activities for p in prefixes]).argmax(axis=1)
     total = len(y_true)
     score = 0.0
     for cls in np.unique(y_true):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attnexplain.errors import EmptyLogError, LogParseError, SchemaError, SplitError
@@ -147,6 +147,44 @@ def test_parse_xes_malformed_reports_position(tmp_path):
     with pytest.raises(LogParseError) as exc:
         parse_xes(path)
     assert exc.value.position is not None
+
+
+def mutations(doc: bytes):
+    """``doc`` with up to eight bytes replaced, inserted or deleted."""
+    edits = st.lists(st.tuples(st.integers(0, len(doc)), st.integers(-1, 255), st.booleans()),
+                     max_size=8)
+
+    def apply(edits):
+        data = bytearray(doc)
+        for pos, byte, insert in edits:
+            pos = min(pos, len(data))
+            if byte < 0:
+                del data[pos:pos + 1]
+            elif insert or pos == len(data):
+                data.insert(pos, byte)
+            else:
+                data[pos] = byte
+        return bytes(data)
+
+    return edits.map(apply)
+
+
+FUZZ_SEEDS = {"csv": b"case,activity,time\nc1,A,1\nc1,B,2\nc2,A,1\n", "xes": XES_DOC.encode()}
+
+
+@given(st.sampled_from(sorted(FUZZ_SEEDS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), mutations(FUZZ_SEEDS[kind]) | st.binary(max_size=64))))
+@example(("csv", b"case,activity,time\nc1," + b"A" * 131073 + b",1\n"))  # over the field limit
+@example(("xes", XES_DOC.replace("UTF-8", "TF-8").encode()))  # an unknown encoding
+@settings(max_examples=50, deadline=None)
+def test_parsers_raise_only_documented_errors(tmp_path_factory, case):
+    kind, data = case
+    path = tmp_path_factory.mktemp("fuzz") / f"log.{kind}"
+    path.write_bytes(data)
+    try:
+        parse_csv(path, "case", "activity", "time") if kind == "csv" else parse_xes(path)
+    except (LogParseError, SchemaError, EmptyLogError, UnicodeDecodeError):
+        pass
 
 
 def test_split_partitions_and_shares_vocabulary(abc_log):

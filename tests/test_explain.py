@@ -18,6 +18,7 @@ from attnexplain.explain import (
     likely_next,
     merge_with_pruning,
     random_maskings,
+    relevance_scores,
     relevant_activities,
     row_normalize,
     to_dot,
@@ -412,6 +413,61 @@ def test_compute_relevance_score_matches_position_by_position(case):
                                 case["p_masked"], case["p_r"], case["sim_eps"],
                                 case["num_activities"])
     assert np.array_equal(K, reference_relevance(**case))
+
+
+@st.composite
+def relevance_batches(draw):
+    """relevance_cases for a (V, T) batch of 0 to 6 variants of one prefix.
+    ids may hold PAD (nA) and END (nA + 1); only real ids are masked."""
+    nA = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(0, nA + 1), min_size=1, max_size=10))
+    V = draw(st.integers(0, 6))
+    hides = draw(st.lists(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)),
+                          min_size=V, max_size=V))
+    psi = st.lists(st.floats(0, 1), min_size=nA, max_size=nA)
+    p_orig = np.array(draw(st.lists(st.floats(0, 1), min_size=nA + 1, max_size=nA + 1)))
+    moved = st.lists(st.floats(-0.2, 0.2) | st.just(0.0), min_size=nA + 1, max_size=nA + 1)
+    variants = [[nA if h and a < nA else a for a, h in zip(ids, hide)] for hide in hides]
+    return dict(ids=np.array(ids), variants=np.array(variants, dtype=int).reshape(V, len(ids)),
+                psi_orig=np.array(draw(psi)),
+                psi_var=np.array(draw(st.lists(psi, min_size=V, max_size=V))).reshape(V, nA),
+                p_orig=p_orig,
+                p_var=p_orig + np.array(draw(st.lists(moved, min_size=V, max_size=V))
+                                        ).reshape(V, nA + 1),
+                p_r=draw(st.sets(st.integers(0, nA - 1))),
+                sim_eps=draw(st.sampled_from([0.0, 0.05, 1.0])), num_activities=nA)
+
+
+# SHARED_ACTIVITY_CASE's prefix, PAD included, with three variants.
+SHARED_ACTIVITY_BATCH = dict(
+    ids=np.array([0, 1, 0, 2]), variants=np.array([[2, 1, 0, 2], [0, 2, 2, 2], [2, 2, 2, 2]]),
+    psi_orig=np.array([0.5, 0.0]), psi_var=np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]),
+    p_orig=np.array([0.3, 0.6, 0.1]),
+    p_var=np.array([[0.3, 0.2, 0.1], [0.3, 0.6, 0.1], [0.1, 0.6, 0.3]]),
+    p_r={0, 1}, sim_eps=0.0, num_activities=2)
+
+
+@given(relevance_batches())
+@example(SHARED_ACTIVITY_BATCH)
+@example({**SHARED_ACTIVITY_BATCH, "p_r": set()})
+@example({**SHARED_ACTIVITY_BATCH, "variants": np.zeros((0, 4), dtype=int),
+          "psi_var": np.zeros((0, 2)), "p_var": np.zeros((0, 3))})
+@example({**SHARED_ACTIVITY_BATCH, "ids": np.array([0, 1, 0, 3]),  # 3 is END, kept
+          "variants": np.array([[2, 1, 0, 3], [0, 2, 2, 3], [2, 2, 2, 3]])})
+@settings(max_examples=150, deadline=None)
+def test_relevance_scores_match_per_pair_reference(batch):
+    nA = batch["num_activities"]
+    per_variant = relevance_scores(**batch)
+    assert per_variant.shape == (len(batch["variants"]), nA, nA)
+    total = np.zeros((nA, nA))
+    for K, masked, psi_m, p_m in zip(per_variant, batch["variants"], batch["psi_var"],
+                                     batch["p_var"]):
+        reference = reference_relevance(batch["ids"], masked, batch["psi_orig"], psi_m,
+                                        batch["p_orig"], p_m, batch["p_r"], batch["sim_eps"], nA)
+        assert np.array_equal(K, reference)
+        total += reference
+    if len(per_variant):  # variants added in order, as score_matrices_for_prefix adds them
+        assert np.array_equal(np.cumsum(per_variant, axis=0)[-1], total)
 
 
 def test_row_normalize_magnitudes():

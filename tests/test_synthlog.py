@@ -10,10 +10,8 @@ from attnexplain.synthlog import (
     SynthSpec,
     and_split,
     deterministic_continuations,
-    directly_follows_edges,
     enumerate_language,
     ground_truth_edges,
-    iteration_probabilities,
     loop,
     parse_spec_file,
     sample_trace,
@@ -22,6 +20,23 @@ from attnexplain.synthlog import (
     write_spec_file,
     xor,
 )
+
+
+def iteration_probabilities(spec: SynthSpec) -> list[float]:
+    """Exact P(k loop iterations), k = 1..max_iter, for the loop walk."""
+    p = spec.p_repeat
+    probs = [(1 - p) * p ** (k - 1) for k in range(1, spec.max_iter)]
+    probs.append(p ** (spec.max_iter - 1))
+    return probs
+
+
+def directly_follows_edges(logobj) -> set[tuple[str, str]]:
+    """Empirical directly-follows edges of a log, as label pairs."""
+    edges = set()
+    for trace in logobj.traces:
+        labels = [logobj.label(a) for a in trace.activities]
+        edges |= {(u, v) for u, v in zip(labels, labels[1:])}
+    return edges
 
 
 def test_sequence_language_and_edges():

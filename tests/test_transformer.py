@@ -311,8 +311,9 @@ def test_train_seed_changes_weights(abc_log):
 
 def test_train_learns_chain(trained_chain_model):
     model, logobj = trained_chain_model
-    assert model.predict_label([logobj.id_of("A")]) == "B"
-    assert model.predict_label([logobj.id_of("A"), logobj.id_of("B")]) == "C"
+    a, b = (logobj.vocabulary.index(label) for label in "AB")
+    assert model.predict_label([a]) == "B"
+    assert model.predict_label([a, b]) == "C"
     prefixes = extract_prefixes(logobj)
     assert weighted_f1(model, prefixes) == pytest.approx(1.0, abs=0.01)
 
