@@ -2,8 +2,8 @@
 
 Backward Explainer: per prefix, relevant activities (by aggregated
 attention over random PAD-maskings) and likely next activities (by
-prediction threshold) form a complete bipartite local graph; local
-graphs are merged in order with shortcut pruning through the prefix's
+prediction threshold) are joined as a complete bipartite graph into one
+adjacency matrix, in order, with shortcut pruning through the prefix's
 last activity.
 
 Attention Exploration Explainer: per prefix, signed relevance scores are
@@ -75,10 +75,15 @@ class ExplanationGraph:
         return {v for u, v in self.edges if u == vertex}
 
 
-EMPTY_GRAPH = ExplanationGraph(frozenset(), frozenset())
-
-
 # --------------------------------------------------------- shared machinery
+
+
+def _graph(labels, adjacency: np.ndarray, vertices: np.ndarray) -> ExplanationGraph:
+    """The graph of a boolean (|A|, |A|) adjacency matrix (``[u, v]`` is an
+    edge u -> v) over the activities an (|A|,) mask marks as vertices."""
+    labels = np.array(labels, dtype=object)
+    sources, targets = np.nonzero(adjacency)
+    return ExplanationGraph.make(labels[vertices], zip(labels[sources], labels[targets]))
 
 
 def random_maskings(length: int, n_mods: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
@@ -95,7 +100,8 @@ def random_maskings(length: int, n_mods: int, rng: np.random.Generator) -> list[
 def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
                         seed: int = 0):
     """Relevant activity ids for a prefix and its aggregated ``(|A|,)``
-    score array ψ, followed by the unmodified prefix's ``(probs, attention)``.
+    score array ψ, followed by the unmodified prefix's probabilities and
+    its own ψ, from its attention alone.
 
     Attention of the unmodified prefix always contributes; a random
     modification contributes only when its prediction stays within
@@ -109,13 +115,14 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
     variants = variants[(variants != model.pad_id).any(axis=1)]
     batch = np.vstack([ids, variants])
     probs, att = model.predict(batch)
-    p_orig, att_orig = probs[0], att[0]
+    p_orig = probs[0]
     sums = activity_score_sums(att, batch, model.pad_id)
+    psi_orig = max_normalize(sums[0])
     for row, p_mod in zip(sums[1:], probs[1:]):
         if cosine_distance(p_mod, p_orig) <= thresholds.delta_sim:
             sums[0] += row  # in variant order: a reordered sum rounds differently
     psi = max_normalize(sums[0])
-    return np.flatnonzero(psi > thresholds.delta_attr), psi, p_orig, att_orig
+    return np.flatnonzero(psi > thresholds.delta_attr), psi, p_orig, psi_orig
 
 
 def likely_next(probs, thresholds: Thresholds, num_activities: int) -> set[int]:
@@ -128,56 +135,32 @@ def likely_next(probs, thresholds: Thresholds, num_activities: int) -> set[int]:
 # ---------------------------------------------------------- Backward Explainer
 
 
-def bipartite_local_graph(relevant: set[str], predicted: set[str]) -> ExplanationGraph:
-    """Complete bipartite graph from relevant to predicted activities;
-    self-edges allowed. Empty if either side is empty."""
-    if not relevant or not predicted:
-        return EMPTY_GRAPH
-    return ExplanationGraph.make(
-        relevant | predicted, {(u, v) for u in relevant for v in predicted}
-    )
-
-
-def merge_with_pruning(graph: ExplanationGraph, local: ExplanationGraph,
-                       last_activity: str) -> ExplanationGraph:
-    """Union the local graph into the global one, then remove shortcut
-    edges (u, v) for which (u, last) and (last, v) both exist. Edges
-    incident to the last activity are never pruned (they would witness
-    their own removal)."""
-    vertices = graph.vertices | local.vertices
-    edges = set(graph.edges | local.edges)
-    a_n = last_activity
-    shortcuts = {
-        (u, v)
-        for (u, v) in edges
-        if u != a_n and v != a_n and (u, a_n) in edges and (a_n, v) in edges
-    }
-    return ExplanationGraph.make(vertices, edges - shortcuts)
-
-
-def backward_local_graph(model, prefix, thresholds: Thresholds, n_mods: int = 20,
-                         seed: int = 0) -> ExplanationGraph:
-    a_r, _, probs, _ = relevant_activities(model, prefix, thresholds, n_mods=n_mods, seed=seed)
-    p_r = likely_next(probs, thresholds, model.num_activities)
-    labels = model.activity_labels
-    return bipartite_local_graph({labels[a] for a in a_r}, {labels[a] for a in p_r})
-
-
 def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
                      n_mods: int = 20, seed: int = 0) -> ExplanationGraph:
-    """Fold per-prefix local graphs into one global graph, pruning
-    shortcuts through each prefix's last activity after its merge."""
+    """Fold per-prefix complete bipartite graphs, relevant -> likely next
+    activities (self-edges allowed, nothing when either side is empty),
+    into one adjacency matrix. After each prefix's join, a shortcut (u, v)
+    with (u, last) and (last, v) both present is pruned, ``last`` being the
+    prefix's last activity; edges incident to ``last`` are never pruned
+    (they would witness their own removal). All-PAD prefixes are skipped."""
+    nA = model.num_activities
     seeds = np.random.SeedSequence(entropy=seed).generate_state(max(len(prefixes), 1))
-    graph = EMPTY_GRAPH
-    labels = model.activity_labels
+    adjacency = np.zeros((nA, nA), dtype=bool)  # [u, v]: edge u -> v
+    vertices = np.zeros(nA, dtype=bool)
     for prefix, sub_seed in zip(prefixes, seeds):
-        local = backward_local_graph(model, prefix, thresholds, n_mods=n_mods,
-                                     seed=int(sub_seed))
         last = _last_activity(prefix, model.pad_id)
         if last is None:
             continue
-        graph = merge_with_pruning(graph, local, labels[last])
-    return graph
+        a_r, _, probs, _ = relevant_activities(model, prefix, thresholds, n_mods=n_mods,
+                                               seed=int(sub_seed))
+        p_r = list(likely_next(probs, thresholds, nA))
+        if len(a_r) and p_r:
+            adjacency[np.ix_(a_r, p_r)] = True
+            vertices[a_r] = vertices[p_r] = True
+        shortcut = np.outer(adjacency[:, last], adjacency[last])
+        shortcut[last, :] = shortcut[:, last] = False
+        adjacency &= ~shortcut
+    return _graph(model.activity_labels, adjacency, vertices)
 
 
 # ------------------------------------------------- Attention Exploration
@@ -228,12 +211,13 @@ def compute_relevance_score(ids, masked_ids, psi_orig, psi_masked, p_orig, p_mas
 
 def _subsets(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Subsets of ``n`` items as rows of a boolean matrix: all of them, in
-    binary counting order, when n <= 8, else ``cap`` distinct sampled ones."""
+    binary counting order, when n <= 8, else up to ``cap`` distinct sampled
+    ones; sampling stops once all 2^n are drawn."""
     if n <= 8:
         return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
     seen = {}
-    attempts = 0
-    while len(seen) < cap and attempts < cap * 20:
+    attempts, wanted = 0, min(cap, 1 << n)
+    while len(seen) < wanted and attempts < cap * 20:
         attempts += 1
         bits = rng.random(n) < 0.5
         seen.setdefault(bits.tobytes(), bits)
@@ -250,9 +234,8 @@ def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
     ids = _prefix_ids(prefix)
     nA = model.num_activities
     rng = np.random.default_rng(seed)
-    a_r, _, p_orig, att_orig = relevant_activities(model, prefix, thresholds, n_mods=n_mods,
+    a_r, _, p_orig, psi_orig = relevant_activities(model, prefix, thresholds, n_mods=n_mods,
                                                    seed=seed)
-    psi_orig = max_normalize(activity_score_sums(att_orig[None], ids[None], model.pad_id))[0]
     p_r = likely_next(p_orig, thresholds, nA)
     relevant = np.isin(ids, a_r)
     subsets = _subsets(int(relevant.sum()), subset_cap, rng)
@@ -300,9 +283,8 @@ def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thre
         )
     delta = thresholds.edge_threshold(nA)
     combined = (row_normalize(K[0]) > delta) | (row_normalize(K[1]) > delta)
-    labels = np.array(model.activity_labels, dtype=object)
-    rows, cols = np.nonzero(combined)
-    return ExplanationGraph.make(labels, zip(labels[cols], labels[rows]))
+    return _graph(model.activity_labels, combined.T, np.ones(nA, dtype=bool))
+
 
 
 # ------------------------------------------------------------------- export

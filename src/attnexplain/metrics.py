@@ -134,14 +134,16 @@ def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
     undefined = 0
     for prefix in prefixes:
         ids = _prefix_ids(prefix)
-        p_orig, _ = model.forward(ids)
+        # row 0 is the prefix itself, row 1 + i has position i masked
+        masked = np.eye(len(ids) + 1, len(ids), k=-1, dtype=bool)
+        probs, _ = model.predict(np.where(masked, model.pad_id, ids))
+        p_orig = probs[0]
         top = int(np.argmax(p_orig))
         if top >= model.num_activities:
             undefined += 1  # END has no graph representation
             continue
         predicted = labels[top]
-        probs, _ = model.predict(np.where(np.eye(len(ids), dtype=bool), model.pad_id, ids))
-        model_imp = [tvd(p_orig, p_m) for p_m in probs]
+        model_imp = [tvd(p_orig, p_m) for p_m in probs[1:]]
         # A PAD position has no vertex in the graph, so no edge marks it.
         expl_imp = [float(aid != model.pad_id and (labels[aid], predicted) in graph.edges)
                     for aid in ids.tolist()]

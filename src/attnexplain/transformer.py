@@ -79,8 +79,8 @@ class ModelConfig:
         for name in ("d_k", "max_len", "ff_dim", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if (not isinstance(self.pad_dropout, numbers.Real) or isinstance(self.pad_dropout, bool)
                 or not 0.0 <= self.pad_dropout < 1.0):
             raise ValueError(f"pad_dropout must be a number in [0, 1), got {self.pad_dropout!r}")

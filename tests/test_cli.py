@@ -181,6 +181,10 @@ EXIT_CASES = {
     "learning-rate-zero": ([*TRAIN, "--learning-rate", "0"], 2, "learning_rate must be > 0"),
     "learning-rate-negative": ([*TRAIN, "--learning-rate", "-0.01"], 2,
                                "learning_rate must be > 0"),
+    "learning-rate-inf": ([*TRAIN, "--learning-rate", "inf"], 2,
+                          "learning_rate must be > 0 and finite, got inf"),
+    "config-learning-rate-inf": (["--config", "{tmp}/lr_inf.json", *TRAIN], 2,
+                                 "learning_rate must be > 0 and finite, got inf"),
     "config-not-an-object": (["--config", "{tmp}/list.json", *OUT, "stats", "--log", "{log}"],
                              4, "is not a JSON object"),
     "config-value-outside-choices": (
@@ -237,6 +241,8 @@ EXIT_CASES = {
                                      "missing parameters [], unexpected ['extra']"),
     "checkpoint-max-len-negative": ([*BAD_CHECKPOINT, "{tmp}/max_len_neg.npz"], 4,
                                     "max_len must be >= 1, got -1"),
+    "checkpoint-learning-rate-inf": ([*BAD_CHECKPOINT, "{tmp}/lr_inf.npz"], 4,
+                                     "learning_rate must be > 0 and finite, got inf"),
     "spec-max-iter-not-a-number": ([*OUT, "synth", "--spec", "{tmp}/max_iter_x.spec"], 4,
                                    "max_iter must be an integer, got 'x'"),
     "spec-max-iter-above-limit": ([*OUT, "synth", "--spec", "{tmp}/max_iter_big.spec"], 4,
@@ -266,6 +272,7 @@ CONFIG_FILES = {
     "seed_1.0.json": '{"seed": 1.0}',
     "epochs_true.json": '{"epochs": true}',
     "lr_true.json": '{"learning_rate": true}',
+    "lr_inf.json": '{"learning_rate": Infinity}',
     "empty_activity.csv": "case,activity,time\nc1,A,1\nc1,,2\n",
     "seed_-1.json": '{"seed": -1}',
     "max_iter_x.spec": "kind = loop\nbody = A B\nmax_iter = x\n",
@@ -289,10 +296,12 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
     np.savez(tmp_path / "nan_param.npz", **{**arrays, "Wout": nan_wout})
     np.savez(tmp_path / "inf_param.npz", **{**arrays, "embed": inf_embed})
     np.savez(tmp_path / "extra_param.npz", **arrays, extra=np.zeros(1, dtype="<f4"))
-    meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta["config"]["max_len"] = -1
-    np.savez(tmp_path / "max_len_neg.npz", **{**arrays, "__meta__": np.frombuffer(
-        json.dumps(meta).encode(), dtype=np.uint8)})
+    for name, field, value in (("max_len_neg.npz", "max_len", -1),
+                               ("lr_inf.npz", "learning_rate", float("inf"))):
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["config"][field] = value
+        np.savez(tmp_path / name, **{**arrays, "__meta__": np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8)})
     write_log(tmp_path / "long.csv", [["A", "B", "C"] * 3] * 10)
     write_log(tmp_path / "cba.csv", [["C", "B", "A"]] * 10)
     argv, code, message = EXIT_CASES[case]

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attnexplain.attnstats import aggregate_event_scores, cosine_distance
+from attnexplain.attnstats import (activity_score_sums, aggregate_event_scores, cosine_distance,
+                                   max_normalize)
 from attnexplain.explain import (
-    EMPTY_GRAPH,
     ExplanationGraph,
     Thresholds,
+    _subsets,
     attention_exploration_explain,
     backward_explain,
-    backward_local_graph,
-    bipartite_local_graph,
     compute_relevance_score,
     likely_next,
-    merge_with_pruning,
     random_maskings,
     relevance_scores,
     relevant_activities,
@@ -255,47 +253,119 @@ def test_merge_order_case_is_order_sensitive():
 
 def test_relevant_activities_returns_the_unmodified_forward(tiny_model):
     ids = np.array([0, 1, 2, 0])
-    _, _, probs, att = relevant_activities(tiny_model, ids, Thresholds(), n_mods=4)
+    _, _, probs, psi_orig = relevant_activities(tiny_model, ids, Thresholds(), n_mods=4)
     expected_probs, expected_att = tiny_model.forward(ids)
     np.testing.assert_array_equal(probs, expected_probs)
-    np.testing.assert_array_equal(att, expected_att)
+    expected_psi = max_normalize(activity_score_sums(expected_att[None], ids[None],
+                                                     tiny_model.pad_id))[0]
+    np.testing.assert_array_equal(psi_orig, expected_psi)
 
 
 # ------------------------------------------------------ backward explainer
 
 
-def test_backward_local_graph_forwards_the_prefix_once(tiny_model, monkeypatch):
+def scripted_model(labels, steps):
+    """FixedModel over (ids, relevant ids, predicted ids) steps: each
+    relevant activity's positions share attention 1, each predicted
+    activity gets probability 0.15, so with ``n_mods=0`` and the default
+    thresholds the backward explainer sees exactly the scripted sets."""
+    nA = len(labels)
+    table = {}
+    for ids, relevant, predicted in steps:
+        scores = [1.0 / ids.count(a) if a in relevant else 0.0 for a in ids]
+        probs = np.zeros(nA + 1)
+        probs[list(predicted)] = 0.15
+        table[tuple(ids)] = (probs, att_with_column_scores(scores))
+    return FixedModel(labels, table)
+
+
+def scripted_backward(steps, labels="ABCD"):
+    model = scripted_model(labels, steps)
+    return backward_explain(model, [ids for ids, _, _ in steps], n_mods=0)
+
+
+def test_backward_explain_empty_side_adds_no_vertex():
+    A, B, C = 0, 1, 2
+    graph = scripted_backward([((A, B), {A, B}, {C})])
+    assert graph.vertices == frozenset("ABC")
+    assert graph.edges == frozenset({("A", "C"), ("B", "C")})
+    for relevant, predicted in (({A, B}, set()), (set(), {C})):
+        graph = scripted_backward([((A, B), relevant, predicted)])
+        assert graph.vertices == frozenset() and graph.edges == frozenset()
+
+
+def test_backward_explain_prunes_shortcuts_through_last():
+    A, B, C = 0, 1, 2
+    # A -> B and B -> C, then A -> C from a prefix ending in B: a shortcut
+    graph = scripted_backward([((A,), {A}, {B}), ((B,), {B}, {C}), ((A, B), {A}, {C})])
+    assert graph.edges == frozenset({("A", "B"), ("B", "C")})
+
+
+def test_backward_explain_keeps_edges_incident_to_last():
+    B, D = 1, 3
+    # (B, D) has the pattern (B, B), (B, D) but touches B itself
+    graph = scripted_backward([((B,), {B}, {B, D})])
+    assert graph.edges == frozenset({("B", "B"), ("B", "D")})
+
+
+def test_backward_explain_predicts_each_prefix_once(tiny_model, monkeypatch):
     calls = []
     predict = tiny_model.predict
 
     def counting_predict(ids, att_mask=None):
-        calls.append(ids)
+        calls.append(ids.shape)
         return predict(ids, att_mask)
 
     monkeypatch.setattr(tiny_model, "predict", counting_predict)
-    backward_local_graph(tiny_model, (0, 1, 2), Thresholds(), n_mods=0)
-    assert len(calls) == 1 and calls[0].shape == (1, 3)
+    pad = tiny_model.pad_id
+    backward_explain(tiny_model, [(0, 1, 2), (pad, pad), (1,)], Thresholds(), n_mods=0)
+    assert calls == [(1, 3), (1, 1)]  # the all-PAD prefix makes no predict
 
 
-def test_bipartite_local_graph():
-    g = bipartite_local_graph({"A", "B"}, {"C"})
-    assert g.edges == frozenset({("A", "C"), ("B", "C")})
-    assert bipartite_local_graph(set(), {"C"}) is EMPTY_GRAPH
-    assert bipartite_local_graph({"A"}, set()) is EMPTY_GRAPH
+def set_fold(labels, steps, pad_id):
+    """The backward fold over label sets: join each prefix's complete
+    bipartite graph, then prune shortcuts through its last activity."""
+    vertices, edges = set(), set()
+    for ids, relevant, predicted in steps:
+        real = [a for a in ids if a != pad_id]
+        if not real:
+            continue
+        if relevant and predicted:
+            vertices |= {labels[a] for a in relevant | predicted}
+            edges |= {(labels[u], labels[v]) for u in relevant for v in predicted}
+        last = labels[real[-1]]
+        edges -= {(u, v) for u, v in edges
+                  if u != last and v != last and (u, last) in edges and (last, v) in edges}
+    return vertices, edges
 
 
-def test_merge_with_pruning_removes_shortcuts():
-    base = ExplanationGraph.make({"A", "B", "C"}, {("A", "B"), ("B", "C"), ("A", "C")})
-    merged = merge_with_pruning(base, EMPTY_GRAPH, "B")
-    assert ("A", "C") not in merged.edges
-    assert ("A", "B") in merged.edges and ("B", "C") in merged.edges
+@st.composite
+def backward_steps(draw):
+    """Prefixes over nA activities (nA is PAD, so some are all PAD), each
+    with a scripted relevant subset of its activities and a predicted set."""
+    nA = draw(st.integers(1, 4))
+    prefixes = draw(st.lists(st.lists(st.integers(0, nA), min_size=1, max_size=4).map(tuple),
+                             max_size=8))
+    scripts = {ids: (draw(st.sets(st.sampled_from(sorted(set(ids))))) - {nA},
+                     draw(st.sets(st.integers(0, nA - 1))))
+               for ids in dict.fromkeys(prefixes)}
+    return "ABCD"[:nA], [(ids, *scripts[ids]) for ids in prefixes]
 
 
-def test_merge_with_pruning_keeps_edges_incident_to_last():
-    base = ExplanationGraph.make({"B", "D"}, {("B", "B"), ("B", "D")})
-    merged = merge_with_pruning(base, EMPTY_GRAPH, "B")
-    # (B, D) has the pattern (B,B),(B,D) but touches B itself
-    assert merged.edges == base.edges
+# Repeated last activity (C twice), an empty predicted side, an all-PAD
+# prefix and a shortcut A -> C pruned through B.
+BACKWARD_CASE = ("ABCD", [((0,), {0}, {1}), ((1, 2, 2), {1}, {2}), ((1, 0), {0}, set()),
+                          ((4, 4), set(), {3}), ((0, 1), {0}, {2})])
+
+
+@given(backward_steps())
+@example(BACKWARD_CASE)
+@settings(max_examples=150, deadline=None)
+def test_backward_explain_matches_set_fold(case):
+    labels, steps = case
+    graph = scripted_backward(steps, labels)
+    vertices, edges = set_fold(labels, steps, len(labels))
+    assert graph.vertices == vertices and graph.edges == edges
 
 
 def fig_style_mock():
@@ -468,6 +538,17 @@ def test_relevance_scores_match_per_pair_reference(batch):
         total += reference
     if len(per_variant):  # variants added in order, as score_matrices_for_prefix adds them
         assert np.array_equal(np.cumsum(per_variant, axis=0)[-1], total)
+
+
+def test_subsets_stop_once_every_subset_is_drawn():
+    n = 9
+    rng = np.random.default_rng(5)
+    rows = _subsets(n, 5000, rng)  # a cap above 2^n
+    assert len(rows) == 2**n == len({row.tobytes() for row in rows})
+    replay, seen = np.random.default_rng(5), set()
+    while len(seen) < 2**n:
+        seen.add((replay.random(n) < 0.5).tobytes())
+    assert rng.random() == replay.random()  # no draw after the last new subset
 
 
 def test_row_normalize_magnitudes():

@@ -34,6 +34,7 @@ def test_config_validation():
         ModelConfig(attention_mode="nope")
     for bad in ({"d_k": 0, "h": 1}, {"batch_size": 0}, {"epochs": -1}, {"ff_dim": 0},
                 {"learning_rate": 0.0}, {"learning_rate": -0.01},
+                {"learning_rate": float("inf")}, {"learning_rate": float("nan")},
                 {"pad_dropout": "x"}, {"pad_dropout": None}, {"pad_dropout": True},
                 {"pad_dropout": 1.0}, {"pad_dropout": 1.5}, {"pad_dropout": -0.1},
                 {"pad_dropout": float("nan")}):
