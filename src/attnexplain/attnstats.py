@@ -16,54 +16,54 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionError
 
 
-def flatten(att: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Flatten an (h, T, T) attention tensor into distributions.
+def flatten(att: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten a (..., h, T, T) attention batch into distributions.
 
-    Returns per-head distributions (row-major flattening of each head's
-    matrix, divided by its component sum) and the combined distribution
-    over the concatenation of all heads.
+    Returns the per-head distributions, (..., h, T*T): each head's matrix
+    flattened row-major and divided by its component sum; and the
+    combined distribution over the concatenation of all heads,
+    (..., h*T*T).
     """
     att = np.asarray(att, dtype=float)
-    if att.ndim != 3:
-        raise DimensionError(f"expected (h, T, T) tensor, got shape {att.shape}")
-    grand = att.sum()
-    if grand <= 0.0:
+    if att.ndim < 3:
+        raise DimensionError(f"expected (..., h, T, T) tensor, got shape {att.shape}")
+    *lead, h, rows, cols = att.shape
+    heads = att.reshape(*lead, h, rows * cols)
+    combined = att.reshape(*lead, h * rows * cols)
+    grand = combined.sum(axis=-1, keepdims=True)
+    if np.any(grand <= 0.0):
         raise DegenerateInputError("attention tensor sums to zero")
-    per_head = []
-    for head in att:
-        s = head.sum()
-        if s <= 0.0:
-            raise DegenerateInputError("attention head sums to zero")
-        per_head.append(head.reshape(-1) / s)
-    combined = att.reshape(-1) / grand
-    return per_head, combined
+    head_sums = heads.sum(axis=-1, keepdims=True)
+    if np.any(head_sums <= 0.0):
+        raise DegenerateInputError("attention head sums to zero")
+    return heads / head_sums, combined / grand
 
 
-def kl(p: np.ndarray, q: np.ndarray) -> float:
-    """Kullback-Leibler divergence with natural log and 0*log(0) = 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def jsd(a: np.ndarray, b: np.ndarray) -> float:
-    """Jensen-Shannon divergence (natural log; bounded by log 2)."""
+def jsd(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
+    """Jensen-Shannon divergence over the last axis (natural log, bounded
+    by log 2, 0*log(0) = 0); leading axes broadcast, and 1-D inputs give
+    a float."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
     m = 0.5 * (a + b)
-    return 0.5 * kl(a, m) + 0.5 * kl(b, m)
+
+    def relative_entropy(p):  # KL(p || m)
+        ratio = np.divide(p, m, out=np.ones_like(m), where=p > 0.0)
+        return np.sum(p * np.log(ratio), axis=-1)
+
+    return 0.5 * relative_entropy(a) + 0.5 * relative_entropy(b)
 
 
-def tvd(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance, 0.5 * sum |p_i - q_i|."""
+def tvd(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
+    """Total variation distance over the last axis, 0.5 * sum |p_i - q_i|;
+    leading axes broadcast, and 1-D inputs give a float."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    if p.shape[-1:] != q.shape[-1:]:
         raise DimensionError(f"length mismatch: {p.shape} vs {q.shape}")
-    return float(0.5 * np.sum(np.abs(p - q)))
+    return 0.5 * np.sum(np.abs(p - q), axis=-1)
 
 
 def cosine_distance(p: np.ndarray, q: np.ndarray) -> float:

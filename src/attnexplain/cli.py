@@ -43,7 +43,7 @@ from .explain import (
     to_dot,
     to_json,
 )
-from .transformer import ModelConfig, TransformerModel, train, weighted_f1
+from .transformer import ModelConfig, TransformerModel, train
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -250,7 +250,7 @@ def cmd_train(resolved) -> int:
     # Score the float32 model on disk, not the float64 one in memory.
     model = TransformerModel.load(out / "checkpoint.npz")
     test_prefixes = extract_prefixes(test_log)
-    f1 = weighted_f1(model, test_prefixes)
+    f1 = metrics.weighted_f1(model, test_prefixes)
     report = {"weighted_f1": f1, "n_test_prefixes": len(test_prefixes),
               "n_train_traces": len(train_log.traces), "n_test_traces": len(test_log.traces)}
     (out / "f1_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
@@ -283,7 +283,7 @@ def cmd_prestudy(resolved) -> int:
         _write_resolved(out, resolved, "prestudy")
         (out / "exp2.csv").write_text(result.to_csv(), encoding="utf-8")
         (out / "exp2.json").write_text(result.to_json(), encoding="utf-8")
-        sys.stdout.write(f"wrote {len(result.tvd_values)} TVD values\n")
+        sys.stdout.write(f"wrote {len(result.rows)} TVD values\n")
     return 0
 
 

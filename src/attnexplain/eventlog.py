@@ -314,3 +314,14 @@ def unique_prefixes(prefixes) -> list[Prefix]:
             seen.add(p.activities)
             out.append(p)
     return out
+
+
+def length_batches(prefixes):
+    """Yield ``(rows, ids)`` per distinct prefix length, shortest first:
+    the input positions of the prefixes of that length and their (n, T)
+    ids. Takes Prefixes or id sequences."""
+    seqs = [_prefix_ids(p) for p in prefixes]
+    lengths = np.array([len(seq) for seq in seqs], dtype=int)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        yield rows, np.array([seqs[i] for i in rows], dtype=int).reshape(len(rows), length)

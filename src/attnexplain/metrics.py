@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attnstats import tvd
-from .eventlog import EventLog, Prefix, _last_activity, _prefix_ids, extract_prefixes
+from .eventlog import (EventLog, Prefix, _last_activity, _prefix_ids, extract_prefixes,
+                       length_batches)
 from .explain import ExplanationGraph, Thresholds, likely_next
 
 
@@ -41,6 +42,9 @@ class MetricValue:
         return asdict(self)
 
 
+_METRIC_NAMES = ("correctness", "completeness", "continuity", "contrastivity", "compactness")
+
+
 @dataclass(frozen=True)
 class MetricReport:
     correctness: MetricValue
@@ -56,13 +60,7 @@ class MetricReport:
 
     def as_dict(self):
         return {
-            "metrics": {
-                "correctness": self.correctness.as_dict(),
-                "completeness": self.completeness.as_dict(),
-                "continuity": self.continuity.as_dict(),
-                "contrastivity": self.contrastivity.as_dict(),
-                "compactness": self.compactness.as_dict(),
-            },
+            "metrics": {name: getattr(self, name).as_dict() for name in _METRIC_NAMES},
             "num_rules": self.num_rules,
             "precision": self.precision,
             "recall": self.recall,
@@ -79,13 +77,7 @@ class MetricReport:
                 return "N +- N"
             return f"{v.mean:.2f} +- {0.0 if v.std is None else v.std:.2f}"
 
-        rows = [
-            ("Correctness", cell(self.correctness)),
-            ("Completeness", cell(self.completeness)),
-            ("Continuity", cell(self.continuity)),
-            ("Contrastivity", cell(self.contrastivity)),
-            ("Compactness", cell(self.compactness)),
-        ]
+        rows = [(name.capitalize(), cell(getattr(self, name))) for name in _METRIC_NAMES]
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
 
@@ -143,7 +135,7 @@ def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
             undefined += 1  # END has no graph representation
             continue
         predicted = labels[top]
-        model_imp = [tvd(p_orig, p_m) for p_m in probs[1:]]
+        model_imp = tvd(p_orig, probs[1:])
         # A PAD position has no vertex in the graph, so no edge marks it.
         expl_imp = [float(aid != model.pad_id and (labels[aid], predicted) in graph.edges)
                     for aid in ids.tolist()]
@@ -155,15 +147,28 @@ def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
     return _summary(values, undefined)
 
 
-def predict_by_length(model, sequences) -> np.ndarray:
-    """(N, C) ``predict`` probabilities for N id sequences of mixed
-    lengths, in input order; each length is one batch."""
-    lengths = np.array([len(seq) for seq in sequences])
-    probs = np.empty((len(sequences), model.num_classes))
-    for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        probs[rows] = model.predict([sequences[i] for i in rows])[0]
+def predict_by_length(model, prefixes) -> np.ndarray:
+    """(N, C) ``predict`` probabilities for N prefixes (or id sequences)
+    of mixed lengths, in input order; each length is one batch."""
+    probs = np.empty((len(prefixes), model.num_classes))
+    for rows, ids in length_batches(prefixes):
+        probs[rows] = model.predict(ids)[0]
     return probs
+
+
+def weighted_f1(model, prefixes) -> float:
+    """Support-weighted F1 of argmax predictions over prefix targets."""
+    y_true = np.array([model.target_class(p.target) for p in prefixes])
+    y_pred = predict_by_length(model, prefixes).argmax(axis=1)
+    total = len(y_true)
+    score = 0.0
+    for cls in np.unique(y_true):
+        support = int(np.sum(y_true == cls))
+        tp = int(np.sum((y_true == cls) & (y_pred == cls)))
+        fp = int(np.sum((y_true != cls) & (y_pred == cls)))
+        _, _, f1 = precision_recall_f1(tp, fp, support - tp)
+        score += support * f1
+    return score / total if total else 0.0
 
 
 def completeness(model, rules: set[Rule], prefixes,
@@ -172,7 +177,7 @@ def completeness(model, rules: set[Rule], prefixes,
     against the model's likely-next sets, micro-averaged over prefixes."""
     labels = model.activity_labels
     by_lhs = {r.lhs: r.rhs for r in rules}
-    probs = predict_by_length(model, [_prefix_ids(p) for p in prefixes])
+    probs = predict_by_length(model, prefixes)
     tp = fp = fn = n = 0
     for prefix, p_orig in zip(prefixes, probs):
         last = _last_activity(prefix, model.pad_id)

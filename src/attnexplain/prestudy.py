@@ -19,7 +19,7 @@ import numpy as np
 
 from .attnstats import flatten, jsd, tvd
 from .errors import UsageError
-from .eventlog import EventLog, _prefix_ids, extract_prefixes, split
+from .eventlog import EventLog, _prefix_ids, extract_prefixes, length_batches, split
 from .transformer import (
     ATTENTION_FROZEN_UNIFORM,
     ATTENTION_LEARNED,
@@ -62,7 +62,6 @@ class Exp1Result:
 
 @dataclass(frozen=True)
 class Exp2Result:
-    tvd_values: tuple[float, ...]        # one per (prefix, position)
     rows: tuple[tuple[int, int, float], ...]  # (prefix index, position, tvd)
     histogram: tuple[int, ...]
     bin_edges: tuple[float, ...]
@@ -79,7 +78,7 @@ class Exp2Result:
         payload = {
             "histogram": list(self.histogram),
             "bin_edges": list(self.bin_edges),
-            "n_values": len(self.tvd_values),
+            "n_values": len(self.rows),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -87,21 +86,22 @@ class Exp2Result:
 def compare_models(baseline: TransformerModel, modified: TransformerModel,
                    prefixes, scope: str = "all_heads") -> tuple[float, float]:
     """Mean JSD between attention distributions and mean TVD between
-    predictions over the given prefixes."""
-    jsds, tvds = [], []
-    for prefix in prefixes:
-        p_b, att_b = baseline.forward(prefix)
-        p_m, att_m = modified.forward(prefix)
-        heads_b, all_b = flatten(att_b)
-        heads_m, all_m = flatten(att_m)
+    predictions over the given prefixes. ``per_head`` takes each prefix's
+    mean of the per-head JSDs; ``all_heads`` compares the heads'
+    concatenation."""
+    if scope not in ("all_heads", "per_head"):
+        raise ValueError(f"unknown scope {scope!r}")
+    jsds, tvds = np.empty(len(prefixes)), np.empty(len(prefixes))
+    for rows, ids in length_batches(prefixes):
+        p_b, att_b = baseline.predict(ids)
+        p_m, att_m = modified.predict(ids)
+        heads, combined = flatten(np.stack([att_b, att_m]))
         if scope == "all_heads":
-            jsds.append(jsd(all_b, all_m))
-        elif scope == "per_head":
-            jsds.append(float(np.mean([jsd(hb, hm) for hb, hm in zip(heads_b, heads_m)])))
+            jsds[rows] = jsd(combined[0], combined[1])
         else:
-            raise ValueError(f"unknown scope {scope!r}")
-        tvds.append(tvd(p_b, p_m))
-    return float(np.mean(jsds)), float(np.mean(tvds))
+            jsds[rows] = jsd(heads[0], heads[1]).mean(axis=-1)
+        tvds[rows] = tvd(p_b, p_m)
+    return float(jsds.mean()), float(tvds.mean())
 
 
 def experiment1(logobj: EventLog, repeats: int = 5, config: ModelConfig = ModelConfig(),
@@ -143,12 +143,10 @@ def experiment2(model: TransformerModel, prefixes) -> Exp2Result:
         single = np.eye(len(ids), dtype=bool)  # row ``pos`` masks position ``pos``
         p_input, _ = model.predict(np.where(single, model.pad_id, ids))
         p_attention, _ = model.predict(np.tile(ids, (len(ids), 1)), att_mask=single)
-        rows.extend((idx, pos, tvd(p_m, p_am))
-                    for pos, (p_m, p_am) in enumerate(zip(p_input, p_attention)))
-    values = [v for _, _, v in rows]
-    hist, edges = np.histogram(values, bins=_N_BINS, range=(0.0, 1.0))
+        rows.extend((idx, pos, value)
+                    for pos, value in enumerate(tvd(p_input, p_attention).tolist()))
+    hist, edges = np.histogram([v for _, _, v in rows], bins=_N_BINS, range=(0.0, 1.0))
     return Exp2Result(
-        tvd_values=tuple(values),
         rows=tuple(rows),
         histogram=tuple(int(x) for x in hist),
         bin_edges=tuple(float(x) for x in edges),

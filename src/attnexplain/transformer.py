@@ -46,7 +46,6 @@ from .errors import (
     TrainingDataError,
 )
 from .eventlog import EventLog, Prefix, _prefix_ids, extract_prefixes
-from .metrics import precision_recall_f1, predict_by_length
 
 ATTENTION_LEARNED = "learned"
 ATTENTION_FROZEN_UNIFORM = "frozen_uniform"
@@ -515,18 +514,3 @@ def gradient_check(model: TransformerModel, prefix, n_samples: int = 30, step: f
             denom = max(abs(numeric) + abs(analytic), 1e-8)
             worst = max(worst, abs(numeric - analytic) / denom)
     return worst
-
-
-def weighted_f1(model: TransformerModel, prefixes) -> float:
-    """Support-weighted F1 of argmax predictions over prefix targets."""
-    y_true = np.array([model.target_class(p.target) for p in prefixes])
-    y_pred = predict_by_length(model, [p.activities for p in prefixes]).argmax(axis=1)
-    total = len(y_true)
-    score = 0.0
-    for cls in np.unique(y_true):
-        support = int(np.sum(y_true == cls))
-        tp = int(np.sum((y_true == cls) & (y_pred == cls)))
-        fp = int(np.sum((y_true != cls) & (y_pred == cls)))
-        _, _, f1 = precision_recall_f1(tp, fp, support - tp)
-        score += support * f1
-    return score / total if total else 0.0

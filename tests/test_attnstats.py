@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import distance as sp_dist
 
 from attnexplain.attnstats import (
@@ -42,6 +43,8 @@ def test_flatten_rejects_bad_input():
         flatten(np.ones((4, 4)))
     with pytest.raises(DegenerateInputError):
         flatten(np.zeros((1, 2, 2)))
+    with pytest.raises(DegenerateInputError):  # one zero head in a batch
+        flatten(np.stack([np.ones((2, 2, 2)), [np.ones((2, 2)), np.zeros((2, 2))]]))
 
 
 # ---------------------------------------------------------------- distances
@@ -105,11 +108,40 @@ def test_tvd_bounds_and_symmetry(a, b):
     assert tvd(p, q) >= 0.0
 
 
+# Two attention stacks, (2, B, h, T, T), whose cells are often exactly 0;
+# each head keeps a positive sum.
+_attention_pairs = st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda shape: hnp.arrays(float, (2, *shape, shape[-1]),
+                             elements=st.one_of(st.just(0.0), st.floats(1e-6, 1.0))))
+
+
+@given(_attention_pairs)
+@example(np.array([[[[[1.0, 0.0], [0.0, 0.0]]]], [[[[0.0, 1.0], [0.0, 0.0]]]]]))  # disjoint
+@settings(max_examples=150, deadline=None)
+def test_batched_rows_equal_single_calls(pair):
+    pair[..., 0, 0] += pair.sum(axis=(-2, -1)) == 0.0
+    heads, combined = flatten(pair)
+    for k, b in np.ndindex(pair.shape[:2]):
+        heads_row, combined_row = flatten(pair[k, b])
+        assert np.array_equal(heads[k, b], heads_row)
+        assert np.array_equal(combined[k, b], combined_row)
+    for dist in (heads, combined):
+        p, q = dist
+        for fn in (jsd, tvd):
+            batch = fn(p, q)
+            assert batch.shape == p.shape[:-1]
+            for b in np.ndindex(batch.shape):
+                assert np.array_equal(batch[b], fn(p[b], q[b]))
+            assert np.array_equal(fn(p[0], q), [fn(p[0], row) for row in q])  # broadcast
+
+
 def test_distance_shape_mismatch():
     with pytest.raises(DimensionError):
         jsd(np.ones(2) / 2, np.ones(3) / 3)
     with pytest.raises(DimensionError):
         tvd(np.ones(2), np.ones(3))
+    with pytest.raises(DimensionError):
+        jsd(np.ones((4, 2)) / 2, np.ones((4, 3)) / 3)
     with pytest.raises(DegenerateInputError):
         cosine_distance(np.zeros(3), np.ones(3))
 

@@ -6,8 +6,9 @@ import pytest
 
 from attnexplain.cli import main
 from attnexplain.eventlog import build_log, extract_prefixes, parse_csv, split, write_csv
+from attnexplain.metrics import weighted_f1
 from attnexplain.synthlog import sequence, write_spec_file
-from attnexplain.transformer import TransformerModel, weighted_f1
+from attnexplain.transformer import TransformerModel
 
 
 @pytest.fixture

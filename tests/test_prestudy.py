@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from attnexplain.attnstats import flatten, jsd, tvd
 from attnexplain.eventlog import build_log, extract_prefixes
 from attnexplain.prestudy import compare_models, experiment1, experiment2
 from attnexplain.transformer import (
@@ -39,6 +41,45 @@ def test_compare_models_scopes_differ(abc_log, tiny_model):
         compare_models(tiny_model, frozen, prefixes, scope="nope")
 
 
+def test_compare_models_checks_scope_without_prefixes(tiny_model):
+    with pytest.raises(ValueError):
+        compare_models(tiny_model, tiny_model, [], scope="nope")
+
+
+def loop_compare_models(baseline, modified, prefixes, scope):
+    """One ``forward`` per prefix and model; per_head averages the
+    per-head JSDs of each prefix."""
+    jsds, tvds = [], []
+    for prefix in prefixes:
+        p_b, att_b = baseline.forward(prefix)
+        p_m, att_m = modified.forward(prefix)
+        heads_b, all_b = flatten(att_b)
+        heads_m, all_m = flatten(att_m)
+        if scope == "all_heads":
+            jsds.append(jsd(all_b, all_m))
+        else:
+            jsds.append(float(np.mean([jsd(hb, hm) for hb, hm in zip(heads_b, heads_m)])))
+        tvds.append(tvd(p_b, p_m))
+    return float(np.mean(jsds)), float(np.mean(tvds))
+
+
+@pytest.mark.parametrize("scope", ["all_heads", "per_head"])
+def test_compare_models_matches_per_prefix_loop(abc_log, scope):
+    learned = TransformerModel(TINY_CONFIG, abc_log.activity_labels)
+    frozen = TransformerModel(replace(TINY_CONFIG, attention_mode=ATTENTION_FROZEN_UNIFORM),
+                              abc_log.activity_labels, rng=np.random.default_rng(1))
+    rng = np.random.default_rng(4)
+    # Lengths 1-8 interleaved, so each length batch scatters to scattered rows.
+    prefixes = [rng.integers(0, learned.pad_id + 1, size=int(n))
+                for n in rng.permutation(np.repeat(np.arange(1, 9), 3))]
+    expected = loop_compare_models(learned, frozen, prefixes, scope)
+    assert expected[0] > 0.0 and expected[1] > 0.0
+    # These means differ in their last bits when taken in length order, so
+    # per-length results left unscattered would fail the equality below.
+    assert loop_compare_models(learned, frozen, sorted(prefixes, key=len), scope) != expected
+    assert compare_models(learned, frozen, prefixes, scope) == expected
+
+
 def test_experiment1_shapes_and_determinism(abc_log):
     r1 = experiment1(abc_log, repeats=2, config=SMALL_CONFIG)
     r2 = experiment1(abc_log, repeats=2, config=SMALL_CONFIG)
@@ -69,7 +110,7 @@ def test_exp1_serialization(abc_log):
 def test_experiment2_matches_reference_oracle(tiny_model):
     prefixes = [np.array([0, 1, 2]), np.array([2, 2])]
     result = experiment2(tiny_model, prefixes)
-    assert len(result.tvd_values) == 5  # one per (prefix, position)
+    assert len(result.rows) == 5  # one per (prefix, position)
     for idx, pos, value in result.rows:
         ids = prefixes[idx]
         masked_ids = ids.copy()
@@ -88,8 +129,8 @@ def test_experiment2_histogram(tiny_model):
     result = experiment2(tiny_model, prefixes)
     assert len(result.histogram) == 20
     assert len(result.bin_edges) == 21
-    assert sum(result.histogram) == len(result.tvd_values)
+    assert sum(result.histogram) == len(result.rows)
     payload = json.loads(result.to_json())
-    assert payload["n_values"] == len(result.tvd_values)
+    assert payload["n_values"] == len(result.rows)
     rows = list(csv.DictReader(io.StringIO(result.to_csv())))
-    assert len(rows) == len(result.tvd_values)
+    assert len(rows) == len(result.rows)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from attnexplain.errors import DivergenceError, TrainingDataError
 from attnexplain.eventlog import build_log, extract_prefixes
+from attnexplain.metrics import weighted_f1
 from attnexplain.transformer import (
     ATTENTION_FROZEN_UNIFORM,
     _LN_EPS,
@@ -20,7 +21,6 @@ from attnexplain.transformer import (
     _layer_norm_backward,
     sinusoidal_positions,
     train,
-    weighted_f1,
 )
 from conftest import TINY_CONFIG, reference_forward
 
