@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import metrics, prestudy, synthlog
@@ -106,7 +107,8 @@ def _resolve(args, parser) -> dict:
         if key in options:
             resolved[key] = _file_value(actions[key], key, value)
     resolved.update({k: v for k, v in options.items() if v is not None})
-    _option(resolved, "seed", 0, lambda v: v >= 0, ">= 0")  # numpy takes no negative seed
+    if resolved.get("seed", 0) < 0:  # numpy takes no negative seed
+        raise UsageError(f"seed must be >= 0, got {resolved['seed']!r}")
     return resolved
 
 
@@ -118,44 +120,24 @@ def _write_resolved(out_dir: Path, resolved: dict, command: str) -> None:
     )
 
 
+def _given(resolved, names) -> dict:
+    """The options among ``names`` that were set; the library function they
+    are passed to holds the default and the range check of each other one."""
+    return {k: resolved[k] for k in names if resolved.get(k) is not None}
+
+
 def _read_log(resolved) -> EventLog:
     path = resolved["log"]
     if resolved.get("format", "csv") == "xes":
-        return parse_xes(path,
-                         activity_prefix=resolved.get("activity_prefix"),
-                         lifecycle=resolved.get("lifecycle"))
+        return parse_xes(path, **_given(resolved, ("activity_prefix", "lifecycle")))
     return parse_csv(path,
                      case_col=resolved.get("case_col", "case"),
                      activity_col=resolved.get("activity_col", "activity"),
                      time_col=resolved.get("time_col", "time"))
 
 
-def _model_config(resolved) -> ModelConfig:
-    values = {k: resolved[k] for k in _MODEL_KEYS if resolved.get(k) is not None}
-    try:
-        return replace(ModelConfig(), **values)
-    except ValueError as e:
-        raise UsageError(f"invalid model configuration: {e}") from e
-
-
-def _thresholds(resolved) -> Thresholds:
-    try:
-        return Thresholds(**{k: resolved[k] for k in _THRESHOLD_FIELDS
-                             if resolved.get(k) is not None})
-    except ValueError as e:
-        raise UsageError(f"invalid thresholds: {e}") from e
-
-
-def _option(resolved, key, default, valid, rule):
-    """A resolved option value, or its default; UsageError unless ``valid``."""
-    value = resolved.get(key, default)
-    if not valid(value):
-        raise UsageError(f"{key} must be {rule}, got {value!r}")
-    return value
-
-
 def _split(resolved, logobj: EventLog) -> tuple[EventLog, EventLog]:
-    return split(logobj, resolved.get("train_frac", 0.7), seed=resolved.get("seed", 0))
+    return split(logobj, **_given(resolved, ("train_frac", "seed")))
 
 
 def _test_log(resolved, model) -> EventLog:
@@ -227,8 +209,7 @@ def cmd_stats(resolved) -> int:
 def cmd_synth(resolved) -> int:
     out = Path(resolved["out_dir"])
     spec = synthlog.parse_spec_file(resolved["spec"])
-    logobj, truth = synthlog.synth_log(spec, resolved.get("n_traces", 1000),
-                                       resolved.get("seed", 0))
+    logobj, truth = synthlog.synth_log(spec, **_given(resolved, ("n_traces", "seed")))
     _write_resolved(out, resolved, "synth")
     write_csv(logobj, out / "log.csv")
     (out / "ground_truth_edges.json").write_text(
@@ -239,7 +220,7 @@ def cmd_synth(resolved) -> int:
 
 def cmd_train(resolved) -> int:
     out = Path(resolved["out_dir"])
-    config = _model_config(resolved)
+    config = ModelConfig(**_given(resolved, _MODEL_KEYS))
     logobj = _read_log(resolved)
     # Size positions for the whole log, so that every test prefix fits too.
     config = replace(config, max_len=max(config.max_len, logobj.stats.max_len))
@@ -263,13 +244,8 @@ def cmd_prestudy(resolved) -> int:
     out = Path(resolved["out_dir"])
     if resolved["which"] == "exp1":
         logobj = _read_log(resolved)
-        result = prestudy.experiment1(
-            logobj,
-            repeats=resolved.get("repeats", 5),
-            config=_model_config(resolved),
-            train_frac=resolved.get("train_frac", 0.7),
-            scope=resolved.get("scope", "all_heads"),
-        )
+        result = prestudy.experiment1(logobj, config=ModelConfig(**_given(resolved, _MODEL_KEYS)),
+                                      **_given(resolved, ("repeats", "train_frac", "scope")))
         _write_resolved(out, resolved, "prestudy")
         (out / "exp1.csv").write_text(result.to_csv(), encoding="utf-8")
         (out / "exp1.json").write_text(result.to_json(), encoding="utf-8")
@@ -288,31 +264,22 @@ def cmd_prestudy(resolved) -> int:
 
 
 def _explainer_handle(resolved):
-    thresholds = _thresholds(resolved)
-    n_mods = _option(resolved, "n_mods", 20, lambda v: v >= 0, ">= 0")
-    subset_cap = _option(resolved, "subset_cap", 256, lambda v: v >= 1, ">= 1")
-    seed = resolved.get("seed", 0)
+    """The method's explainer with the given options bound, and the
+    thresholds; an option is range-checked when the explainer runs."""
+    thresholds = Thresholds(**_given(resolved, _THRESHOLD_FIELDS))
     if resolved["method"] == "backward":
-        def handle(model, prefixes):
-            return backward_explain(model, prefixes, thresholds, n_mods=n_mods, seed=seed)
+        explainer, names = backward_explain, ("n_mods", "seed")
     else:
-        def handle(model, prefixes):
-            return attention_exploration_explain(model, prefixes, thresholds,
-                                                 subset_cap=subset_cap, seed=seed,
-                                                 n_mods=n_mods)
-    return handle, thresholds
-
-
-def _explain_prefixes(resolved, model) -> list:
-    prefixes = extract_prefixes(_test_log(resolved, model))
-    return unique_prefixes(prefixes) if resolved.get("dedup", True) else prefixes
+        explainer, names = attention_exploration_explain, ("n_mods", "subset_cap", "seed")
+    return partial(explainer, thresholds=thresholds, **_given(resolved, names)), thresholds
 
 
 def cmd_explain(resolved) -> int:
     out = Path(resolved["out_dir"])
     handle, thresholds = _explainer_handle(resolved)
     model = TransformerModel.load(resolved["checkpoint"])
-    prefixes = _explain_prefixes(resolved, model)
+    prefixes = extract_prefixes(_test_log(resolved, model))
+    prefixes = unique_prefixes(prefixes) if resolved.get("dedup", True) else prefixes
     graph = handle(model, prefixes)
     _write_resolved(out, resolved, "explain")
     (out / "graph.dot").write_text(to_dot(graph), encoding="utf-8")
@@ -334,12 +301,9 @@ def cmd_explain(resolved) -> int:
 def cmd_evaluate(resolved) -> int:
     out = Path(resolved["out_dir"])
     handle, thresholds = _explainer_handle(resolved)
-    sample_frac = _option(resolved, "sample_frac", 1.0, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
     model = TransformerModel.load(resolved["checkpoint"])
-    report = metrics.evaluate_all(
-        model, handle, _test_log(resolved, model),
-        sample_frac=sample_frac, thresholds=thresholds, seed=resolved.get("seed", 0),
-    )
+    report = metrics.evaluate_all(model, handle, _test_log(resolved, model), thresholds=thresholds,
+                                  **_given(resolved, ("sample_frac", "seed")))
     _write_resolved(out, resolved, "evaluate")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_table(), encoding="utf-8")

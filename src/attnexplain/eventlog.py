@@ -271,7 +271,7 @@ def parse_xes(path, activity_prefix: str | None = None, lifecycle: str | None = 
     return build_log(label_traces)
 
 
-def split(logobj: EventLog, train_frac: float, seed: int) -> tuple[EventLog, EventLog]:
+def split(logobj: EventLog, train_frac: float = 0.7, seed: int = 0) -> tuple[EventLog, EventLog]:
     """Seeded trace-level train/test split; both halves share the vocabulary."""
     if not 0.0 < train_frac < 1.0:
         raise SplitError(f"train_frac must be in (0, 1), got {train_frac}")

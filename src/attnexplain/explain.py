@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attnstats import activity_score_sums, cosine_distance, max_normalize
+from .errors import UsageError
 from .eventlog import _last_activity, _prefix_ids
 
 
@@ -47,7 +48,7 @@ class Thresholds:
             high, rule = (math.inf, ">= 0") if name == "sim_eps" else (1.0, "in [0, 1]")
             if (not isinstance(value, numbers.Real) or isinstance(value, bool)
                     or not (math.isfinite(value) and 0.0 <= value <= high)):
-                raise ValueError(f"{name} must be a finite number {rule}, got {value!r}")
+                raise UsageError(f"{name} must be a finite number {rule}, got {value!r}")
 
     def edge_threshold(self, num_activities: int) -> float:
         if self.delta_edge is not None:
@@ -76,6 +77,11 @@ class ExplanationGraph:
 
 
 # --------------------------------------------------------- shared machinery
+
+
+def _check_at_least(name: str, value, low: int) -> None:
+    if not value >= low:
+        raise UsageError(f"{name} must be >= {low}, got {value!r}")
 
 
 def _graph(labels, adjacency: np.ndarray, vertices: np.ndarray) -> ExplanationGraph:
@@ -143,6 +149,7 @@ def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
     with (u, last) and (last, v) both present is pruned, ``last`` being the
     prefix's last activity; edges incident to ``last`` are never pruned
     (they would witness their own removal). All-PAD prefixes are skipped."""
+    _check_at_least("n_mods", n_mods, 0)
     nA = model.num_activities
     seeds = np.random.SeedSequence(entropy=seed).generate_state(max(len(prefixes), 1))
     adjacency = np.zeros((nA, nA), dtype=bool)  # [u, v]: edge u -> v
@@ -274,6 +281,8 @@ def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thre
                                   n_mods: int = 20) -> ExplanationGraph:
     """Aggregate score matrices across prefixes and read the thresholded,
     OR-combined result as an adjacency matrix."""
+    _check_at_least("n_mods", n_mods, 0)
+    _check_at_least("subset_cap", subset_cap, 1)
     nA = model.num_activities
     K = np.zeros((2, nA, nA))  # K_few, K_most
     seeds = np.random.SeedSequence(entropy=seed).generate_state(max(len(prefixes), 1))

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attnstats import tvd
+from .errors import UsageError
 from .eventlog import (EventLog, Prefix, _last_activity, _prefix_ids, extract_prefixes,
                        length_batches)
 from .explain import ExplanationGraph, Thresholds, likely_next
@@ -237,22 +238,37 @@ def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
 _MAX_PAIRS = 1000
 
 
+def _contrast_pairs(lasts, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """The index pairs (i, j), i < j, whose ``lasts`` differ (None is a
+    value too), in lexicographic order; ``_MAX_PAIRS`` of them sampled by
+    ``rng`` when there are more. Pairs are counted and numbered per first
+    index, never listed whole."""
+    codes = np.array([-1 if last is None else last for last in lasts], dtype=int)
+    n = len(codes)
+    order = np.argsort(codes, kind="stable")
+    same_later = np.empty(n, dtype=int)
+    same_later[order] = np.searchsorted(codes[order], codes[order], "right") - np.arange(n) - 1
+    per_first = np.arange(n)[::-1] - same_later
+    ends = np.cumsum(per_first)
+    total = int(ends[-1]) if n else 0
+    picks = (np.arange(total) if total <= _MAX_PAIRS
+             else np.sort(rng.choice(total, size=_MAX_PAIRS, replace=False)))
+    firsts = np.searchsorted(ends, picks, side="right")
+    pairs = []
+    for i in np.unique(firsts).tolist():
+        later = np.flatnonzero(codes[i + 1:] != codes[i]) + i + 1
+        ranks = picks[firsts == i] - (ends[i] - per_first[i])  # among i's pairs
+        pairs += ((i, j) for j in later[ranks].tolist())
+    return pairs
+
+
 def contrastivity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     """1 - Jaccard similarity over prefix pairs with different last
     non-PAD activities, at most ``_MAX_PAIRS`` of them sampled."""
-    lasts = [_last_activity(p, model.pad_id) for p in prefixes]
-    pairs = [
-        (i, j)
-        for i in range(len(prefixes))
-        for j in range(i + 1, len(prefixes))
-        if lasts[i] != lasts[j]
-    ]
+    pairs = _contrast_pairs([_last_activity(p, model.pad_id) for p in prefixes],
+                            np.random.default_rng(seed))
     if not pairs:
         return MetricValue(mean=None, std=None, n=0, undefined=len(prefixes))
-    rng = np.random.default_rng(seed)
-    if len(pairs) > _MAX_PAIRS:
-        idx = rng.choice(len(pairs), size=_MAX_PAIRS, replace=False)
-        pairs = [pairs[i] for i in sorted(idx.tolist())]
     rhs = functools.cache(lambda i: _firing_rhs(model, explainer, prefixes[i]))
     values = []
     undefined = 0
@@ -266,8 +282,12 @@ def contrastivity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
 
 
 def sample_prefixes(logobj: EventLog, sample_frac: float, seed: int) -> list[Prefix]:
+    """A seeded ``sample_frac`` share of the log's prefixes (at least one),
+    in log order; UsageError unless ``sample_frac`` is in (0, 1]."""
+    if not 0.0 < sample_frac <= 1.0:
+        raise UsageError(f"sample_frac must be in (0, 1], got {sample_frac!r}")
     prefixes = extract_prefixes(logobj)
-    if sample_frac >= 1.0:
+    if sample_frac == 1.0:
         return prefixes
     rng = np.random.default_rng(seed)
     k = max(1, int(round(sample_frac * len(prefixes))))

@@ -160,7 +160,8 @@ def sample_trace(spec: SynthSpec, rng: np.random.Generator) -> tuple[str, ...]:
     return spec.body * k
 
 
-def synth_log(spec: SynthSpec, n_traces: int, seed: int) -> tuple[EventLog, set[tuple[str, str]]]:
+def synth_log(spec: SynthSpec, n_traces: int = 1000,
+              seed: int = 0) -> tuple[EventLog, set[tuple[str, str]]]:
     """Sample a log of ``n_traces`` walks; deterministic per seed.
 
     Vocabulary order is first-appearance over the enumerated language,

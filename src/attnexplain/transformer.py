@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import zipfile
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -44,6 +45,7 @@ from .errors import (
     CheckpointError,
     DivergenceError,
     TrainingDataError,
+    UsageError,
 )
 from .eventlog import EventLog, Prefix, _prefix_ids, extract_prefixes
 
@@ -70,19 +72,19 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.h < 1:
-            raise ValueError("need at least one attention head")
+            raise UsageError("need at least one attention head")
         if self.d_k % self.h != 0:
-            raise ValueError(f"d_k={self.d_k} not divisible by h={self.h}")
+            raise UsageError(f"d_k={self.d_k} not divisible by h={self.h}")
         if self.attention_mode not in (ATTENTION_LEARNED, ATTENTION_FROZEN_UNIFORM):
-            raise ValueError(f"unknown attention_mode {self.attention_mode!r}")
+            raise UsageError(f"unknown attention_mode {self.attention_mode!r}")
         for name in ("d_k", "max_len", "ff_dim", "epochs", "batch_size"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
+            raise UsageError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if (not isinstance(self.pad_dropout, numbers.Real) or isinstance(self.pad_dropout, bool)
                 or not 0.0 <= self.pad_dropout < 1.0):
-            raise ValueError(f"pad_dropout must be a number in [0, 1), got {self.pad_dropout!r}")
+            raise UsageError(f"pad_dropout must be a number in [0, 1), got {self.pad_dropout!r}")
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
@@ -369,7 +371,7 @@ class TransformerModel:
     def load(cls, path) -> "TransformerModel":
         try:
             data = np.load(path)
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, zipfile.BadZipFile) as e:
             raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
         if "__meta__" not in data:
             raise CheckpointError(f"{path} is not a model checkpoint")
@@ -387,7 +389,11 @@ class TransformerModel:
             config = ModelConfig(**meta["config"])
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"invalid model configuration in {path}: {e}") from e
-        params = {name: data[name].astype(float) for name in data.files if name != "__meta__"}
+        # A non-.npy member reads as bytes: text fails here, a number fails the shape check.
+        try:
+            params = {n: np.asarray(data[n], dtype=float) for n in data.files if n != "__meta__"}
+        except (ValueError, zipfile.BadZipFile) as e:
+            raise CheckpointError(f"cannot read the parameters in {path}: {e}") from e
         return cls(config, meta["activity_labels"], params=params)
 
 

@@ -1,10 +1,13 @@
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from attnexplain.cli import main
+from attnexplain.cli import build_parser, main
 from attnexplain.eventlog import build_log, extract_prefixes, parse_csv, split, write_csv
 from attnexplain.metrics import weighted_f1
 from attnexplain.synthlog import sequence, write_spec_file
@@ -244,6 +247,12 @@ EXIT_CASES = {
                                     "max_len must be >= 1, got -1"),
     "checkpoint-learning-rate-inf": ([*BAD_CHECKPOINT, "{tmp}/lr_inf.npz"], 4,
                                      "learning_rate must be > 0 and finite, got inf"),
+    "checkpoint-parameter-of-strings": ([*BAD_CHECKPOINT, "{tmp}/str_param.npz"], 4,
+                                        "could not convert string to float"),
+    "checkpoint-member-not-npy": ([*BAD_CHECKPOINT, "{tmp}/raw_member.npz"], 4,
+                                  "cannot read the parameters"),
+    "checkpoint-truncated": ([*BAD_CHECKPOINT, "{tmp}/truncated.npz"], 4,
+                             "cannot read checkpoint"),
     "spec-max-iter-not-a-number": ([*OUT, "synth", "--spec", "{tmp}/max_iter_x.spec"], 4,
                                    "max_iter must be an integer, got 'x'"),
     "spec-max-iter-above-limit": ([*OUT, "synth", "--spec", "{tmp}/max_iter_big.spec"], 4,
@@ -297,6 +306,12 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
     np.savez(tmp_path / "nan_param.npz", **{**arrays, "Wout": nan_wout})
     np.savez(tmp_path / "inf_param.npz", **{**arrays, "embed": inf_embed})
     np.savez(tmp_path / "extra_param.npz", **arrays, extra=np.zeros(1, dtype="<f4"))
+    np.savez(tmp_path / "str_param.npz", **{**arrays, "Wout": np.full(arrays["Wout"].shape, "x")})
+    raw_member = tmp_path / "raw_member.npz"
+    with zipfile.ZipFile(checkpoint) as npz, zipfile.ZipFile(raw_member, "w") as out:
+        for name in npz.namelist():  # Wout.npy holds bytes that are not .npy data
+            out.writestr(name, b"not npy data" if name == "Wout.npy" else npz.read(name))
+    (tmp_path / "truncated.npz").write_bytes(checkpoint.read_bytes()[:200])
     for name, field, value in (("max_len_neg.npz", "max_len", -1),
                                ("lr_inf.npz", "learning_rate", float("inf"))):
         meta = json.loads(bytes(arrays["__meta__"]).decode())
@@ -381,3 +396,85 @@ def test_f1_report_scores_the_saved_checkpoint(log_file, checkpoint):
     test_log = split(parse_csv(log_file, "case", "activity", "time"), 0.7, seed=1)[1]
     reloaded = TransformerModel.load(checkpoint)
     assert report["weighted_f1"] == weighted_f1(reloaded, extract_prefixes(test_log))
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A spec, its 30-trace log and a tiny checkpoint, shared by a module's
+    examples; "{tmp}" of an argv template is this directory."""
+    tmp = tmp_path_factory.mktemp("cli")
+    write_spec_file(sequence("A", "B", "C"), tmp / "spec.txt")
+    assert main(["--seed", "1", "--out-dir", str(tmp / "synth"), "synth",
+                 "--spec", str(tmp / "spec.txt"), "--n-traces", "30"]) == 0
+    assert main(["--seed", "1", "--out-dir", str(tmp / "train"), "train",
+                 "--log", str(tmp / "synth" / "log.csv"), *TRAIN_FLAGS]) == 0
+    return {"tmp": tmp, "log": tmp / "synth" / "log.csv", "ckpt": tmp / "train" / "checkpoint.npz"}
+
+
+NAN, INF = float("nan"), float("inf")
+BELOW_0 = st.integers(-10**9, -1)
+BELOW_1 = st.integers(-10**9, 0)
+NEGATIVE_OR_NOT_FINITE = st.sampled_from([NAN, INF, -INF]) | st.floats(-1e9, -1e-9)
+NOT_POSITIVE = NEGATIVE_OR_NOT_FINITE | st.sampled_from([0.0, -0.0])
+SYNTH = [*OUT, "synth", "--spec", "{tmp}/spec.txt"]
+EXP1 = [*OUT, "prestudy", "--which", "exp1", "--log", "{log}", *TRAIN_FLAGS]
+# flag: (its type, the command it is given to, values its documented rule rejects)
+NUMERIC_FLAGS = {
+    "--seed": (int, SYNTH, BELOW_0),
+    "--train-frac": (float, TRAIN, NOT_POSITIVE),
+    "--n-traces": (int, SYNTH, BELOW_1),
+    **{flag: (int, TRAIN, BELOW_1) for flag in
+       ("--d-k", "--heads", "--max-len", "--ff-dim", "--epochs", "--batch-size")},
+    "--learning-rate": (float, TRAIN, NOT_POSITIVE),
+    "--repeats": (int, EXP1, BELOW_1),
+    **{flag: (float, EXPLAIN, NEGATIVE_OR_NOT_FINITE) for flag in
+       ("--delta-sim", "--delta-attr", "--delta-pred", "--delta-edge", "--sim-eps")},
+    "--n-mods": (int, EXPLAIN, BELOW_0),
+    "--subset-cap": (int, EXPLAIN, BELOW_1),
+    "--sample-frac": (float, EVALUATE, NOT_POSITIVE),
+}
+GLOBAL_FLAGS = ("--seed", "--train-frac")
+WRONG_JSON_TYPES = st.sampled_from(["1", True, False, None, [1]])
+
+
+def flag_actions():
+    """Every flag of the global parser and of each command, by its option string."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    return {flag: a for p in (parser, *commands.values()) for a in p._actions
+            for flag in a.option_strings}
+
+
+def test_numeric_flags_are_every_typed_flag():
+    typed = {flag: a.type for flag, a in flag_actions().items() if a.type in (int, float)}
+    assert typed == {flag: kind for flag, (kind, _, _) in NUMERIC_FLAGS.items()}
+
+
+@pytest.mark.parametrize("flag", sorted(NUMERIC_FLAGS))
+@given(data=st.data())
+# capsys is read out before each example's run, so sharing it is safe
+@settings(max_examples=2, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_rejected_option_values_exit_2(cli_inputs, capsys, flag, data):
+    """A value the flag's rule rejects, given as the flag or in --config,
+    or a config value of a wrong JSON type, exits 2 with one error line
+    and writes no output."""
+    kind, command, rejected = NUMERIC_FLAGS[flag]
+    base = [a.format(**cli_inputs) for a in command]
+    if flag in base:  # the flag would override the config value
+        at = base.index(flag)
+        base = base[:at] + base[at + 2:]
+    if data.draw(st.booleans(), label="through --config"):
+        wrong = WRONG_JSON_TYPES | (st.floats() if kind is int else st.nothing())
+        value = data.draw(rejected | wrong, label="value")
+        config = cli_inputs["tmp"] / "config.json"
+        config.write_text(json.dumps({flag_actions()[flag].dest: value}))
+        argv = ["--config", str(config), *base]
+    else:
+        option = [f"{flag}={data.draw(rejected, label='value')}"]
+        argv = [*option, *base] if flag in GLOBAL_FLAGS else [*base, *option]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (cli_inputs["tmp"] / "o").exists()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from attnexplain.attnstats import (activity_score_sums, aggregate_event_scores, cosine_distance,
                                    max_normalize)
+from attnexplain.errors import UsageError
 from attnexplain.explain import (
     ExplanationGraph,
     Thresholds,
@@ -22,7 +23,7 @@ from attnexplain.explain import (
     to_dot,
     to_json,
 )
-from attnexplain.transformer import TransformerModel
+from attnexplain.transformer import ModelConfig, TransformerModel
 from conftest import TINY_CONFIG
 from test_attnstats import reference_score_sums
 
@@ -107,6 +108,25 @@ def test_thresholds_reject_non_numbers():
                 {"delta_pred": None}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             Thresholds(**bad)
+
+
+@pytest.mark.parametrize("explain, option", [
+    (backward_explain, {"n_mods": -1}),
+    (attention_exploration_explain, {"n_mods": -1}),
+    (attention_exploration_explain, {"subset_cap": 0}),
+])
+def test_explainers_reject_options_out_of_range(tiny_model, explain, option):
+    (name, value), = option.items()
+    with pytest.raises(UsageError, match=f"^{name} must be >= {value + 1}, got {value}$") as exc:
+        explain(tiny_model, [(0, 1, 2)], Thresholds(), **option)
+    assert isinstance(exc.value, ValueError)
+
+
+def test_config_and_thresholds_raise_usage_errors():
+    for make, option in ((ModelConfig, {"h": 0}), (Thresholds, {"delta_sim": float("nan")})):
+        with pytest.raises(UsageError) as exc:
+            make(**option)
+        assert isinstance(exc.value, ValueError)
 
 
 def test_explanation_graph_validates_edges():

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attnexplain.errors import UsageError
 from attnexplain.eventlog import Prefix, build_log
 from attnexplain.explain import (
     ExplanationGraph,
@@ -12,8 +15,10 @@ from attnexplain.explain import (
     likely_next,
 )
 from attnexplain.metrics import (
+    _MAX_PAIRS,
     MetricValue,
     Rule,
+    _contrast_pairs,
     compactness,
     completeness,
     continuity,
@@ -261,6 +266,40 @@ def test_contrastivity_disjoint_rules_is_one():
     assert value.mean == 1.0
 
 
+def enumerated_pairs(lasts, seed):
+    """Every pair (i, j), i < j, with different lasts, listed in order and
+    then sampled, as ``contrastivity`` did before it numbered them."""
+    pairs = [(i, j) for i in range(len(lasts)) for j in range(i + 1, len(lasts))
+             if lasts[i] != lasts[j]]
+    if len(pairs) > _MAX_PAIRS:
+        idx = np.random.default_rng(seed).choice(len(pairs), size=_MAX_PAIRS, replace=False)
+        pairs = [pairs[i] for i in sorted(idx.tolist())]
+    return pairs
+
+
+# 46 lasts give C(46, 2) = 1035 pairs; these leave 1000 and 1001 that differ
+EXACTLY_MAX_PAIRS = [0] * 8 + [1] * 4 + [2] * 2 + list(range(3, 35))
+ONE_ABOVE_MAX_PAIRS = [0] * 8 + [1] * 4 + list(range(2, 36))
+
+
+@given(st.integers(0, 70).flatmap(
+           lambda n: st.lists(st.none() | st.integers(0, 4), min_size=n, max_size=n)),
+       st.integers(0, 2**32 - 1))
+@example(EXACTLY_MAX_PAIRS, 5)
+@example(ONE_ABOVE_MAX_PAIRS, 5)
+@example([None] * 60, 0)
+@example([None] * 30 + [0] * 30, 1)
+@settings(max_examples=150, deadline=None)
+def test_contrast_pairs_match_the_full_enumeration(lasts, seed):
+    assert _contrast_pairs(lasts, np.random.default_rng(seed)) == enumerated_pairs(lasts, seed)
+
+
+def test_contrast_pair_examples_straddle_the_sample_size():
+    differing = [sum(a != b for a, b in itertools.combinations(lasts, 2))
+                 for lasts in (EXACTLY_MAX_PAIRS, ONE_ABOVE_MAX_PAIRS)]
+    assert differing == [_MAX_PAIRS, _MAX_PAIRS + 1]
+
+
 # ------------------------------------------------------------- aggregation
 
 
@@ -270,6 +309,15 @@ def test_sample_prefixes_full_and_fractional():
     half = sample_prefixes(logobj, 0.5, seed=0)
     assert len(half) == 2
     assert sample_prefixes(logobj, 0.5, seed=0) == half  # deterministic
+
+
+@pytest.mark.parametrize("sample_frac", [0.0, -0.5, float("nan"), 1.5])
+def test_sample_prefixes_rejects_fraction_outside_unit_interval(sample_frac):
+    logobj = build_log([("c1", ["A", "B"]), ("c2", ["B", "A"])])
+    message = rf"^sample_frac must be in \(0, 1\], got {sample_frac}$"
+    with pytest.raises(UsageError, match=message) as exc:
+        sample_prefixes(logobj, sample_frac, seed=0)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_evaluate_all_report_shape():
