@@ -70,7 +70,7 @@ _NOT_OPTIONS = ("config", "command", "func")
 
 def _load_config_file(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             config = json.load(f)
     except json.JSONDecodeError as e:
         raise LogParseError(f"invalid JSON config {path}: {e}", position=f"line {e.lineno}") from e
@@ -114,7 +114,7 @@ def _resolve(args, parser) -> dict:
 
 def _write_resolved(out_dir: Path, resolved: dict, command: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"command": command, **resolved}
+    payload = {**resolved, "command": command}  # the command that ran, not a config key
     (out_dir / "resolved_config.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -130,10 +130,7 @@ def _read_log(resolved) -> EventLog:
     path = resolved["log"]
     if resolved.get("format", "csv") == "xes":
         return parse_xes(path, **_given(resolved, ("activity_prefix", "lifecycle")))
-    return parse_csv(path,
-                     case_col=resolved.get("case_col", "case"),
-                     activity_col=resolved.get("activity_col", "activity"),
-                     time_col=resolved.get("time_col", "time"))
+    return parse_csv(path, **_given(resolved, ("case_col", "activity_col", "time_col")))
 
 
 def _split(resolved, logobj: EventLog) -> tuple[EventLog, EventLog]:

@@ -154,14 +154,16 @@ def build_log(label_traces: Iterable[tuple[str, Sequence[str]]]) -> EventLog:
     return EventLog(traces, [*label_to_id, PAD_LABEL, END_LABEL])
 
 
-def parse_csv(path, case_col: str, activity_col: str, time_col: str | None = None) -> EventLog:
-    """Parse a CSV event log.
+def parse_csv(path, case_col: str = "case", activity_col: str = "activity",
+              time_col: str | None = "time") -> EventLog:
+    """Parse a UTF-8 CSV event log; a leading byte-order mark is skipped.
 
     Rows are grouped by case id and sorted by timestamp, stable within
-    equal timestamps by file order. Timestamps compare as strings (the
-    usual ISO format) unless they parse as floats.
+    equal timestamps by file order; with no ``time_col`` (None or "") they
+    keep file order. Timestamps compare as strings (the usual ISO format)
+    unless they parse as floats.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f, restval="")  # a short row reads as empty fields
         try:
             if reader.fieldnames is None:
@@ -197,8 +199,8 @@ def parse_csv(path, case_col: str, activity_col: str, time_col: str | None = Non
 
 
 def write_csv(logobj: EventLog, path) -> None:
-    """Serialize a log so that ``parse_csv`` with columns ``case``,
-    ``activity`` and ``time`` round-trips it exactly.
+    """Serialize a log so that ``parse_csv`` with its default columns
+    ``case``, ``activity`` and ``time`` round-trips it exactly.
 
     Synthetic integer timestamps preserve within-case event order; cases
     are written in trace order.

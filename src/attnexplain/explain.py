@@ -92,15 +92,15 @@ def _graph(labels, adjacency: np.ndarray, vertices: np.ndarray) -> ExplanationGr
     return ExplanationGraph.make(labels[vertices], zip(labels[sources], labels[targets]))
 
 
-def random_maskings(length: int, n_mods: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
-    """``n_mods`` random position subsets, each non-empty and of size at
-    most ceil(length / 2)."""
+def random_maskings(length: int, n_mods: int, rng: np.random.Generator) -> np.ndarray:
+    """``n_mods`` random position subsets as rows of a boolean
+    (n_mods, length) matrix, each non-empty and of size at most
+    ceil(length / 2); a row draws its size, then its positions."""
     cap = max(1, int(np.ceil(length / 2)))
-    out = []
-    for _ in range(n_mods):
-        size = int(rng.integers(1, cap + 1))
-        out.append(tuple(sorted(rng.choice(length, size=size, replace=False).tolist())))
-    return out
+    masks = np.zeros((n_mods, length), dtype=bool)
+    for row in masks:
+        row[rng.choice(length, size=int(rng.integers(1, cap + 1)), replace=False)] = True
+    return masks
 
 
 def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
@@ -114,28 +114,23 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
     ``delta_sim`` cosine distance of the original.
     """
     ids = _prefix_ids(prefix)
-    maskings = random_maskings(len(ids), n_mods, np.random.default_rng(seed))
-    variants = np.tile(ids, (len(maskings), 1))
-    for row, positions in zip(variants, maskings):
-        row[list(positions)] = model.pad_id
-    variants = variants[(variants != model.pad_id).any(axis=1)]
-    batch = np.vstack([ids, variants])
+    masks = random_maskings(len(ids), n_mods, np.random.default_rng(seed))
+    variants = np.where(masks, model.pad_id, ids)
+    batch = np.vstack([ids, variants[(variants != model.pad_id).any(axis=1)]])
     probs, att = model.predict(batch)
     p_orig = probs[0]
     sums = activity_score_sums(att, batch, model.pad_id)
-    psi_orig = max_normalize(sums[0])
-    for row, p_mod in zip(sums[1:], probs[1:]):
-        if cosine_distance(p_mod, p_orig) <= thresholds.delta_sim:
-            sums[0] += row  # in variant order: a reordered sum rounds differently
-    psi = max_normalize(sums[0])
-    return np.flatnonzero(psi > thresholds.delta_attr), psi, p_orig, psi_orig
+    stable = np.array([True] + [cosine_distance(p_mod, p_orig) <= thresholds.delta_sim
+                                for p_mod in probs[1:]])
+    # in variant order: a reordered sum rounds differently
+    psi = max_normalize(np.cumsum(sums[stable], axis=0)[-1])
+    return np.flatnonzero(psi > thresholds.delta_attr), psi, p_orig, max_normalize(sums[0])
 
 
-def likely_next(probs, thresholds: Thresholds, num_activities: int) -> set[int]:
-    """Activity ids with prediction probability strictly above
+def likely_next(probs, thresholds: Thresholds, num_activities: int) -> np.ndarray:
+    """Ascending activity ids with prediction probability strictly above
     ``delta_pred``; the END class is excluded."""
-    probs = np.asarray(probs, dtype=float)[:num_activities]
-    return set(np.flatnonzero(probs > thresholds.delta_pred).tolist())
+    return np.flatnonzero(np.asarray(probs, dtype=float)[:num_activities] > thresholds.delta_pred)
 
 
 # ---------------------------------------------------------- Backward Explainer
@@ -160,8 +155,8 @@ def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
             continue
         a_r, _, probs, _ = relevant_activities(model, prefix, thresholds, n_mods=n_mods,
                                                seed=int(sub_seed))
-        p_r = list(likely_next(probs, thresholds, nA))
-        if len(a_r) and p_r:
+        p_r = likely_next(probs, thresholds, nA)
+        if len(a_r) and len(p_r):
             adjacency[np.ix_(a_r, p_r)] = True
             vertices[a_r] = vertices[p_r] = True
         shortcut = np.outer(adjacency[:, last], adjacency[last])
@@ -175,7 +170,7 @@ def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
 
 def relevance_scores(ids: np.ndarray, variants: np.ndarray, psi_orig: np.ndarray,
                      psi_var: np.ndarray, p_orig: np.ndarray, p_var: np.ndarray,
-                     p_r: set[int], sim_eps: float, num_activities: int) -> np.ndarray:
+                     p_r: np.ndarray, sim_eps: float, num_activities: int) -> np.ndarray:
     """Signed relevance scores of a prefix's (V, T) batch of masked
     ``variants``, one (|A|, |A|) matrix per variant; rows index the
     predicted activity, columns the influencing activity, and ψ is indexed
@@ -191,29 +186,30 @@ def relevance_scores(ids: np.ndarray, variants: np.ndarray, psi_orig: np.ndarray
     real = ids < nA
     cols = ids[real]
     masked = (variants[:, real] != cols)[:, None]                        # (V, 1, T')
-    rows = np.fromiter(p_r, int, len(p_r))
-    p_a = p_orig[rows, None]                                             # (R, 1)
-    delta = np.abs(p_orig[rows] - p_var[:, rows])[:, :, None]            # (V, R, 1)
+    p_a = p_orig[p_r, None]                                              # (R, 1)
+    delta = np.abs(p_orig[p_r] - p_var[:, p_r])[:, :, None]              # (V, R, 1)
     similar = delta <= sim_eps
     psi_o, psi_m = psi_orig[cols], psi_var[:, None, cols]                # (T',), (V, 1, T')
     s = p_a * psi_o
     kept = np.where(similar, psi_m * p_a, np.abs(psi_o - psi_m) * delta)
     terms = np.concatenate([np.where(masked, np.where(similar, -s, s), 0.0),
                             np.where(masked, 0.0, kept)], axis=2)        # (V, R, 2T')
-    cells = (np.arange(len(variants))[:, None] * nA + rows)[:, :, None] * nA + np.tile(cols, 2)
+    cells = (np.arange(len(variants))[:, None] * nA + p_r)[:, :, None] * nA + np.tile(cols, 2)
     return np.bincount(cells.ravel(), terms.ravel(),
                        len(variants) * nA * nA).reshape(-1, nA, nA)
 
 
 def compute_relevance_score(ids, masked_ids, psi_orig, psi_masked, p_orig, p_masked,
-                            p_r: set[int], sim_eps: float, num_activities: int) -> np.ndarray:
+                            p_r, sim_eps: float, num_activities: int) -> np.ndarray:
     """``relevance_scores`` of one (prefix, masked prefix) pair of id arrays.
-    ψ may also be a mapping from activity id; an id it omits scores 0.0."""
+    ``p_r`` may be any collection of ids. ψ may also be a mapping from
+    activity id; an id it omits scores 0.0."""
     psi_orig, psi_masked = (
         np.array([psi.get(a, 0.0) for a in range(num_activities)]) if isinstance(psi, Mapping)
         else np.asarray(psi, dtype=float) for psi in (psi_orig, psi_masked))
     return relevance_scores(ids, masked_ids[None], psi_orig, psi_masked[None], p_orig,
-                            p_masked[None], p_r, sim_eps, num_activities)[0]
+                            p_masked[None], np.array(sorted(p_r), dtype=int), sim_eps,
+                            num_activities)[0]
 
 
 def _subsets(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
@@ -253,7 +249,7 @@ def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
     scenarios = (chosen[chosen.any(axis=1)], ~chosen[(chosen != relevant).any(axis=1)])
     K = np.zeros((2, nA, nA))
     for K_scenario, masks in zip(K, scenarios):
-        if not (len(masks) and p_r):  # nothing to score: spare the forwards
+        if not (len(masks) and len(p_r)):  # nothing to score: spare the forwards
             continue
         variants = np.where(masks, model.pad_id, ids)
         probs, att = model.predict(variants)

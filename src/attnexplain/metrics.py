@@ -213,7 +213,8 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
 
 def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     """Jaccard similarity of firing rules before/after masking one
-    random position; length-1 prefixes are skipped."""
+    random position, the explainer seeing the masked prefix as an id
+    array; length-1 prefixes are skipped."""
     rng = np.random.default_rng(seed)
     values = []
     undefined = 0
@@ -222,10 +223,7 @@ def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
         if len(ids) < 2:
             undefined += 1
             continue
-        activities = ids.tolist()
-        activities[int(rng.integers(len(ids)))] = model.pad_id
-        perturbed = Prefix(activities=tuple(activities), target=prefix.target,
-                           source_case=prefix.source_case)
+        perturbed = np.where(np.arange(len(ids)) == rng.integers(len(ids)), model.pad_id, ids)
         r_orig = _firing_rhs(model, explainer, prefix)
         r_pert = _firing_rhs(model, explainer, perturbed)
         if r_orig is None or r_pert is None:

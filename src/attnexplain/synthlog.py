@@ -184,9 +184,10 @@ def synth_log(spec: SynthSpec, n_traces: int = 1000,
 
 
 def parse_spec_file(path) -> SynthSpec:
-    """Read a structure spec from the documented key/value text format."""
+    """Read a structure spec from the documented key/value text format
+    (UTF-8; a leading byte-order mark is skipped)."""
     kv: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

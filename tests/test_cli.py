@@ -1,5 +1,6 @@
 import json
 import zipfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,48 @@ def test_config_file_values_take_their_flag_type(tmp_path, log_file):
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["train_frac"] == 1.0 and isinstance(resolved["train_frac"], float)
     assert resolved["seed"] == 3 and isinstance(resolved["seed"], int)
+
+
+def test_resolved_config_records_the_command_that_ran(tmp_path, spec_file):
+    config = tmp_path / "config.json"
+    config.write_text('{"command": "bogus"}')
+    out = tmp_path / "o"
+    assert main(["--config", str(config), "--out-dir", str(out), "synth",
+                 "--spec", str(spec_file), "--n-traces", "5"]) == 0
+    assert json.loads((out / "resolved_config.json").read_text())["command"] == "synth"
+
+
+def test_empty_time_col_reads_as_the_library_without_one(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text("case,activity\nc1,B\nc1,A\nc2,A\nc2,C\n")
+    out = tmp_path / "o"
+    assert main(["--out-dir", str(out), "stats", "--log", str(log)]) == 4  # no "time" column
+    assert main(["--out-dir", str(out), "stats", "--log", str(log), "--time-col", ""]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats == asdict(parse_csv(log, time_col=None).stats)
+
+
+BOM_ARGV = {"log": ["stats", "--log", "{log}"], "spec": ["synth", "--spec", "{spec}"],
+            "config": ["--config", "{config}", "synth", "--spec", "{spec}"]}
+
+
+@pytest.mark.parametrize("kind", sorted(BOM_ARGV))
+def test_byte_order_mark_is_skipped(tmp_path, spec_file, log_file, kind):
+    """A UTF-8 file that starts with a byte-order mark, as Excel's "CSV
+    UTF-8" writes it, reads as the same file without one."""
+    config = tmp_path / "config.json"
+    config.write_text('{"n_traces": 5}')
+    files = {"log": log_file, "spec": spec_file, "config": config}
+    outputs = []
+    for tag, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        copy = tmp_path / f"{tag}-{files[kind].name}"
+        copy.write_bytes(mark + files[kind].read_bytes())
+        paths = {**files, kind: copy}
+        out = tmp_path / tag
+        argv = [a.format(**paths) for a in BOM_ARGV[kind]]
+        assert main(["--out-dir", str(out), *argv]) == 0
+        outputs.append(read_bytes(out))
+    assert outputs[0] == outputs[1]
 
 
 def test_attention_mode_is_a_train_option_only(tmp_path, log_file, capsys):

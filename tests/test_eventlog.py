@@ -74,6 +74,7 @@ def test_csv_round_trip(tmp_path_factory, traces):
     path = tmp_path_factory.mktemp("csv") / "log.csv"
     write_csv(logobj, path)
     assert parse_csv(path, "case", "activity", "time") == logobj
+    assert parse_csv(path) == logobj  # the default columns are the header written
 
 
 def test_csv_timestamp_sorting(tmp_path):

@@ -141,26 +141,44 @@ def test_explanation_graph_validates_edges():
 @settings(max_examples=60, deadline=None)
 def test_random_maskings_sizes(length, n_mods, seed):
     rng = np.random.default_rng(seed)
-    maskings = random_maskings(length, n_mods, rng)
-    assert len(maskings) == n_mods
+    masks = random_maskings(length, n_mods, rng)
+    assert masks.shape == (n_mods, length) and masks.dtype == bool
     cap = int(np.ceil(length / 2))
-    for positions in maskings:
-        assert 1 <= len(positions) <= max(1, cap)
-        assert len(set(positions)) == len(positions)
-        assert all(0 <= p < length for p in positions)
+    sizes = masks.sum(axis=1)
+    assert np.all((1 <= sizes) & (sizes <= max(1, cap)))
+
+
+def tuple_maskings(length, n_mods, rng):
+    """random_maskings as sorted position tuples: each draws its size, then
+    its positions."""
+    cap = max(1, int(np.ceil(length / 2)))
+    out = []
+    for _ in range(n_mods):
+        size = int(rng.integers(1, cap + 1))
+        out.append(tuple(sorted(rng.choice(length, size=size, replace=False).tolist())))
+    return out
+
+
+@given(length=st.integers(1, 12), n_mods=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_random_maskings_rows_match_position_tuples(length, n_mods, seed):
+    masks = random_maskings(length, n_mods, np.random.default_rng(seed))
+    tuples = tuple_maskings(length, n_mods, np.random.default_rng(seed))
+    assert [tuple(np.flatnonzero(row).tolist()) for row in masks] == tuples
 
 
 def test_likely_next_thresholding():
     th = Thresholds(delta_pred=0.3)
-    assert likely_next(np.array([0.0, 1.0, 0.0, 0.0]), Thresholds(delta_pred=0.5), 3) == {1}
-    assert likely_next(np.full(4, 0.25), th, 4) == set()
+    top = likely_next(np.array([0.0, 1.0, 0.0, 0.0]), Thresholds(delta_pred=0.5), 3)
+    assert top.tolist() == [1]
+    assert likely_next(np.full(4, 0.25), th, 4).tolist() == []
     # END (last index) is never included
-    assert likely_next(np.array([0.05, 0.05, 0.9]), Thresholds(delta_pred=0.1), 2) == set()
+    assert likely_next(np.array([0.05, 0.05, 0.9]), Thresholds(delta_pred=0.1), 2).tolist() == []
 
 
 def test_likely_next_mixed_prediction():
     p = np.array([0.15, 0.45, 0.40, 0.0])
-    assert likely_next(p, Thresholds(delta_pred=0.3), 3) == {1, 2}
+    assert likely_next(p, Thresholds(delta_pred=0.3), 3).tolist() == [1, 2]
 
 
 # ------------------------------------------------- relevant activity scores
@@ -222,9 +240,8 @@ def similar_variant_sums(model, ids, thresholds, n_mods, seed):
     ids = np.asarray(ids)
     p_orig, att_orig = model.forward(ids)
     rows = [reference_score_sums(aggregate_event_scores(att_orig), ids, model.pad_id)]
-    for positions in random_maskings(len(ids), n_mods, np.random.default_rng(seed)):
-        masked = ids.copy()
-        masked[list(positions)] = model.pad_id
+    for mask in random_maskings(len(ids), n_mods, np.random.default_rng(seed)):
+        masked = np.where(mask, model.pad_id, ids)
         if (masked == model.pad_id).all():
             continue
         p_mod, att_mod = model.forward(masked)
@@ -263,6 +280,40 @@ def test_relevant_activities_psi_matches_dict_loop(ids, n_mods, seed, delta_sim)
     rows = similar_variant_sums(ABC_MODEL, ids, thresholds, n_mods, seed)
     assert np.array_equal(psi, merged_psi(rows, 3))
     assert a_r.tolist() == np.flatnonzero(psi > thresholds.delta_attr).tolist()
+
+
+def loop_relevant_activities(model, ids, thresholds, n_mods, seed):
+    """relevant_activities with each variant built from a position tuple and
+    each prediction-similar variant's sums added one row at a time."""
+    ids = np.asarray(ids)
+    maskings = tuple_maskings(len(ids), n_mods, np.random.default_rng(seed))
+    variants = np.tile(ids, (len(maskings), 1))
+    for row, positions in zip(variants, maskings):
+        row[list(positions)] = model.pad_id
+    variants = variants[(variants != model.pad_id).any(axis=1)]
+    batch = np.vstack([ids, variants])
+    probs, att = model.predict(batch)
+    sums = activity_score_sums(att, batch, model.pad_id)
+    psi_orig = max_normalize(sums[0])
+    for row, p_mod in zip(sums[1:], probs[1:]):
+        if cosine_distance(p_mod, probs[0]) <= thresholds.delta_sim:
+            sums[0] += row
+    psi = max_normalize(sums[0])
+    return np.flatnonzero(psi > thresholds.delta_attr), psi, probs[0], psi_orig
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=8)  # 3 is PAD
+       | st.integers(1, 8).map(lambda n: [3] * n),
+       st.integers(0, 20), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2, 1.0]))
+@example(*MERGE_ORDER_CASE)
+@example([3, 3, 3], 20, 0, 0.2)
+@settings(max_examples=40, deadline=None)
+def test_relevant_activities_matches_row_loop(ids, n_mods, seed, delta_sim):
+    thresholds = Thresholds(delta_sim=delta_sim)
+    got = relevant_activities(ABC_MODEL, ids, thresholds, n_mods=n_mods, seed=seed)
+    want = loop_relevant_activities(ABC_MODEL, ids, thresholds, n_mods, seed)
+    for value, expected in zip(got, want, strict=True):
+        assert np.array_equal(value, expected)
 
 
 def test_merge_order_case_is_order_sensitive():
@@ -524,7 +575,7 @@ def relevance_batches(draw):
                 p_orig=p_orig,
                 p_var=p_orig + np.array(draw(st.lists(moved, min_size=V, max_size=V))
                                         ).reshape(V, nA + 1),
-                p_r=draw(st.sets(st.integers(0, nA - 1))),
+                p_r=np.array(sorted(draw(st.sets(st.integers(0, nA - 1)))), dtype=int),
                 sim_eps=draw(st.sampled_from([0.0, 0.05, 1.0])), num_activities=nA)
 
 
@@ -534,12 +585,12 @@ SHARED_ACTIVITY_BATCH = dict(
     psi_orig=np.array([0.5, 0.0]), psi_var=np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]),
     p_orig=np.array([0.3, 0.6, 0.1]),
     p_var=np.array([[0.3, 0.2, 0.1], [0.3, 0.6, 0.1], [0.1, 0.6, 0.3]]),
-    p_r={0, 1}, sim_eps=0.0, num_activities=2)
+    p_r=np.array([0, 1]), sim_eps=0.0, num_activities=2)
 
 
 @given(relevance_batches())
 @example(SHARED_ACTIVITY_BATCH)
-@example({**SHARED_ACTIVITY_BATCH, "p_r": set()})
+@example({**SHARED_ACTIVITY_BATCH, "p_r": np.zeros(0, dtype=int)})
 @example({**SHARED_ACTIVITY_BATCH, "variants": np.zeros((0, 4), dtype=int),
           "psi_var": np.zeros((0, 2)), "p_var": np.zeros((0, 3))})
 @example({**SHARED_ACTIVITY_BATCH, "ids": np.array([0, 1, 0, 3]),  # 3 is END, kept

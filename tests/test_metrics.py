@@ -224,6 +224,28 @@ def test_continuity_skips_length_one():
     assert value.n == 0 and value.undefined == 1
 
 
+def test_continuity_masks_id_sequence_prefixes():
+    """The explainer sees each id-sequence prefix, then its row of ids with
+    the seeded draw's position set to PAD."""
+    model = TableModel(["A", "B"], {}, default=[0.5, 0.5, 0.0])
+    seen = []
+
+    def explainer(m, prefixes):
+        seen.extend(np.asarray(p).tolist() for p in prefixes)
+        return constant_explainer_graph()
+
+    sequences = [(0, 1, 0), (1, 0), (0, 1, 1, 0)]
+    value = continuity(model, explainer, sequences, seed=5)
+    rng, expected = np.random.default_rng(5), []
+    for ids in sequences:
+        perturbed = list(ids)
+        perturbed[int(rng.integers(len(ids)))] = model.pad_id
+        expected += [list(ids), perturbed]
+    assert seen == expected
+    assert value.mean == 1.0 and value.n == 3
+    assert continuity(ABC_MODEL, backward_explain, [(0, 1), (1, 0)]).n == 2
+
+
 def test_identical_explanations_contrastivity_zero():
     model = TableModel(["A", "B"], {}, default=[0.5, 0.5, 0.0])
     explainer = lambda m, prefixes: constant_explainer_graph()
@@ -365,6 +387,22 @@ def test_explainers_and_metrics_run_on_degenerate_prefixes(ids_list):
         for value in values:
             assert value.mean is None or np.isfinite(value.mean)
         assert compactness(rules)[0] == len(graph.vertices)
+
+
+@given(st.lists(st.lists(st.integers(0, PAD), min_size=1, max_size=5).map(tuple),
+                min_size=1, max_size=4))
+@settings(max_examples=10, deadline=None)
+def test_explainers_and_metrics_read_id_sequences_as_prefixes(ids_list):
+    prefixes = [prefix(ids) for ids in ids_list]
+    for explainer in EXPLAINERS:
+        graph = explainer(ABC_MODEL, prefixes)
+        assert explainer(ABC_MODEL, ids_list) == graph
+        rules = graph_to_rules(graph)
+        for metric in (lambda ps: correctness(ABC_MODEL, graph, ps),
+                       lambda ps: completeness(ABC_MODEL, rules, ps),
+                       lambda ps: continuity(ABC_MODEL, explainer, ps),
+                       lambda ps: contrastivity(ABC_MODEL, explainer, ps)):
+            assert metric(ids_list) == metric(prefixes)
 
 
 def test_metric_value_serialization():
