@@ -1,4 +1,4 @@
-"""The two global explainers.
+"""The two global explainers; both skip a prefix with no activity.
 
 Backward Explainer: per prefix, relevant activities (by aggregated
 attention over random PAD-maskings) and likely next activities (by
@@ -133,6 +133,20 @@ def likely_next(probs, thresholds: Thresholds, num_activities: int) -> np.ndarra
     return np.flatnonzero(np.asarray(probs, dtype=float)[:num_activities] > thresholds.delta_pred)
 
 
+def _explained_prefixes(model, prefixes, thresholds: Thresholds, n_mods: int, seed: int):
+    """Both explainers' per-prefix step: ``(ids, last, sub_seed, a_r, p_r,
+    p_orig, psi_orig)`` per prefix, in order. A prefix with no activity
+    (empty or all PAD) is skipped unforwarded, but takes its sub-seed."""
+    seeds = np.random.SeedSequence(entropy=seed).generate_state(max(len(prefixes), 1))
+    for prefix, sub_seed in zip(prefixes, seeds.tolist()):
+        last = _last_activity(prefix, model.pad_id)
+        if last is None:
+            continue
+        a_r, _, p_orig, psi_orig = relevant_activities(model, prefix, thresholds, n_mods, sub_seed)
+        yield (_prefix_ids(prefix), last, sub_seed, a_r,
+               likely_next(p_orig, thresholds, model.num_activities), p_orig, psi_orig)
+
+
 # ---------------------------------------------------------- Backward Explainer
 
 
@@ -143,19 +157,12 @@ def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
     into one adjacency matrix. After each prefix's join, a shortcut (u, v)
     with (u, last) and (last, v) both present is pruned, ``last`` being the
     prefix's last activity; edges incident to ``last`` are never pruned
-    (they would witness their own removal). All-PAD prefixes are skipped."""
+    (they would witness their own removal)."""
     _check_at_least("n_mods", n_mods, 0)
     nA = model.num_activities
-    seeds = np.random.SeedSequence(entropy=seed).generate_state(max(len(prefixes), 1))
     adjacency = np.zeros((nA, nA), dtype=bool)  # [u, v]: edge u -> v
     vertices = np.zeros(nA, dtype=bool)
-    for prefix, sub_seed in zip(prefixes, seeds):
-        last = _last_activity(prefix, model.pad_id)
-        if last is None:
-            continue
-        a_r, _, probs, _ = relevant_activities(model, prefix, thresholds, n_mods=n_mods,
-                                               seed=int(sub_seed))
-        p_r = likely_next(probs, thresholds, nA)
+    for _, last, _, a_r, p_r, *_ in _explained_prefixes(model, prefixes, thresholds, n_mods, seed):
         if len(a_r) and len(p_r):
             adjacency[np.ix_(a_r, p_r)] = True
             vertices[a_r] = vertices[p_r] = True
@@ -227,19 +234,15 @@ def _subsets(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(list(seen.values()), dtype=bool).reshape(-1, n)
 
 
-def score_matrices_for_prefix(model, prefix, thresholds: Thresholds,
-                              subset_cap: int = 256, seed: int = 0, n_mods: int = 20):
-    """The per-prefix few/most scenario score matrices K_few, K_most,
-    stacked into one (2, |A|, |A|) array. Each scenario's variants are
-    scored as one batch: in each variant's matrix a cell adds its masked
-    terms before its kept ones, each in position order (one ``np.bincount``),
-    and ``np.cumsum`` then adds the variants in order."""
-    ids = _prefix_ids(prefix)
+def score_matrices_for_prefix(model, ids, a_r, p_r, p_orig, psi_orig, thresholds: Thresholds,
+                              subset_cap: int = 256, seed: int = 0):
+    """A prefix's few/most scenario score matrices K_few, K_most, stacked
+    into one (2, |A|, |A|) array, from its ``_explained_prefixes`` step.
+    Each scenario's variants are scored as one batch: in each variant's
+    matrix a cell adds its masked terms before its kept ones, each in
+    position order (one ``np.bincount``), and ``np.cumsum`` the variants in order."""
     nA = model.num_activities
     rng = np.random.default_rng(seed)
-    a_r, _, p_orig, psi_orig = relevant_activities(model, prefix, thresholds, n_mods=n_mods,
-                                                   seed=seed)
-    p_r = likely_next(p_orig, thresholds, nA)
     relevant = np.isin(ids, a_r)
     subsets = _subsets(int(relevant.sum()), subset_cap, rng)
     chosen = np.zeros((len(subsets), len(ids)), dtype=bool)
@@ -281,15 +284,12 @@ def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thre
     _check_at_least("subset_cap", subset_cap, 1)
     nA = model.num_activities
     K = np.zeros((2, nA, nA))  # K_few, K_most
-    seeds = np.random.SeedSequence(entropy=seed).generate_state(max(len(prefixes), 1))
-    for prefix, sub_seed in zip(prefixes, seeds):
-        K += score_matrices_for_prefix(
-            model, prefix, thresholds, subset_cap=subset_cap, seed=int(sub_seed), n_mods=n_mods,
-        )
+    for ids, _, sub_seed, *step in _explained_prefixes(model, prefixes, thresholds, n_mods, seed):
+        K += score_matrices_for_prefix(model, ids, *step, thresholds, subset_cap=subset_cap,
+                                       seed=sub_seed)
     delta = thresholds.edge_threshold(nA)
     combined = (row_normalize(K[0]) > delta) | (row_normalize(K[1]) > delta)
     return _graph(model.activity_labels, combined.T, np.ones(nA, dtype=bool))
-
 
 
 # ------------------------------------------------------------------- export

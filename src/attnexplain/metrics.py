@@ -7,8 +7,8 @@ explainer's binary edge indicator; completeness is micro-averaged F1 of
 rule right-hand sides against the model's likely-next sets; continuity
 and contrastivity are Jaccard-based on the firing rules' right-hand
 sides; compactness counts rules and averages right-hand-side lengths.
-Undefined per-prefix values (constant vectors, no dissimilar pairs) are
-excluded; a metric with no defined values reports None.
+Undefined per-prefix values (no activity, constant vectors, no dissimilar
+pairs) are excluded; a metric with no defined values reports None.
 """
 
 from __future__ import annotations
@@ -104,11 +104,14 @@ def compactness(rules: set[Rule]) -> tuple[int, float]:
     return len(rules), sum(len(r.rhs) for r in rules) / len(rules)
 
 
-def _summary(values, undefined=0) -> MetricValue:
-    if not values:
+def _summary(values) -> MetricValue:
+    """Mean and std of the defined per-prefix values; a None counts as undefined."""
+    defined = [v for v in values if v is not None]
+    undefined = len(values) - len(defined)
+    if not defined:
         return MetricValue(mean=None, std=None, n=0, undefined=undefined)
-    arr = np.asarray(values, dtype=float)
-    return MetricValue(mean=float(arr.mean()), std=float(arr.std()), n=len(values),
+    arr = np.asarray(defined, dtype=float)
+    return MetricValue(mean=float(arr.mean()), std=float(arr.std()), n=len(defined),
                        undefined=undefined)
 
 
@@ -121,31 +124,27 @@ def _pearson(x, y) -> float | None:
 
 
 def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
-    """Correlation between masking impact and explainer edge indicators."""
+    """Correlation between masking impact and explainer edge indicators;
+    undefined for a prefix with no activity or whose top prediction is END."""
     labels = model.activity_labels
-    values = []
-    undefined = 0
-    for prefix in prefixes:
+
+    def value(prefix) -> float | None:
         ids = _prefix_ids(prefix)
+        if _last_activity(ids, model.pad_id) is None:
+            return None
         # row 0 is the prefix itself, row 1 + i has position i masked
         masked = np.eye(len(ids) + 1, len(ids), k=-1, dtype=bool)
         probs, _ = model.predict(np.where(masked, model.pad_id, ids))
         p_orig = probs[0]
         top = int(np.argmax(p_orig))
         if top >= model.num_activities:
-            undefined += 1  # END has no graph representation
-            continue
-        predicted = labels[top]
-        model_imp = tvd(p_orig, probs[1:])
+            return None  # END has no graph representation
         # A PAD position has no vertex in the graph, so no edge marks it.
-        expl_imp = [float(aid != model.pad_id and (labels[aid], predicted) in graph.edges)
+        expl_imp = [float(aid != model.pad_id and (labels[aid], labels[top]) in graph.edges)
                     for aid in ids.tolist()]
-        corr = _pearson(model_imp, expl_imp)
-        if corr is None:
-            undefined += 1
-        else:
-            values.append(corr)
-    return _summary(values, undefined)
+        return _pearson(tvd(p_orig, probs[1:]), expl_imp)
+
+    return _summary([value(prefix) for prefix in prefixes])
 
 
 def predict_by_length(model, prefixes) -> np.ndarray:
@@ -174,24 +173,22 @@ def weighted_f1(model, prefixes) -> float:
 
 def completeness(model, rules: set[Rule], prefixes,
                  thresholds: Thresholds = Thresholds()):
-    """(MetricValue for F1, precision, recall) of rule right-hand sides
-    against the model's likely-next sets, micro-averaged over prefixes."""
+    """(MetricValue for F1, precision, recall) of rule right-hand sides against
+    the model's likely-next sets, micro-averaged over prefixes with an activity."""
     labels = model.activity_labels
     by_lhs = {r.lhs: r.rhs for r in rules}
-    probs = predict_by_length(model, prefixes)
-    tp = fp = fn = n = 0
-    for prefix, p_orig in zip(prefixes, probs):
-        last = _last_activity(prefix, model.pad_id)
-        if last is None:
-            continue
+    active = [(prefix, last) for prefix in prefixes
+              if (last := _last_activity(prefix, model.pad_id)) is not None]
+    probs = predict_by_length(model, [prefix for prefix, _ in active])
+    tp = fp = fn = 0
+    for (_, last), p_orig in zip(active, probs):
         predicted = by_lhs.get(labels[last], frozenset())
         truth = {labels[a] for a in likely_next(p_orig, thresholds, model.num_activities)}
         tp += len(predicted & truth)
         fp += len(predicted - truth)
         fn += len(truth - predicted)
-        n += 1
     prec, rec, f1 = precision_recall_f1(tp, fp, fn)
-    return MetricValue(mean=f1, std=0.0, n=n), prec, rec
+    return MetricValue(mean=f1, std=0.0, n=len(active)), prec, rec
 
 
 def _firing_rhs(model, explainer, prefix) -> frozenset[str] | None:
@@ -200,12 +197,13 @@ def _firing_rhs(model, explainer, prefix) -> frozenset[str] | None:
     last = _last_activity(prefix, model.pad_id)
     if last is None:
         return None
-    label = model.activity_labels[last]
-    graph = explainer(model, [prefix])
-    return frozenset(graph.successors(label)) if label in graph.vertices else frozenset()
+    return frozenset(explainer(model, [prefix]).successors(model.activity_labels[last]))
 
 
-def _jaccard(a: frozenset, b: frozenset) -> float:
+def _jaccard(a: frozenset | None, b: frozenset | None) -> float | None:
+    """Jaccard similarity; None when a side is None."""
+    if a is None or b is None:
+        return None
     if not a and not b:
         return 1.0
     return len(a & b) / len(a | b)
@@ -216,21 +214,16 @@ def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     random position, the explainer seeing the masked prefix as an id
     array; length-1 prefixes are skipped."""
     rng = np.random.default_rng(seed)
-    values = []
-    undefined = 0
-    for prefix in prefixes:
+
+    def value(prefix) -> float | None:
         ids = _prefix_ids(prefix)
         if len(ids) < 2:
-            undefined += 1
-            continue
+            return None
         perturbed = np.where(np.arange(len(ids)) == rng.integers(len(ids)), model.pad_id, ids)
-        r_orig = _firing_rhs(model, explainer, prefix)
-        r_pert = _firing_rhs(model, explainer, perturbed)
-        if r_orig is None or r_pert is None:
-            undefined += 1
-            continue
-        values.append(_jaccard(r_orig, r_pert))
-    return _summary(values, undefined)
+        return _jaccard(_firing_rhs(model, explainer, prefix),
+                        _firing_rhs(model, explainer, perturbed))
+
+    return _summary([value(prefix) for prefix in prefixes])
 
 
 _MAX_PAIRS = 1000
@@ -266,17 +259,10 @@ def contrastivity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     pairs = _contrast_pairs([_last_activity(p, model.pad_id) for p in prefixes],
                             np.random.default_rng(seed))
     if not pairs:
-        return MetricValue(mean=None, std=None, n=0, undefined=len(prefixes))
+        return _summary([None] * len(prefixes))
     rhs = functools.cache(lambda i: _firing_rhs(model, explainer, prefixes[i]))
-    values = []
-    undefined = 0
-    for i, j in pairs:
-        a, b = rhs(i), rhs(j)
-        if a is None or b is None:
-            undefined += 1
-            continue
-        values.append(1.0 - _jaccard(a, b))
-    return _summary(values, undefined)
+    similarities = [_jaccard(rhs(i), rhs(j)) for i, j in pairs]
+    return _summary([None if s is None else 1.0 - s for s in similarities])
 
 
 def sample_prefixes(logobj: EventLog, sample_frac: float, seed: int) -> list[Prefix]:

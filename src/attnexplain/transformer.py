@@ -71,6 +71,10 @@ class ModelConfig:
     pad_dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("d_k", "h", "max_len", "ff_dim", "epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.h < 1:
             raise UsageError("need at least one attention head")
         if self.d_k % self.h != 0:
@@ -357,13 +361,18 @@ class TransformerModel:
 
     def save(self, path) -> None:
         """Write a checkpoint: config + vocabulary as JSON, parameters as
-        little-endian float32 arrays."""
+        little-endian float32 arrays. Raises DivergenceError, writing
+        nothing, when a parameter lies beyond the float32 range."""
+        with np.errstate(over="ignore"):
+            arrays = {name: arr.astype("<f4") for name, arr in self.params.items()}
+        for name, arr in arrays.items():
+            if not np.all(np.isfinite(arr)):
+                raise DivergenceError(f"parameter {name} lies beyond the float32 range")
         meta = {
             "format_version": 1,
             "config": asdict(self.config),
             "activity_labels": self.activity_labels,
         }
-        arrays = {name: arr.astype("<f4") for name, arr in self.params.items()}
         np.savez(path, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
                  **arrays)
 
@@ -462,30 +471,31 @@ def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
                     for n, end in zip(names, ends)}
 
     step = 0
-    for _epoch in range(config.epochs):
-        order = epoch_rng.permutation(len(prefixes))
-        # Batches must be same-length to vectorize; bucket the shuffled
-        # order by length so composition still varies per epoch.
-        batches = []
-        for length in np.unique(lengths):
-            bucket = order[lengths[order] == length]
-            for start in range(0, len(bucket), config.batch_size):
-                batches.append((bucket[start:start + config.batch_size], length))
-        # Interleave length buckets; processing lengths in order makes
-        # the pooled representation forget shorter prefixes.
-        batch_order = epoch_rng.permutation(len(batches))
-        for batch, length in (batches[i] for i in batch_order):
-            ids = all_ids[batch, :length]
-            if config.pad_dropout > 0.0:
-                drop = epoch_rng.random(ids.shape) < config.pad_dropout
-                ids = np.where(drop, model.pad_id, ids)
-            loss, grads = model.loss_and_grads(ids, targets[batch])
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at step {step}", step=step)
-            # Frozen Q/K get exact zero gradients, so they stay at 0.0.
-            np.concatenate([grads[n].ravel() for n in names], out=gflat)
-            flat -= config.learning_rate * gflat
-            step += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report divergence
+        for _epoch in range(config.epochs):
+            order = epoch_rng.permutation(len(prefixes))
+            # Batches must be same-length to vectorize; bucket the shuffled
+            # order by length so composition still varies per epoch.
+            batches = []
+            for length in np.unique(lengths):
+                bucket = order[lengths[order] == length]
+                for start in range(0, len(bucket), config.batch_size):
+                    batches.append((bucket[start:start + config.batch_size], length))
+            # Interleave length buckets; processing lengths in order makes
+            # the pooled representation forget shorter prefixes.
+            batch_order = epoch_rng.permutation(len(batches))
+            for batch, length in (batches[i] for i in batch_order):
+                ids = all_ids[batch, :length]
+                if config.pad_dropout > 0.0:
+                    drop = epoch_rng.random(ids.shape) < config.pad_dropout
+                    ids = np.where(drop, model.pad_id, ids)
+                loss, grads = model.loss_and_grads(ids, targets[batch])
+                if not np.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss at step {step}", step=step)
+                # Frozen Q/K get exact zero gradients, so they stay at 0.0.
+                np.concatenate([grads[n].ravel() for n in names], out=gflat)
+                flat -= config.learning_rate * gflat
+                step += 1
     for name, arr in model.params.items():
         if not np.all(np.isfinite(arr)):
             raise DivergenceError(f"non-finite values in parameter {name} after training")

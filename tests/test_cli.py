@@ -1,4 +1,5 @@
 import json
+import warnings
 import zipfile
 from dataclasses import asdict
 from pathlib import Path
@@ -246,6 +247,14 @@ EXIT_CASES = {
                                      "missing parameters [], unexpected ['extra']"),
     "checkpoint-max-len-negative": ([*BAD_CHECKPOINT, "{tmp}/max_len_neg.npz"], 4,
                                     "max_len must be >= 1, got -1"),
+    "checkpoint-d-k-float": ([*BAD_CHECKPOINT, "{tmp}/d_k_float.npz"], 4,
+                             "d_k must be an integer, got 8.0"),
+    "checkpoint-heads-float": ([*BAD_CHECKPOINT, "{tmp}/h_float.npz"], 4,
+                               "h must be an integer, got 2.0"),
+    "checkpoint-max-len-float": ([*BAD_CHECKPOINT, "{tmp}/max_len_float.npz"], 4,
+                                 "max_len must be an integer, got 8.0"),
+    "checkpoint-ff-dim-float": ([*BAD_CHECKPOINT, "{tmp}/ff_dim_float.npz"], 4,
+                                "ff_dim must be an integer, got 8.0"),
     "checkpoint-learning-rate-inf": ([*BAD_CHECKPOINT, "{tmp}/lr_inf.npz"], 4,
                                      "learning_rate must be > 0 and finite, got inf"),
     "checkpoint-parameter-of-strings": ([*BAD_CHECKPOINT, "{tmp}/str_param.npz"], 4,
@@ -314,7 +323,10 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
             out.writestr(name, b"not npy data" if name == "Wout.npy" else npz.read(name))
     (tmp_path / "truncated.npz").write_bytes(checkpoint.read_bytes()[:200])
     for name, field, value in (("max_len_neg.npz", "max_len", -1),
-                               ("lr_inf.npz", "learning_rate", float("inf"))):
+                               ("lr_inf.npz", "learning_rate", float("inf")),
+                               ("d_k_float.npz", "d_k", 8.0), ("h_float.npz", "h", 2.0),
+                               ("max_len_float.npz", "max_len", 8.0),
+                               ("ff_dim_float.npz", "ff_dim", 8.0)):
         meta = json.loads(bytes(arrays["__meta__"]).decode())
         meta["config"][field] = value
         np.savez(tmp_path / name, **{**arrays, "__meta__": np.frombuffer(
@@ -401,10 +413,24 @@ def test_missing_out_dir_fails_before_training(log_file, monkeypatch):
     assert main(["train", "--log", str(log_file), *TRAIN_FLAGS]) == 2
 
 
-def test_exit_code_numeric_on_divergence(tmp_path, log_file):
-    assert main(["--seed", "1", "--out-dir", str(tmp_path / "o"), "train",
-                 "--log", str(log_file), *TRAIN_FLAGS,
-                 "--learning-rate", "1e200"]) == 5
+def test_exit_code_numeric_on_divergence(tmp_path, log_file, capsys):
+    # train reports a divergence itself, as its one error line: no numpy warning
+    for learning_rate in ("1e30", "1e200"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--seed", "1", "--out-dir", str(tmp_path / learning_rate), "train",
+                         "--log", str(log_file), *TRAIN_FLAGS,
+                         "--learning-rate", learning_rate]) == 5
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_train_writes_no_checkpoint_beyond_float32(tmp_path, log_file, capsys):
+    # the trained parameters are finite in float64 but not in float32
+    out = tmp_path / "o"
+    assert main(["--seed", "1", "--out-dir", str(out), "train", "--log", str(log_file),
+                 *TRAIN_FLAGS, "--learning-rate", "1e4"]) == 5
+    assert "lies beyond the float32 range" in capsys.readouterr().err
+    assert not (out / "checkpoint.npz").exists()
 
 
 def test_no_dedup_flag_changes_prefix_count(tmp_path, log_file, checkpoint):

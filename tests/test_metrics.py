@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attnexplain.attnstats import tvd
 from attnexplain.errors import UsageError
-from attnexplain.eventlog import Prefix, build_log
+from attnexplain.eventlog import Prefix, _last_activity, build_log, extract_prefixes
 from attnexplain.explain import (
     ExplanationGraph,
     Thresholds,
@@ -19,6 +20,7 @@ from attnexplain.metrics import (
     MetricValue,
     Rule,
     _contrast_pairs,
+    _pearson,
     compactness,
     completeness,
     continuity,
@@ -359,6 +361,7 @@ def test_evaluate_all_report_shape():
 
 PAD = ABC_MODEL.pad_id
 DEGENERATE_PREFIXES = st.one_of(
+    st.just(()),                                                              # empty
     st.integers(1, 6).map(lambda n: (PAD,) * n),                             # all PAD
     st.integers(0, PAD).map(lambda a: (a,)),                                  # length 1
     st.tuples(st.integers(0, PAD - 1), st.integers(2, 6)).map(lambda t: (t[0],) * t[1]),
@@ -387,6 +390,113 @@ def test_explainers_and_metrics_run_on_degenerate_prefixes(ids_list):
         for value in values:
             assert value.mean is None or np.isfinite(value.mean)
         assert compactness(rules)[0] == len(graph.vertices)
+
+
+def test_prefixes_without_activity_are_skipped(trained_chain_model):
+    model, logobj = trained_chain_model
+    prefixes = [p.activities for p in extract_prefixes(logobj)[:4]]
+    for explainer in (backward_explain, attention_exploration_explain):
+        graph = explainer(model, prefixes)
+        assert graph.edges
+        for skipped in ((), (model.pad_id, model.pad_id)):
+            assert explainer(model, prefixes + [skipped]) == graph
+    graph = attention_exploration_explain(model, [()])
+    assert correctness(model, graph, [()]) == MetricValue(mean=None, std=None, n=0, undefined=1)
+    assert completeness(model, graph_to_rules(graph), [()])[0].n == 0
+
+
+def loop_summary(values, undefined):
+    if not values:
+        return MetricValue(mean=None, std=None, n=0, undefined=undefined)
+    arr = np.asarray(values, dtype=float)
+    return MetricValue(float(arr.mean()), float(arr.std()), len(values), undefined)
+
+
+def loop_firing_rhs(model, explainer, prefix):
+    last = _last_activity(prefix, model.pad_id)
+    if last is None:
+        return None
+    label = model.activity_labels[last]
+    graph = explainer(model, [prefix])
+    return frozenset(graph.successors(label)) if label in graph.vertices else frozenset()
+
+
+def loop_jaccard(a, b):
+    return 1.0 if not a and not b else len(a & b) / len(a | b)
+
+
+def loop_correctness(model, graph, prefixes):
+    """correctness as a loop that counts its undefined values; it forwards
+    every non-empty prefix, an all-PAD one too."""
+    labels = model.activity_labels
+    values, undefined = [], 0
+    for prefix in prefixes:
+        ids = np.asarray(getattr(prefix, "activities", prefix), dtype=int)
+        if not len(ids):
+            undefined += 1
+            continue
+        masked = np.eye(len(ids) + 1, len(ids), k=-1, dtype=bool)
+        probs, _ = model.predict(np.where(masked, model.pad_id, ids))
+        top = int(np.argmax(probs[0]))
+        if top >= model.num_activities:
+            undefined += 1
+            continue
+        expl_imp = [float(aid != model.pad_id and (labels[aid], labels[top]) in graph.edges)
+                    for aid in ids.tolist()]
+        corr = _pearson(tvd(probs[0], probs[1:]), expl_imp)
+        if corr is None:
+            undefined += 1
+        else:
+            values.append(corr)
+    return loop_summary(values, undefined)
+
+
+def loop_continuity(model, explainer, prefixes, seed=0):
+    rng = np.random.default_rng(seed)
+    values, undefined = [], 0
+    for prefix in prefixes:
+        ids = np.asarray(getattr(prefix, "activities", prefix), dtype=int)
+        if len(ids) < 2:
+            undefined += 1
+            continue
+        perturbed = np.where(np.arange(len(ids)) == rng.integers(len(ids)), model.pad_id, ids)
+        r_orig = loop_firing_rhs(model, explainer, prefix)
+        r_pert = loop_firing_rhs(model, explainer, perturbed)
+        if r_orig is None or r_pert is None:
+            undefined += 1
+            continue
+        values.append(loop_jaccard(r_orig, r_pert))
+    return loop_summary(values, undefined)
+
+
+def loop_contrastivity(model, explainer, prefixes, seed=0):
+    pairs = _contrast_pairs([_last_activity(p, model.pad_id) for p in prefixes],
+                            np.random.default_rng(seed))
+    if not pairs:
+        return MetricValue(mean=None, std=None, n=0, undefined=len(prefixes))
+    values, undefined = [], 0
+    for i, j in pairs:
+        a = loop_firing_rhs(model, explainer, prefixes[i])
+        b = loop_firing_rhs(model, explainer, prefixes[j])
+        if a is None or b is None:
+            undefined += 1
+            continue
+        values.append(1.0 - loop_jaccard(a, b))
+    return loop_summary(values, undefined)
+
+
+@given(st.lists(DEGENERATE_PREFIXES | st.lists(st.integers(0, PAD - 1), min_size=2, max_size=5)
+                .map(tuple), min_size=1, max_size=5), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_prefix_metrics_match_loops_with_counters(ids_list, seed):
+    for explainer in EXPLAINERS:
+        graph = explainer(ABC_MODEL, ids_list)
+        assert correctness(ABC_MODEL, graph, ids_list) == loop_correctness(ABC_MODEL, graph,
+                                                                           ids_list)
+        for metric, loop in ((continuity, loop_continuity),
+                             (contrastivity, loop_contrastivity)):
+            assert (metric(ABC_MODEL, explainer, ids_list, seed=seed)
+                    == loop(ABC_MODEL, explainer, ids_list, seed=seed))
 
 
 @given(st.lists(st.lists(st.integers(0, PAD), min_size=1, max_size=5).map(tuple),

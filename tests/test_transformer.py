@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -37,11 +38,13 @@ def test_config_validation():
                 {"learning_rate": float("inf")}, {"learning_rate": float("nan")},
                 {"pad_dropout": "x"}, {"pad_dropout": None}, {"pad_dropout": True},
                 {"pad_dropout": 1.0}, {"pad_dropout": 1.5}, {"pad_dropout": -0.1},
-                {"pad_dropout": float("nan")}):
+                {"pad_dropout": float("nan")}, {"d_k": 36.0}, {"h": 4.0}, {"max_len": True},
+                {"ff_dim": "64"}, {"epochs": 30.0}, {"batch_size": None}):
         with pytest.raises(ValueError):
             ModelConfig(**bad)
     for good in (0, 0.0, 0.5, np.float64(0.25)):
         assert ModelConfig(pad_dropout=good).pad_dropout == good
+    assert ModelConfig(d_k=np.int64(8), h=np.int32(2)).d_k == 8
 
 
 def test_sinusoidal_positions_values():
@@ -352,6 +355,16 @@ def test_save_load_round_trip(tmp_path, abc_log):
     # float32 storage bounds the round-trip error
     np.testing.assert_allclose(p1, p2, atol=1e-4)
     np.testing.assert_allclose(a1, a2, atol=1e-4)
+
+
+def test_save_rejects_parameters_beyond_float32(tmp_path, abc_log):
+    model = TransformerModel(TINY_CONFIG, abc_log.activity_labels)
+    model.params["W2"][0, 0] = 1e39  # finite in float64, infinite in float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="parameter W2 lies beyond the float32 range"):
+            model.save(tmp_path / "model.npz")
+    assert not (tmp_path / "model.npz").exists()
 
 
 def test_load_rejects_non_checkpoint(tmp_path):
