@@ -37,6 +37,8 @@ def main():
     parser.add_argument("--explainer-seed", type=int, default=7)
     parser.add_argument("--out", default="recovery_results.json")
     args = parser.parse_args()
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
 
     results = {}
     for name, spec in STRUCTURES.items():
@@ -75,8 +77,8 @@ def main():
         print(f"{name}: det-acc={entry['deterministic_accuracy']:.3f} "
               + " ".join(f"{m}-F1={entry[m]['f1']:.2f}" for m in graphs))
 
-    Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    out.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ pairs) are excluded; a metric with no defined values reports None.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -24,6 +23,7 @@ from .errors import UsageError
 from .eventlog import (EventLog, Prefix, _last_activity, _prefix_ids, extract_prefixes,
                        length_batches)
 from .explain import ExplanationGraph, Thresholds, likely_next
+from .transformer import RowScores
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,13 @@ def _pearson(x, y) -> float | None:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
+def correctness(model, graph: ExplanationGraph, prefixes,
+                row_scores: RowScores | None = None) -> MetricValue:
     """Correlation between masking impact and explainer edge indicators;
-    undefined for a prefix with no activity or whose top prediction is END."""
+    undefined for a prefix with no activity or whose top prediction is END.
+    Rows are scored through ``row_scores``, a fresh scope when None."""
     labels = model.activity_labels
+    scores = row_scores or RowScores(model)
 
     def value(prefix) -> float | None:
         ids = _prefix_ids(prefix)
@@ -134,7 +137,7 @@ def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
             return None
         # row 0 is the prefix itself, row 1 + i has position i masked
         masked = np.eye(len(ids) + 1, len(ids), k=-1, dtype=bool)
-        probs, _ = model.predict(np.where(masked, model.pad_id, ids))
+        probs, _ = scores(model, np.where(masked, model.pad_id, ids))
         p_orig = probs[0]
         top = int(np.argmax(p_orig))
         if top >= model.num_activities:
@@ -147,12 +150,14 @@ def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
     return _summary([value(prefix) for prefix in prefixes])
 
 
-def predict_by_length(model, prefixes) -> np.ndarray:
+def predict_by_length(model, prefixes, row_scores: RowScores | None = None) -> np.ndarray:
     """(N, C) ``predict`` probabilities for N prefixes (or id sequences)
-    of mixed lengths, in input order; each length is one batch."""
+    of mixed lengths, in input order; each length is one batch, scored
+    through ``row_scores`` (a fresh scope when None)."""
+    scores = row_scores or RowScores(model)
     probs = np.empty((len(prefixes), model.num_classes))
     for rows, ids in length_batches(prefixes):
-        probs[rows] = model.predict(ids)[0]
+        probs[rows] = scores(model, ids)[0]
     return probs
 
 
@@ -171,15 +176,16 @@ def weighted_f1(model, prefixes) -> float:
     return score / total if total else 0.0
 
 
-def completeness(model, rules: set[Rule], prefixes,
-                 thresholds: Thresholds = Thresholds()):
+def completeness(model, rules: set[Rule], prefixes, thresholds: Thresholds = Thresholds(),
+                 row_scores: RowScores | None = None):
     """(MetricValue for F1, precision, recall) of rule right-hand sides against
-    the model's likely-next sets, micro-averaged over prefixes with an activity."""
+    the model's likely-next sets, micro-averaged over prefixes with an activity.
+    Rows are scored through ``row_scores``, a fresh scope when None."""
     labels = model.activity_labels
     by_lhs = {r.lhs: r.rhs for r in rules}
     active = [(prefix, last) for prefix in prefixes
               if (last := _last_activity(prefix, model.pad_id)) is not None]
-    probs = predict_by_length(model, [prefix for prefix, _ in active])
+    probs = predict_by_length(model, [prefix for prefix, _ in active], row_scores)
     tp = fp = fn = 0
     for (_, last), p_orig in zip(active, probs):
         predicted = by_lhs.get(labels[last], frozenset())
@@ -191,13 +197,18 @@ def completeness(model, rules: set[Rule], prefixes,
     return MetricValue(mean=f1, std=0.0, n=len(active)), prec, rec
 
 
-def _firing_rhs(model, explainer, prefix) -> frozenset[str] | None:
+def _firing_rhs(model, explainer, prefix, firing: dict) -> frozenset[str] | None:
     """Right-hand side of the rule firing for the prefix's last non-PAD
-    activity, under an explanation computed on that prefix alone."""
-    last = _last_activity(prefix, model.pad_id)
-    if last is None:
-        return None
-    return frozenset(explainer(model, [prefix]).successors(model.activity_labels[last]))
+    activity, under an explanation computed on that prefix alone; kept in
+    the ``firing`` memo under the prefix's id bytes, and read from it on
+    a later call."""
+    ids = _prefix_ids(prefix)
+    key = ids.tobytes()
+    if key not in firing:
+        last = _last_activity(ids, model.pad_id)
+        firing[key] = None if last is None else frozenset(
+            explainer(model, [prefix]).successors(model.activity_labels[last]))
+    return firing[key]
 
 
 def _jaccard(a: frozenset | None, b: frozenset | None) -> float | None:
@@ -209,19 +220,22 @@ def _jaccard(a: frozenset | None, b: frozenset | None) -> float | None:
     return len(a & b) / len(a | b)
 
 
-def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
+def continuity(model, explainer, prefixes, seed: int = 0,
+               firing: dict | None = None) -> MetricValue:
     """Jaccard similarity of firing rules before/after masking one
     random position, the explainer seeing the masked prefix as an id
-    array; length-1 prefixes are skipped."""
+    array; length-1 prefixes are skipped. ``firing`` is the memo of
+    firing rules that ``evaluate_all`` shares; a fresh one when None."""
     rng = np.random.default_rng(seed)
+    firing = {} if firing is None else firing
 
     def value(prefix) -> float | None:
         ids = _prefix_ids(prefix)
         if len(ids) < 2:
             return None
         perturbed = np.where(np.arange(len(ids)) == rng.integers(len(ids)), model.pad_id, ids)
-        return _jaccard(_firing_rhs(model, explainer, prefix),
-                        _firing_rhs(model, explainer, perturbed))
+        return _jaccard(_firing_rhs(model, explainer, prefix, firing),
+                        _firing_rhs(model, explainer, perturbed, firing))
 
     return _summary([value(prefix) for prefix in prefixes])
 
@@ -253,14 +267,20 @@ def _contrast_pairs(lasts, rng: np.random.Generator) -> list[tuple[int, int]]:
     return pairs
 
 
-def contrastivity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
+def contrastivity(model, explainer, prefixes, seed: int = 0,
+                  firing: dict | None = None) -> MetricValue:
     """1 - Jaccard similarity over prefix pairs with different last
-    non-PAD activities, at most ``_MAX_PAIRS`` of them sampled."""
+    non-PAD activities, at most ``_MAX_PAIRS`` of them sampled.
+    ``firing`` is as for ``continuity``."""
     pairs = _contrast_pairs([_last_activity(p, model.pad_id) for p in prefixes],
                             np.random.default_rng(seed))
     if not pairs:
         return _summary([None] * len(prefixes))
-    rhs = functools.cache(lambda i: _firing_rhs(model, explainer, prefixes[i]))
+    firing = {} if firing is None else firing
+
+    def rhs(i):
+        return _firing_rhs(model, explainer, prefixes[i], firing)
+
     similarities = [_jaccard(rhs(i), rhs(j)) for i, j in pairs]
     return _summary([None if s is None else 1.0 - s for s in similarities])
 
@@ -280,15 +300,26 @@ def sample_prefixes(logobj: EventLog, sample_frac: float, seed: int) -> list[Pre
 
 
 def evaluate_all(model, explainer, logobj: EventLog, sample_frac: float = 1.0,
-                 thresholds: Thresholds = Thresholds(), seed: int = 0) -> MetricReport:
-    """Run all five metrics over a seeded prefix sample."""
+                 thresholds: Thresholds = Thresholds(), seed: int = 0,
+                 row_scores: RowScores | None = None) -> MetricReport:
+    """Run all five metrics over a seeded prefix sample.
+
+    ``correctness`` and ``completeness`` score their rows through
+    ``row_scores``, a fresh scope when None. ``continuity`` and
+    ``contrastivity`` share one memo of firing rules, so the explainer is
+    called once per distinct prefix they explain alone. That relies on
+    the explainer being a deterministic function of (model, prefix ids):
+    the CLI's explainers are, because every single-prefix call draws the
+    same sub-seed from the same seed."""
     prefixes = sample_prefixes(logobj, sample_frac, seed)
+    scores = row_scores or RowScores(model)
     graph = explainer(model, prefixes)
     rules = graph_to_rules(graph)
-    corr = correctness(model, graph, prefixes)
-    comp_value, precision, recall = completeness(model, rules, prefixes, thresholds)
-    cont = continuity(model, explainer, prefixes, seed=seed)
-    contr = contrastivity(model, explainer, prefixes, seed=seed)
+    corr = correctness(model, graph, prefixes, scores)
+    comp_value, precision, recall = completeness(model, rules, prefixes, thresholds, scores)
+    firing = {}
+    cont = continuity(model, explainer, prefixes, seed=seed, firing=firing)
+    contr = contrastivity(model, explainer, prefixes, seed=seed, firing=firing)
     n_rules, mean_rhs = compactness(rules)
     comp = MetricValue(mean=mean_rhs, std=0.0, n=n_rules)
     return MetricReport(

@@ -24,6 +24,7 @@ from .transformer import (
     ATTENTION_FROZEN_UNIFORM,
     ATTENTION_LEARNED,
     ModelConfig,
+    RowScores,
     TransformerModel,
     train,
 )
@@ -133,16 +134,19 @@ def experiment1(logobj: EventLog, repeats: int = 5, config: ModelConfig = ModelC
 _N_BINS = 20
 
 
-def experiment2(model: TransformerModel, prefixes) -> Exp2Result:
+def experiment2(model: TransformerModel, prefixes,
+                row_scores: RowScores | None = None) -> Exp2Result:
     """Per prefix and position, TVD between the input-masked and the
     attention-masked prediction, histogrammed in ``_N_BINS`` bins over
-    [0, 1]."""
+    [0, 1]. Rows are scored through ``row_scores`` (a fresh scope when
+    None), so a repeated prefix is forwarded once."""
+    scores = row_scores or RowScores(model)
     rows = []
     for idx, prefix in enumerate(prefixes):
         ids = _prefix_ids(prefix)
         single = np.eye(len(ids), dtype=bool)  # row ``pos`` masks position ``pos``
-        p_input, _ = model.predict(np.where(single, model.pad_id, ids))
-        p_attention, _ = model.predict(np.tile(ids, (len(ids), 1)), att_mask=single)
+        p_input, _ = scores(model, np.where(single, model.pad_id, ids))
+        p_attention, _ = scores(model, np.tile(ids, (len(ids), 1)), single)
         rows.extend((idx, pos, value)
                     for pos, value in enumerate(tvd(p_input, p_attention).tolist()))
     hist, edges = np.histogram([v for _, _, v in rows], bins=_N_BINS, range=(0.0, 1.0))

@@ -41,6 +41,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
+from .attnstats import activity_score_sums
 from .errors import (
     CheckpointError,
     DivergenceError,
@@ -55,6 +56,10 @@ ATTENTION_FROZEN_UNIFORM = "frozen_uniform"
 _LN_EPS = 1e-5
 # Tokens per ``predict`` chunk; bounds memory at about 8 KiB a token (T = 24).
 _PREDICT_TOKENS = 192
+# Upper bounds on the sizes that shape the model's arrays, checked before
+# any is allocated. At max_len 4096 one prefix's attention already takes
+# 128 MiB a head; d_k and ff_dim are far above the paper's 36 and 64.
+SIZE_LIMITS = {"d_k": 1024, "max_len": 4096, "ff_dim": 4096}
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,9 @@ class ModelConfig:
         for name in ("d_k", "max_len", "ff_dim", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, limit in SIZE_LIMITS.items():
+            if getattr(self, name) > limit:
+                raise UsageError(f"{name} must be <= {limit}, got {getattr(self, name)}")
         if not 0.0 < self.learning_rate < np.inf:
             raise UsageError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if (not isinstance(self.pad_dropout, numbers.Real) or isinstance(self.pad_dropout, bool)
@@ -404,6 +412,68 @@ class TransformerModel:
         except (ValueError, zipfile.BadZipFile) as e:
             raise CheckpointError(f"cannot read the parameters in {path}: {e}") from e
         return cls(config, meta["activity_labels"], params=params)
+
+
+class RowScores:
+    """Per-row scores of one model, each distinct row forwarded once.
+
+    Called as ``scores(model, ids, att_mask=None)`` on a (B, T) id batch
+    and an optional (B, T) attention mask (as ``predict`` takes them), it
+    returns the rows' ``predict`` probabilities, (B, C), and their
+    ``activity_score_sums``, (B, |A|), in which END positions score
+    nothing, as PAD ones do. A row is keyed by its length, its id bytes
+    and its mask bytes. Only the distinct rows not seen before are
+    forwarded, in one ``predict`` call, and only their reduced rows are
+    kept, never their attention. The results are bit-identical to
+    scoring the whole batch, because each ``predict`` row equals
+    ``forward`` on that row alone and the sums bin each row separately.
+
+    A scope belongs to the model it was made for, and calling it with
+    another raises ValueError. Make one per command or per call and pass
+    it down; the model holds no reference to it.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.forwarded = 0  # rows forwarded so far; the first this many rows of _kept
+        # (length, masked) -> {row key: its row in _kept}
+        self._index: dict[tuple[int, bool], dict[bytes, int]] = {}
+        # One row per forwarded row: its probabilities, then its sums.
+        self._kept = np.empty((64, model.num_classes + model.num_activities))
+
+    def __call__(self, model, ids, att_mask=None):
+        if model is not self.model:
+            raise ValueError("these row scores belong to another model")
+        ids = np.asarray(ids, dtype=int)
+        B, T = ids.shape
+        key_rows = ids if att_mask is None else np.hstack([ids, att_mask])
+        width = key_rows.itemsize * key_rows.shape[1]
+        raw = key_rows.tobytes()
+        keys = [raw[row * width:(row + 1) * width] for row in range(B)]
+        index = self._index.setdefault((T, att_mask is not None), {})
+        misses = {}  # key -> its first row in the batch
+        for row, key in enumerate(keys):
+            if key not in index:
+                misses.setdefault(key, row)
+        C = model.num_classes
+        if misses:
+            rows = slice(None) if len(misses) == B else list(misses.values())
+            new_ids = ids[rows]
+            probs, att = model.predict(new_ids, None if att_mask is None else att_mask[rows])
+            sums = activity_score_sums(att, np.minimum(new_ids, model.pad_id), model.pad_id)
+            start, end = self.forwarded, self.forwarded + len(misses)
+            if end > len(self._kept):
+                grown = np.empty((max(2 * len(self._kept), end), self._kept.shape[1]))
+                grown[:start] = self._kept[:start]
+                self._kept = grown
+            self._kept[start:end, :C] = probs
+            self._kept[start:end, C:] = sums
+            index.update(zip(misses, range(start, end)))
+            self.forwarded = end
+            if len(misses) == B:  # every row new and distinct: already in order
+                return probs, sums
+        scored = self._kept[[index[key] for key in keys]]
+        return scored[:, :C], scored[:, C:]
 
 
 def _head_blocks(G, h):

@@ -184,6 +184,12 @@ EXIT_CASES = {
     "epochs-negative": ([*TRAIN, "--epochs", "-1"], 2, "epochs must be >= 1"),
     "max-len-negative": ([*TRAIN, "--max-len", "-3"], 2, "max_len must be >= 1, got -3"),
     "ff-dim-zero": ([*TRAIN, "--ff-dim", "0"], 2, "ff_dim must be >= 1"),
+    "max-len-above-limit": ([*TRAIN, "--max-len", "10000000000000"], 2,
+                            "max_len must be <= 4096, got 10000000000000"),
+    "d-k-above-limit": ([*TRAIN, "--d-k", "10000000000000"], 2,
+                        "d_k must be <= 1024, got 10000000000000"),
+    "ff-dim-above-limit": ([*TRAIN, "--ff-dim", "10000000000000"], 2,
+                           "ff_dim must be <= 4096, got 10000000000000"),
     "learning-rate-zero": ([*TRAIN, "--learning-rate", "0"], 2, "learning_rate must be > 0"),
     "learning-rate-negative": ([*TRAIN, "--learning-rate", "-0.01"], 2,
                                "learning_rate must be > 0"),
@@ -255,6 +261,10 @@ EXIT_CASES = {
                                  "max_len must be an integer, got 8.0"),
     "checkpoint-ff-dim-float": ([*BAD_CHECKPOINT, "{tmp}/ff_dim_float.npz"], 4,
                                 "ff_dim must be an integer, got 8.0"),
+    "checkpoint-max-len-above-limit": ([*BAD_CHECKPOINT, "{tmp}/max_len_big.npz"], 4,
+                                       "max_len must be <= 4096, got 10000000000000"),
+    "checkpoint-d-k-above-limit": ([*BAD_CHECKPOINT, "{tmp}/d_k_big.npz"], 4,
+                                   "d_k must be <= 1024, got 10000000000000"),
     "checkpoint-learning-rate-inf": ([*BAD_CHECKPOINT, "{tmp}/lr_inf.npz"], 4,
                                      "learning_rate must be > 0 and finite, got inf"),
     "checkpoint-parameter-of-strings": ([*BAD_CHECKPOINT, "{tmp}/str_param.npz"], 4,
@@ -301,7 +311,7 @@ CONFIG_FILES = {
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
-def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
+def test_exit_code(tmp_path, log_file, checkpoint, capsys, monkeypatch, case):
     (tmp_path / "bad.csv").write_text("x,y\n1,2\n")
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)
@@ -326,13 +336,22 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, case):
                                ("lr_inf.npz", "learning_rate", float("inf")),
                                ("d_k_float.npz", "d_k", 8.0), ("h_float.npz", "h", 2.0),
                                ("max_len_float.npz", "max_len", 8.0),
-                               ("ff_dim_float.npz", "ff_dim", 8.0)):
+                               ("ff_dim_float.npz", "ff_dim", 8.0),
+                               ("max_len_big.npz", "max_len", 10_000_000_000_000),
+                               ("d_k_big.npz", "d_k", 10_000_000_000_000)):
         meta = json.loads(bytes(arrays["__meta__"]).decode())
         meta["config"][field] = value
         np.savez(tmp_path / name, **{**arrays, "__meta__": np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8)})
     write_log(tmp_path / "long.csv", [["A", "B", "C"] * 3] * 10)
     write_log(tmp_path / "cba.csv", [["C", "B", "A"]] * 10)
+    real_init = TransformerModel.__init__
+
+    def small_init(self, config, *args, **kwargs):  # a size check must come first
+        assert max(config.d_k, config.max_len, config.ff_dim) <= 64, config
+        real_init(self, config, *args, **kwargs)
+
+    monkeypatch.setattr(TransformerModel, "__init__", small_init)
     argv, code, message = EXIT_CASES[case]
     capsys.readouterr()
     assert main([a.format(log=log_file, ckpt=checkpoint, tmp=tmp_path) for a in argv]) == code

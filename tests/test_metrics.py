@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from attnexplain.attnstats import tvd
 from attnexplain.errors import UsageError
-from attnexplain.eventlog import Prefix, _last_activity, build_log, extract_prefixes
+from attnexplain.eventlog import Prefix, _last_activity, _prefix_ids, build_log, extract_prefixes
 from attnexplain.explain import (
     ExplanationGraph,
     Thresholds,
@@ -30,6 +30,8 @@ from attnexplain.metrics import (
     graph_to_rules,
     sample_prefixes,
 )
+from attnexplain.prestudy import experiment2
+from attnexplain.transformer import RowScores
 from test_explain import ABC_MODEL
 
 
@@ -518,3 +520,62 @@ def test_explainers_and_metrics_read_id_sequences_as_prefixes(ids_list):
 def test_metric_value_serialization():
     v = MetricValue(mean=0.5, std=0.1, n=4, undefined=1)
     assert v.as_dict() == {"mean": 0.5, "std": 0.1, "n": 4, "undefined": 1}
+
+
+@given(st.lists(DEGENERATE_PREFIXES | st.lists(st.integers(0, PAD - 1), min_size=2, max_size=5)
+                .map(tuple), min_size=1, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_one_shared_scope_gives_what_a_fresh_scope_per_call_gives(ids_list):
+    prefixes = ids_list + ids_list[::-1]  # repeated prefixes, and rows shared between calls
+    shared = RowScores(ABC_MODEL)
+    for explainer in (backward_explain, attention_exploration_explain):
+        graph = explainer(ABC_MODEL, prefixes, n_mods=4)
+        assert explainer(ABC_MODEL, prefixes, n_mods=4, row_scores=shared) == graph
+        rules = graph_to_rules(graph)
+        assert (correctness(ABC_MODEL, graph, prefixes, row_scores=shared)
+                == correctness(ABC_MODEL, graph, prefixes))
+        assert (completeness(ABC_MODEL, rules, prefixes, row_scores=shared)
+                == completeness(ABC_MODEL, rules, prefixes))
+    assert experiment2(ABC_MODEL, prefixes, row_scores=shared) == experiment2(ABC_MODEL, prefixes)
+
+
+def test_experiment2_forwards_a_repeated_prefix_once(trained_chain_model, monkeypatch):
+    model, logobj = trained_chain_model
+    prefixes = [p.activities for p in extract_prefixes(logobj)[:4]] + [(model.pad_id, 0)]
+    forwarded = []
+    predict = model.predict
+
+    def counting_predict(ids, att_mask=None):
+        forwarded.append(len(ids))
+        return predict(ids, att_mask)
+
+    monkeypatch.setattr(model, "predict", counting_predict)
+    once = experiment2(model, prefixes)
+    rows_once, forwarded[:] = sum(forwarded), []
+    thrice = experiment2(model, prefixes * 3)
+    assert sum(forwarded) <= rows_once
+    n = len(prefixes)
+    assert thrice.rows == tuple((idx + k * n, pos, value)
+                                for k in range(3) for idx, pos, value in once.rows)
+
+
+def test_evaluate_all_explains_each_firing_prefix_once(trained_chain_model):
+    model, logobj = trained_chain_model
+
+    def recording(calls):
+        def explainer(m, prefixes):
+            calls.append([_prefix_ids(p).tobytes() for p in prefixes])
+            return backward_explain(m, prefixes, n_mods=4)
+        return explainer
+
+    calls = []
+    evaluate_all(model, recording(calls), logobj, sample_frac=0.5, seed=3)
+    firing = [keys[0] for keys in calls[1:]]  # the first call explains the whole sample
+    assert len(calls[0]) > 1 and all(len(keys) == 1 for keys in calls[1:])
+    assert len(firing) == len(set(firing))
+    wanted = []
+    prefixes = sample_prefixes(logobj, 0.5, 3)
+    continuity(model, recording(wanted), prefixes, seed=3)
+    contrastivity(model, recording(wanted), prefixes, seed=3)
+    assert len(wanted) > len({keys[0] for keys in wanted})  # the memo has repeats to save
+    assert set(firing) == {keys[0] for keys in wanted}

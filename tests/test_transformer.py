@@ -1,20 +1,24 @@
+import itertools
 import json
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attnexplain.errors import DivergenceError, TrainingDataError
+from attnexplain.attnstats import activity_score_sums
+from attnexplain.errors import DivergenceError, TrainingDataError, UsageError
 from attnexplain.eventlog import build_log, extract_prefixes
 from attnexplain.metrics import weighted_f1
 from attnexplain.transformer import (
     ATTENTION_FROZEN_UNIFORM,
     _LN_EPS,
     _PREDICT_TOKENS,
+    SIZE_LIMITS,
     ModelConfig,
+    RowScores,
     TransformerModel,
     gradient_check,
     _embedding_grad,
@@ -45,6 +49,17 @@ def test_config_validation():
     for good in (0, 0.0, 0.5, np.float64(0.25)):
         assert ModelConfig(pad_dropout=good).pad_dropout == good
     assert ModelConfig(d_k=np.int64(8), h=np.int32(2)).d_k == 8
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_LIMITS))
+def test_config_rejects_sizes_above_their_limit(name):
+    # A config allocates nothing; the model built from it would.
+    limit = SIZE_LIMITS[name]
+    at_limit = ModelConfig(**{name: limit, "h": 1})
+    assert getattr(at_limit, name) == limit
+    for above in (limit + 1, 10_000_000_000_000):
+        with pytest.raises(UsageError, match=rf"^{name} must be <= {limit}, got {above}$"):
+            ModelConfig(**{name: above, "h": 1})
 
 
 def test_sinusoidal_positions_values():
@@ -220,6 +235,49 @@ def test_predict_rows_equal_forward_exactly(mode, T, extra_rows, seed, masked):
         single_probs, single_att = model.forward(row, masked_positions=positions)
         np.testing.assert_array_equal(probs[i], single_probs)
         np.testing.assert_array_equal(att[i], single_att)
+
+
+@st.composite
+def scored_batches(draw):
+    """A (B, T) id batch over PREDICT_MODELS' vocabulary with repeated and
+    all-PAD rows in any order, and an attention mask or None."""
+    T = draw(st.integers(1, TINY_CONFIG.max_len))
+    row = st.lists(st.integers(0, 3), min_size=T, max_size=T)  # 3 is PAD
+    distinct = draw(st.lists(row | st.just([3] * T), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    ids = np.array([distinct[i] for i in picks]).reshape(len(picks), T)
+    if not draw(st.booleans()):
+        return ids, None
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=T, max_size=T), min_size=1,
+                          max_size=3))
+    mask_picks = draw(st.lists(st.integers(0, len(masks) - 1), min_size=len(picks),
+                               max_size=len(picks)))
+    return ids, np.array([masks[i] for i in mask_picks]).reshape(len(picks), T)
+
+
+# Every length-4 row over A, B, C and PAD: more rows than the scope first
+# allocates, and then half of them again among new ones.
+ALL_ROWS_OF_4 = np.array(list(itertools.product(range(4), repeat=4)))
+
+
+@given(mode=st.sampled_from(sorted(PREDICT_MODELS)), batches=st.lists(scored_batches(),
+                                                                       min_size=1, max_size=3))
+@example(mode="learned", batches=[(ALL_ROWS_OF_4[::2], None), (ALL_ROWS_OF_4[::-1], None)])
+@settings(max_examples=50, deadline=None)
+def test_row_scores_equal_predict_and_forward_each_row_once(mode, batches):
+    model = PREDICT_MODELS[mode]
+    scores, keys = RowScores(model), set()
+    for ids, att_mask in batches:
+        probs, att = model.predict(ids, att_mask)
+        got_probs, got_sums = scores(model, ids, att_mask)
+        np.testing.assert_array_equal(got_probs, probs)
+        np.testing.assert_array_equal(got_sums, activity_score_sums(att, ids, model.pad_id))
+        masks = [None] * len(ids) if att_mask is None else [m.tobytes() for m in att_mask]
+        keys |= {(row.tobytes(), m) for row, m in zip(ids, masks)}
+        assert scores.forwarded == len(keys)
+    other = PREDICT_MODELS[next(m for m in PREDICT_MODELS if m != mode)]
+    with pytest.raises(ValueError, match="another model"):
+        scores(other, batches[0][0])
 
 
 def test_frozen_forward_and_backward_never_read_qk(abc_log):
