@@ -44,7 +44,7 @@ from .explain import (
     to_dot,
     to_json,
 )
-from .transformer import ModelConfig, RowScores, TransformerModel, train
+from .transformer import ModelConfig, TransformerModel, train
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -252,7 +252,7 @@ def cmd_prestudy(resolved) -> int:
             raise CheckpointError("experiment 2 needs --checkpoint of a trained model")
         model = TransformerModel.load(resolved["checkpoint"])
         prefixes = extract_prefixes(_test_log(resolved, model))
-        result = prestudy.experiment2(model, prefixes, RowScores(model))
+        result = prestudy.experiment2(model, prefixes)
         _write_resolved(out, resolved, "prestudy")
         (out / "exp2.csv").write_text(result.to_csv(), encoding="utf-8")
         (out / "exp2.json").write_text(result.to_json(), encoding="utf-8")
@@ -275,7 +275,6 @@ def cmd_explain(resolved) -> int:
     out = Path(resolved["out_dir"])
     handle, thresholds = _explainer_handle(resolved)
     model = TransformerModel.load(resolved["checkpoint"])
-    handle = partial(handle, row_scores=RowScores(model))
     prefixes = extract_prefixes(_test_log(resolved, model))
     prefixes = unique_prefixes(prefixes) if resolved.get("dedup", True) else prefixes
     graph = handle(model, prefixes)
@@ -300,10 +299,8 @@ def cmd_evaluate(resolved) -> int:
     out = Path(resolved["out_dir"])
     handle, thresholds = _explainer_handle(resolved)
     model = TransformerModel.load(resolved["checkpoint"])
-    scores = RowScores(model)  # one scope for the command, shared by the explainer
-    report = metrics.evaluate_all(model, partial(handle, row_scores=scores),
-                                  _test_log(resolved, model), thresholds=thresholds,
-                                  row_scores=scores, **_given(resolved, ("sample_frac", "seed")))
+    report = metrics.evaluate_all(model, handle, _test_log(resolved, model), thresholds=thresholds,
+                                  **_given(resolved, ("sample_frac", "seed")))
     _write_resolved(out, resolved, "evaluate")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_table(), encoding="utf-8")

@@ -105,21 +105,21 @@ def random_maskings(length: int, n_mods: int, rng: np.random.Generator) -> np.nd
 
 
 def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
-                        seed: int = 0, row_scores: RowScores | None = None):
+                        seed: int = 0):
     """Relevant activity ids for a prefix and its aggregated ``(|A|,)``
     score array ψ, followed by the unmodified prefix's probabilities and
     its own ψ, from its attention alone.
 
     Attention of the unmodified prefix always contributes; a random
     modification contributes only when its prediction stays within
-    ``delta_sim`` cosine distance of the original. The rows are scored
-    through ``row_scores``, a fresh scope when None.
+    ``delta_sim`` cosine distance of the original. A variant equal to an
+    earlier row is forwarded once.
     """
     ids = _prefix_ids(prefix)
     masks = random_maskings(len(ids), n_mods, np.random.default_rng(seed))
     variants = np.where(masks, model.pad_id, ids)
     batch = np.vstack([ids, variants[(variants != model.pad_id).any(axis=1)]])
-    probs, sums = (row_scores or RowScores(model))(model, batch)
+    probs, sums = RowScores(model)(model, batch)
     p_orig = probs[0]
     stable = np.array([True] + [cosine_distance(p_mod, p_orig) <= thresholds.delta_sim
                                 for p_mod in probs[1:]])
@@ -134,8 +134,7 @@ def likely_next(probs, thresholds: Thresholds, num_activities: int) -> np.ndarra
     return np.flatnonzero(np.asarray(probs, dtype=float)[:num_activities] > thresholds.delta_pred)
 
 
-def _explained_prefixes(model, prefixes, thresholds: Thresholds, n_mods: int, seed: int,
-                        row_scores: RowScores):
+def _explained_prefixes(model, prefixes, thresholds: Thresholds, n_mods: int, seed: int):
     """Both explainers' per-prefix step: ``(ids, last, sub_seed, a_r, p_r,
     p_orig, psi_orig)`` per prefix, in order. A prefix with no activity
     (empty or all PAD) is skipped unforwarded, but takes its sub-seed."""
@@ -144,8 +143,7 @@ def _explained_prefixes(model, prefixes, thresholds: Thresholds, n_mods: int, se
         last = _last_activity(prefix, model.pad_id)
         if last is None:
             continue
-        a_r, _, p_orig, psi_orig = relevant_activities(model, prefix, thresholds, n_mods, sub_seed,
-                                                       row_scores)
+        a_r, _, p_orig, psi_orig = relevant_activities(model, prefix, thresholds, n_mods, sub_seed)
         yield (_prefix_ids(prefix), last, sub_seed, a_r,
                likely_next(p_orig, thresholds, model.num_activities), p_orig, psi_orig)
 
@@ -154,22 +152,18 @@ def _explained_prefixes(model, prefixes, thresholds: Thresholds, n_mods: int, se
 
 
 def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
-                     n_mods: int = 20, seed: int = 0,
-                     row_scores: RowScores | None = None) -> ExplanationGraph:
+                     n_mods: int = 20, seed: int = 0) -> ExplanationGraph:
     """Fold per-prefix complete bipartite graphs, relevant -> likely next
     activities (self-edges allowed, nothing when either side is empty),
     into one adjacency matrix. After each prefix's join, a shortcut (u, v)
     with (u, last) and (last, v) both present is pruned, ``last`` being the
     prefix's last activity; edges incident to ``last`` are never pruned
-    (they would witness their own removal). Rows are scored through
-    ``row_scores``, a fresh scope when None."""
+    (they would witness their own removal)."""
     _check_at_least("n_mods", n_mods, 0)
     nA = model.num_activities
     adjacency = np.zeros((nA, nA), dtype=bool)  # [u, v]: edge u -> v
     vertices = np.zeros(nA, dtype=bool)
-    steps = _explained_prefixes(model, prefixes, thresholds, n_mods, seed,
-                                row_scores or RowScores(model))
-    for _, last, _, a_r, p_r, *_ in steps:
+    for _, last, _, a_r, p_r, *_ in _explained_prefixes(model, prefixes, thresholds, n_mods, seed):
         if len(a_r) and len(p_r):
             adjacency[np.ix_(a_r, p_r)] = True
             vertices[a_r] = vertices[p_r] = True
@@ -242,15 +236,14 @@ def _subsets(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def score_matrices_for_prefix(model, ids, a_r, p_r, p_orig, psi_orig, thresholds: Thresholds,
-                              subset_cap: int = 256, seed: int = 0,
-                              row_scores: RowScores | None = None):
+                              subset_cap: int = 256, seed: int = 0):
     """A prefix's few/most scenario score matrices K_few, K_most, stacked
     into one (2, |A|, |A|) array, from its ``_explained_prefixes`` step.
-    Each scenario's variants are scored as one batch, through
-    ``row_scores`` (a fresh scope when None): in each variant's matrix a
+    Each scenario's variants are scored as one batch, a variant already
+    scored for this prefix forwarded once: in each variant's matrix a
     cell adds its masked terms before its kept ones, each in position
     order (one ``np.bincount``), and ``np.cumsum`` the variants in order."""
-    scores = row_scores or RowScores(model)
+    scores = RowScores(model)
     nA = model.num_activities
     rng = np.random.default_rng(seed)
     relevant = np.isin(ids, a_r)
@@ -285,20 +278,17 @@ def row_normalize(matrix: np.ndarray) -> np.ndarray:
 
 
 def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
-                                  subset_cap: int = 256, seed: int = 0, n_mods: int = 20,
-                                  row_scores: RowScores | None = None) -> ExplanationGraph:
+                                  subset_cap: int = 256, seed: int = 0,
+                                  n_mods: int = 20) -> ExplanationGraph:
     """Aggregate score matrices across prefixes and read the thresholded,
-    OR-combined result as an adjacency matrix. Rows are scored through
-    ``row_scores``, a fresh scope when None."""
+    OR-combined result as an adjacency matrix."""
     _check_at_least("n_mods", n_mods, 0)
     _check_at_least("subset_cap", subset_cap, 1)
     nA = model.num_activities
-    scores = row_scores or RowScores(model)
     K = np.zeros((2, nA, nA))  # K_few, K_most
-    for ids, _, sub_seed, *step in _explained_prefixes(model, prefixes, thresholds, n_mods, seed,
-                                                       scores):
+    for ids, _, sub_seed, *step in _explained_prefixes(model, prefixes, thresholds, n_mods, seed):
         K += score_matrices_for_prefix(model, ids, *step, thresholds, subset_cap=subset_cap,
-                                       seed=sub_seed, row_scores=scores)
+                                       seed=sub_seed)
     delta = thresholds.edge_threshold(nA)
     combined = (row_normalize(K[0]) > delta) | (row_normalize(K[1]) > delta)
     return _graph(model.activity_labels, combined.T, np.ones(nA, dtype=bool))

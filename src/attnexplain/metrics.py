@@ -123,13 +123,13 @@ def _pearson(x, y) -> float | None:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def correctness(model, graph: ExplanationGraph, prefixes,
-                row_scores: RowScores | None = None) -> MetricValue:
+def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
     """Correlation between masking impact and explainer edge indicators;
     undefined for a prefix with no activity or whose top prediction is END.
-    Rows are scored through ``row_scores``, a fresh scope when None."""
+    A row repeated within the call, as a repeated prefix's are, is
+    forwarded once."""
     labels = model.activity_labels
-    scores = row_scores or RowScores(model)
+    scores = RowScores(model, sums=False)
 
     def value(prefix) -> float | None:
         ids = _prefix_ids(prefix)
@@ -150,11 +150,11 @@ def correctness(model, graph: ExplanationGraph, prefixes,
     return _summary([value(prefix) for prefix in prefixes])
 
 
-def predict_by_length(model, prefixes, row_scores: RowScores | None = None) -> np.ndarray:
+def predict_by_length(model, prefixes) -> np.ndarray:
     """(N, C) ``predict`` probabilities for N prefixes (or id sequences)
-    of mixed lengths, in input order; each length is one batch, scored
-    through ``row_scores`` (a fresh scope when None)."""
-    scores = row_scores or RowScores(model)
+    of mixed lengths, in input order; each length is one batch, a
+    repeated prefix forwarded once."""
+    scores = RowScores(model, sums=False)
     probs = np.empty((len(prefixes), model.num_classes))
     for rows, ids in length_batches(prefixes):
         probs[rows] = scores(model, ids)[0]
@@ -176,16 +176,14 @@ def weighted_f1(model, prefixes) -> float:
     return score / total if total else 0.0
 
 
-def completeness(model, rules: set[Rule], prefixes, thresholds: Thresholds = Thresholds(),
-                 row_scores: RowScores | None = None):
+def completeness(model, rules: set[Rule], prefixes, thresholds: Thresholds = Thresholds()):
     """(MetricValue for F1, precision, recall) of rule right-hand sides against
-    the model's likely-next sets, micro-averaged over prefixes with an activity.
-    Rows are scored through ``row_scores``, a fresh scope when None."""
+    the model's likely-next sets, micro-averaged over prefixes with an activity."""
     labels = model.activity_labels
     by_lhs = {r.lhs: r.rhs for r in rules}
     active = [(prefix, last) for prefix in prefixes
               if (last := _last_activity(prefix, model.pad_id)) is not None]
-    probs = predict_by_length(model, [prefix for prefix, _ in active], row_scores)
+    probs = predict_by_length(model, [prefix for prefix, _ in active])
     tp = fp = fn = 0
     for (_, last), p_orig in zip(active, probs):
         predicted = by_lhs.get(labels[last], frozenset())
@@ -300,23 +298,19 @@ def sample_prefixes(logobj: EventLog, sample_frac: float, seed: int) -> list[Pre
 
 
 def evaluate_all(model, explainer, logobj: EventLog, sample_frac: float = 1.0,
-                 thresholds: Thresholds = Thresholds(), seed: int = 0,
-                 row_scores: RowScores | None = None) -> MetricReport:
+                 thresholds: Thresholds = Thresholds(), seed: int = 0) -> MetricReport:
     """Run all five metrics over a seeded prefix sample.
 
-    ``correctness`` and ``completeness`` score their rows through
-    ``row_scores``, a fresh scope when None. ``continuity`` and
-    ``contrastivity`` share one memo of firing rules, so the explainer is
-    called once per distinct prefix they explain alone. That relies on
-    the explainer being a deterministic function of (model, prefix ids):
-    the CLI's explainers are, because every single-prefix call draws the
-    same sub-seed from the same seed."""
+    ``continuity`` and ``contrastivity`` share one memo of firing rules,
+    so the explainer is called once per distinct prefix they explain
+    alone. That relies on the explainer being a deterministic function of
+    (model, prefix ids): the CLI's explainers are, because every
+    single-prefix call draws the same sub-seed from the same seed."""
     prefixes = sample_prefixes(logobj, sample_frac, seed)
-    scores = row_scores or RowScores(model)
     graph = explainer(model, prefixes)
     rules = graph_to_rules(graph)
-    corr = correctness(model, graph, prefixes, scores)
-    comp_value, precision, recall = completeness(model, rules, prefixes, thresholds, scores)
+    corr = correctness(model, graph, prefixes)
+    comp_value, precision, recall = completeness(model, rules, prefixes, thresholds)
     firing = {}
     cont = continuity(model, explainer, prefixes, seed=seed, firing=firing)
     contr = contrastivity(model, explainer, prefixes, seed=seed, firing=firing)

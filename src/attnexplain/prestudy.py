@@ -134,13 +134,12 @@ def experiment1(logobj: EventLog, repeats: int = 5, config: ModelConfig = ModelC
 _N_BINS = 20
 
 
-def experiment2(model: TransformerModel, prefixes,
-                row_scores: RowScores | None = None) -> Exp2Result:
+def experiment2(model: TransformerModel, prefixes) -> Exp2Result:
     """Per prefix and position, TVD between the input-masked and the
     attention-masked prediction, histogrammed in ``_N_BINS`` bins over
-    [0, 1]. Rows are scored through ``row_scores`` (a fresh scope when
-    None), so a repeated prefix is forwarded once."""
-    scores = row_scores or RowScores(model)
+    [0, 1]. A row repeated within the call, as a repeated prefix's are,
+    is forwarded once."""
+    scores = RowScores(model, sums=False)
     rows = []
     for idx, prefix in enumerate(prefixes):
         ids = _prefix_ids(prefix)

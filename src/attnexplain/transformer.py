@@ -56,6 +56,9 @@ ATTENTION_FROZEN_UNIFORM = "frozen_uniform"
 _LN_EPS = 1e-5
 # Tokens per ``predict`` chunk; bounds memory at about 8 KiB a token (T = 24).
 _PREDICT_TOKENS = 192
+# Rows a RowScores scope keeps before it starts over, so that it does not
+# grow with the log: about 2 MiB at T = 24.
+_SCOPE_ROWS = 4096
 # Upper bounds on the sizes that shape the model's arrays, checked before
 # any is allocated. At max_len 4096 one prefix's attention already takes
 # 128 MiB a head; d_k and ff_dim are far above the paper's 36 and 64.
@@ -420,59 +423,53 @@ class RowScores:
     Called as ``scores(model, ids, att_mask=None)`` on a (B, T) id batch
     and an optional (B, T) attention mask (as ``predict`` takes them), it
     returns the rows' ``predict`` probabilities, (B, C), and their
-    ``activity_score_sums``, (B, |A|), in which END positions score
-    nothing, as PAD ones do. A row is keyed by its length, its id bytes
-    and its mask bytes. Only the distinct rows not seen before are
-    forwarded, in one ``predict`` call, and only their reduced rows are
-    kept, never their attention. The results are bit-identical to
-    scoring the whole batch, because each ``predict`` row equals
-    ``forward`` on that row alone and the sums bin each row separately.
+    ``activity_score_sums``, (B, |A|), or (B, 0) for a scope made with
+    ``sums=False``. A row is keyed by whether it is masked, its id bytes
+    and its mask bytes; the byte count gives its length. Only the
+    distinct rows not seen before are forwarded, in one ``predict`` call,
+    and only their reduced rows are kept, never their attention;
+    ``len(scores)`` counts them. Past ``_SCOPE_ROWS`` kept rows, the next
+    call starts over with none. The results are bit-identical to scoring
+    the whole batch, because each ``predict`` row equals ``forward`` on
+    that row alone and the sums bin each row separately.
 
     A scope belongs to the model it was made for, and calling it with
-    another raises ValueError. Make one per command or per call and pass
-    it down; the model holds no reference to it.
+    another raises ValueError. Each function that scores rows makes one
+    for its call; nothing module-level or on the model holds one.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, sums: bool = True):
         self.model = model
-        self.forwarded = 0  # rows forwarded so far; the first this many rows of _kept
-        # (length, masked) -> {row key: its row in _kept}
-        self._index: dict[tuple[int, bool], dict[bytes, int]] = {}
-        # One row per forwarded row: its probabilities, then its sums.
-        self._kept = np.empty((64, model.num_classes + model.num_activities))
+        self.sums = sums
+        self._rows: dict[tuple[bool, bytes], np.ndarray] = {}  # key -> probs, then sums
+
+    def __len__(self):
+        return len(self._rows)
 
     def __call__(self, model, ids, att_mask=None):
         if model is not self.model:
             raise ValueError("these row scores belong to another model")
         ids = np.asarray(ids, dtype=int)
-        B, T = ids.shape
-        key_rows = ids if att_mask is None else np.hstack([ids, att_mask])
+        masked = att_mask is not None
+        key_rows = np.hstack([ids, att_mask]) if masked else ids
         width = key_rows.itemsize * key_rows.shape[1]
         raw = key_rows.tobytes()
-        keys = [raw[row * width:(row + 1) * width] for row in range(B)]
-        index = self._index.setdefault((T, att_mask is not None), {})
+        keys = [(masked, raw[row * width:(row + 1) * width]) for row in range(len(ids))]
+        if len(self._rows) > _SCOPE_ROWS:
+            self._rows.clear()
         misses = {}  # key -> its first row in the batch
         for row, key in enumerate(keys):
-            if key not in index:
+            if key not in self._rows:
                 misses.setdefault(key, row)
+        if misses or not keys:  # an empty batch is scored as ``predict`` scores it
+            rows = slice(None) if len(misses) == len(keys) else list(misses.values())
+            scored, att = model.predict(ids[rows], att_mask[rows] if masked else None)
+            if self.sums:
+                scored = np.hstack([scored, activity_score_sums(att, ids[rows], model.pad_id)])
+            self._rows.update(zip(misses, scored))
+        if len(misses) < len(keys):
+            scored = np.stack([self._rows[key] for key in keys])
         C = model.num_classes
-        if misses:
-            rows = slice(None) if len(misses) == B else list(misses.values())
-            new_ids = ids[rows]
-            probs, att = model.predict(new_ids, None if att_mask is None else att_mask[rows])
-            sums = activity_score_sums(att, np.minimum(new_ids, model.pad_id), model.pad_id)
-            start, end = self.forwarded, self.forwarded + len(misses)
-            if end > len(self._kept):
-                grown = np.empty((max(2 * len(self._kept), end), self._kept.shape[1]))
-                grown[:start] = self._kept[:start]
-                self._kept = grown
-            self._kept[start:end, :C] = probs
-            self._kept[start:end, C:] = sums
-            index.update(zip(misses, range(start, end)))
-            self.forwarded = end
-            if len(misses) == B:  # every row new and distinct: already in order
-                return probs, sums
-        scored = self._kept[[index[key] for key in keys]]
         return scored[:, :C], scored[:, C:]
 
 

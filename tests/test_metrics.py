@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attnexplain.attnstats import tvd
+from attnexplain import explain, metrics, prestudy
+from attnexplain.attnstats import activity_score_sums, tvd
 from attnexplain.errors import UsageError
 from attnexplain.eventlog import Prefix, _last_activity, _prefix_ids, build_log, extract_prefixes
 from attnexplain.explain import (
@@ -31,7 +32,6 @@ from attnexplain.metrics import (
     sample_prefixes,
 )
 from attnexplain.prestudy import experiment2
-from attnexplain.transformer import RowScores
 from test_explain import ABC_MODEL
 
 
@@ -522,21 +522,37 @@ def test_metric_value_serialization():
     assert v.as_dict() == {"mean": 0.5, "std": 0.1, "n": 4, "undefined": 1}
 
 
+class PlainScores:
+    """``RowScores`` without its cache: every row is forwarded."""
+
+    def __init__(self, model, sums=True):
+        self.sums = sums
+
+    def __call__(self, model, ids, att_mask=None):
+        probs, att = model.predict(ids, att_mask)
+        sums = activity_score_sums(att, ids, model.pad_id) if self.sums else probs[:, :0]
+        return probs, sums
+
+
 @given(st.lists(DEGENERATE_PREFIXES | st.lists(st.integers(0, PAD - 1), min_size=2, max_size=5)
                 .map(tuple), min_size=1, max_size=4))
 @settings(max_examples=20, deadline=None)
-def test_one_shared_scope_gives_what_a_fresh_scope_per_call_gives(ids_list):
-    prefixes = ids_list + ids_list[::-1]  # repeated prefixes, and rows shared between calls
-    shared = RowScores(ABC_MODEL)
-    for explainer in (backward_explain, attention_exploration_explain):
-        graph = explainer(ABC_MODEL, prefixes, n_mods=4)
-        assert explainer(ABC_MODEL, prefixes, n_mods=4, row_scores=shared) == graph
-        rules = graph_to_rules(graph)
-        assert (correctness(ABC_MODEL, graph, prefixes, row_scores=shared)
-                == correctness(ABC_MODEL, graph, prefixes))
-        assert (completeness(ABC_MODEL, rules, prefixes, row_scores=shared)
-                == completeness(ABC_MODEL, rules, prefixes))
-    assert experiment2(ABC_MODEL, prefixes, row_scores=shared) == experiment2(ABC_MODEL, prefixes)
+def test_forwarding_each_row_once_changes_no_result(ids_list):
+    prefixes = ids_list + ids_list[::-1]  # repeated prefixes, so repeated rows
+
+    def results():
+        out = [experiment2(ABC_MODEL, prefixes)]
+        for explainer in (backward_explain, attention_exploration_explain):
+            graph = explainer(ABC_MODEL, prefixes, n_mods=4)
+            out += [graph, correctness(ABC_MODEL, graph, prefixes),
+                    completeness(ABC_MODEL, graph_to_rules(graph), prefixes)]
+        return out
+
+    cached = results()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (explain, metrics, prestudy):
+            mp.setattr(module, "RowScores", PlainScores)
+        assert results() == cached
 
 
 def test_experiment2_forwards_a_repeated_prefix_once(trained_chain_model, monkeypatch):

@@ -1,15 +1,15 @@
-import itertools
 import json
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attnexplain import transformer
 from attnexplain.attnstats import activity_score_sums
-from attnexplain.errors import DivergenceError, TrainingDataError, UsageError
+from attnexplain.errors import DimensionError, DivergenceError, TrainingDataError, UsageError
 from attnexplain.eventlog import build_log, extract_prefixes
 from attnexplain.metrics import weighted_f1
 from attnexplain.transformer import (
@@ -255,29 +255,48 @@ def scored_batches(draw):
     return ids, np.array([masks[i] for i in mask_picks]).reshape(len(picks), T)
 
 
-# Every length-4 row over A, B, C and PAD: more rows than the scope first
-# allocates, and then half of them again among new ones.
-ALL_ROWS_OF_4 = np.array(list(itertools.product(range(4), repeat=4)))
-
-
-@given(mode=st.sampled_from(sorted(PREDICT_MODELS)), batches=st.lists(scored_batches(),
-                                                                       min_size=1, max_size=3))
-@example(mode="learned", batches=[(ALL_ROWS_OF_4[::2], None), (ALL_ROWS_OF_4[::-1], None)])
+@given(mode=st.sampled_from(sorted(PREDICT_MODELS)), sums=st.booleans(),
+       batches=st.lists(scored_batches(), min_size=1, max_size=3))
 @settings(max_examples=50, deadline=None)
-def test_row_scores_equal_predict_and_forward_each_row_once(mode, batches):
+def test_row_scores_equal_predict_and_forward_each_row_once(mode, sums, batches):
     model = PREDICT_MODELS[mode]
-    scores, keys = RowScores(model), set()
+    scores, keys = RowScores(model, sums=sums), set()
     for ids, att_mask in batches:
         probs, att = model.predict(ids, att_mask)
         got_probs, got_sums = scores(model, ids, att_mask)
         np.testing.assert_array_equal(got_probs, probs)
-        np.testing.assert_array_equal(got_sums, activity_score_sums(att, ids, model.pad_id))
+        want_sums = activity_score_sums(att, ids, model.pad_id) if sums else np.empty((len(ids), 0))
+        np.testing.assert_array_equal(got_sums, want_sums)
         masks = [None] * len(ids) if att_mask is None else [m.tobytes() for m in att_mask]
         keys |= {(row.tobytes(), m) for row, m in zip(ids, masks)}
-        assert scores.forwarded == len(keys)
+        assert len(scores) == len(keys)
     other = PREDICT_MODELS[next(m for m in PREDICT_MODELS if m != mode)]
     with pytest.raises(ValueError, match="another model"):
         scores(other, batches[0][0])
+
+
+def test_row_scores_start_over_past_their_row_limit(monkeypatch):
+    monkeypatch.setattr(transformer, "_SCOPE_ROWS", 5)
+    model = PREDICT_MODELS["learned"]
+    scores = RowScores(model)
+    pairs = [[a, b] for a in range(4) for b in range(4)]  # over A, B, C and PAD
+    for start in range(0, 16, 4):
+        ids = pairs[start:start + 4] + pairs[:2]  # the first rows again, kept or dropped
+        probs, att = model.predict(ids)
+        got_probs, got_sums = scores(model, ids)
+        np.testing.assert_array_equal(got_probs, probs)
+        np.testing.assert_array_equal(got_sums, activity_score_sums(att, ids, model.pad_id))
+        assert len(scores) <= 5 + len(ids)
+
+
+def test_row_scores_sum_no_end_ids():
+    model = PREDICT_MODELS["learned"]
+    ids = np.array([[0, 1, model.end_id]])
+    with pytest.raises(DimensionError, match="activity id outside"):
+        RowScores(model)(model, ids)
+    probs, sums = RowScores(model, sums=False)(model, ids)
+    np.testing.assert_array_equal(probs, model.predict(ids)[0])
+    assert sums.shape == (1, 0)
 
 
 def test_frozen_forward_and_backward_never_read_qk(abc_log):
