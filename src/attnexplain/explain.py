@@ -27,7 +27,7 @@ import numpy as np
 from .attnstats import cosine_distance, max_normalize
 from .errors import UsageError
 from .eventlog import _last_activity, _prefix_ids
-from .transformer import RowScores
+from .transformer import score_rows
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
     masks = random_maskings(len(ids), n_mods, np.random.default_rng(seed))
     variants = np.where(masks, model.pad_id, ids)
     batch = np.vstack([ids, variants[(variants != model.pad_id).any(axis=1)]])
-    probs, sums = RowScores(model)(model, batch)
+    probs, sums = score_rows(model, batch, sums=True)
     p_orig = probs[0]
     stable = np.array([True] + [cosine_distance(p_mod, p_orig) <= thresholds.delta_sim
                                 for p_mod in probs[1:]])
@@ -239,12 +239,14 @@ def score_matrices_for_prefix(model, ids, a_r, p_r, p_orig, psi_orig, thresholds
                               subset_cap: int = 256, seed: int = 0):
     """A prefix's few/most scenario score matrices K_few, K_most, stacked
     into one (2, |A|, |A|) array, from its ``_explained_prefixes`` step.
-    Each scenario's variants are scored as one batch, a variant already
-    scored for this prefix forwarded once: in each variant's matrix a
-    cell adds its masked terms before its kept ones, each in position
-    order (one ``np.bincount``), and ``np.cumsum`` the variants in order."""
-    scores = RowScores(model)
+    Both scenarios' variants are scored in one call, a variant they share
+    forwarded once: in each variant's matrix a cell adds its masked terms
+    before its kept ones, each in position order (one ``np.bincount``),
+    and each scenario ``np.cumsum``s its variants in order."""
     nA = model.num_activities
+    K = np.zeros((2, nA, nA))
+    if not len(p_r):  # nothing to score: spare the forwards
+        return K
     rng = np.random.default_rng(seed)
     relevant = np.isin(ids, a_r)
     subsets = _subsets(int(relevant.sum()), subset_cap, rng)
@@ -252,16 +254,14 @@ def score_matrices_for_prefix(model, ids, a_r, p_r, p_orig, psi_orig, thresholds
     chosen[:, relevant] = subsets
     # few scenario: mask a non-empty chosen subset of the relevant
     # positions; most scenario: mask all but a chosen proper subset.
-    scenarios = (chosen[chosen.any(axis=1)], ~chosen[(chosen != relevant).any(axis=1)])
-    K = np.zeros((2, nA, nA))
-    for K_scenario, masks in zip(K, scenarios):
-        if not (len(masks) and len(p_r)):  # nothing to score: spare the forwards
-            continue
-        variants = np.where(masks, model.pad_id, ids)
-        probs, sums = scores(model, variants)
-        per_variant = relevance_scores(ids, variants, psi_orig, max_normalize(sums), p_orig,
-                                       probs, p_r, thresholds.sim_eps, nA)
-        K_scenario += np.cumsum(per_variant, axis=0)[-1]
+    few, most = chosen[chosen.any(axis=1)], ~chosen[(chosen != relevant).any(axis=1)]
+    variants = np.where(np.vstack([few, most]), model.pad_id, ids)
+    probs, sums = score_rows(model, variants, sums=True)
+    per_variant = relevance_scores(ids, variants, psi_orig, max_normalize(sums), p_orig, probs,
+                                   p_r, thresholds.sim_eps, nA)
+    for K_scenario, scored in zip(K, np.split(per_variant, [len(few)])):
+        if len(scored):
+            K_scenario += np.cumsum(scored, axis=0)[-1]
     return K
 
 

@@ -23,7 +23,7 @@ from .errors import UsageError
 from .eventlog import (EventLog, Prefix, _last_activity, _prefix_ids, extract_prefixes,
                        length_batches)
 from .explain import ExplanationGraph, Thresholds, likely_next
-from .transformer import RowScores
+from .transformer import score_rows
 
 
 @dataclass(frozen=True)
@@ -126,38 +126,36 @@ def _pearson(x, y) -> float | None:
 def correctness(model, graph: ExplanationGraph, prefixes) -> MetricValue:
     """Correlation between masking impact and explainer edge indicators;
     undefined for a prefix with no activity or whose top prediction is END.
-    A row repeated within the call, as a repeated prefix's are, is
-    forwarded once."""
+    The rows of all prefixes of one length are scored in one call, so a
+    row they share is forwarded once."""
     labels = model.activity_labels
-    scores = RowScores(model, sums=False)
-
-    def value(prefix) -> float | None:
-        ids = _prefix_ids(prefix)
-        if _last_activity(ids, model.pad_id) is None:
-            return None
-        # row 0 is the prefix itself, row 1 + i has position i masked
-        masked = np.eye(len(ids) + 1, len(ids), k=-1, dtype=bool)
-        probs, _ = scores(model, np.where(masked, model.pad_id, ids))
-        p_orig = probs[0]
-        top = int(np.argmax(p_orig))
-        if top >= model.num_activities:
-            return None  # END has no graph representation
-        # A PAD position has no vertex in the graph, so no edge marks it.
-        expl_imp = [float(aid != model.pad_id and (labels[aid], labels[top]) in graph.edges)
-                    for aid in ids.tolist()]
-        return _pearson(tvd(p_orig, probs[1:]), expl_imp)
-
-    return _summary([value(prefix) for prefix in prefixes])
+    values = [None] * len(prefixes)
+    for rows, ids in length_batches(prefixes):
+        active = (ids != model.pad_id).any(axis=1)  # the rest have no activity
+        rows, ids = rows[active], ids[active]
+        n, T = ids.shape
+        # per prefix, row 0 is the prefix itself, row 1 + i has position i masked
+        masked = np.eye(T + 1, T, k=-1, dtype=bool)
+        variants = np.where(masked, model.pad_id, ids[:, None]).reshape(n * (T + 1), T)
+        probs = score_rows(model, variants)[0].reshape(n, T + 1, model.num_classes)
+        for row, prefix_ids, p in zip(rows.tolist(), ids, probs):
+            top = int(np.argmax(p[0]))
+            if top >= model.num_activities:
+                continue  # END has no graph representation
+            # A PAD position has no vertex in the graph, so no edge marks it.
+            expl_imp = [float(aid != model.pad_id and (labels[aid], labels[top]) in graph.edges)
+                        for aid in prefix_ids.tolist()]
+            values[row] = _pearson(tvd(p[0], p[1:]), expl_imp)
+    return _summary(values)
 
 
 def predict_by_length(model, prefixes) -> np.ndarray:
     """(N, C) ``predict`` probabilities for N prefixes (or id sequences)
     of mixed lengths, in input order; each length is one batch, a
     repeated prefix forwarded once."""
-    scores = RowScores(model, sums=False)
     probs = np.empty((len(prefixes), model.num_classes))
     for rows, ids in length_batches(prefixes):
-        probs[rows] = scores(model, ids)[0]
+        probs[rows] = score_rows(model, ids)[0]
     return probs
 
 
@@ -195,18 +193,27 @@ def completeness(model, rules: set[Rule], prefixes, thresholds: Thresholds = Thr
     return MetricValue(mean=f1, std=0.0, n=len(active)), prec, rec
 
 
-def _firing_rhs(model, explainer, prefix, firing: dict) -> frozenset[str] | None:
+def _firing_rhs(model, explainer, prefix) -> frozenset[str] | None:
     """Right-hand side of the rule firing for the prefix's last non-PAD
-    activity, under an explanation computed on that prefix alone; kept in
-    the ``firing`` memo under the prefix's id bytes, and read from it on
-    a later call."""
-    ids = _prefix_ids(prefix)
-    key = ids.tobytes()
-    if key not in firing:
-        last = _last_activity(ids, model.pad_id)
-        firing[key] = None if last is None else frozenset(
-            explainer(model, [prefix]).successors(model.activity_labels[last]))
-    return firing[key]
+    activity, under an explanation computed on that prefix alone."""
+    last = _last_activity(prefix, model.pad_id)
+    if last is None:
+        return None
+    return frozenset(explainer(model, [prefix]).successors(model.activity_labels[last]))
+
+
+def _memoized(explainer):
+    """``explainer``, run once per distinct list of prefix ids and read
+    from a memo after that."""
+    graphs = {}
+
+    def explain(model, prefixes):
+        key = tuple(_prefix_ids(prefix).tobytes() for prefix in prefixes)
+        if key not in graphs:
+            graphs[key] = explainer(model, prefixes)
+        return graphs[key]
+
+    return explain
 
 
 def _jaccard(a: frozenset | None, b: frozenset | None) -> float | None:
@@ -218,22 +225,19 @@ def _jaccard(a: frozenset | None, b: frozenset | None) -> float | None:
     return len(a & b) / len(a | b)
 
 
-def continuity(model, explainer, prefixes, seed: int = 0,
-               firing: dict | None = None) -> MetricValue:
+def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     """Jaccard similarity of firing rules before/after masking one
     random position, the explainer seeing the masked prefix as an id
-    array; length-1 prefixes are skipped. ``firing`` is the memo of
-    firing rules that ``evaluate_all`` shares; a fresh one when None."""
+    array; length-1 prefixes are skipped."""
     rng = np.random.default_rng(seed)
-    firing = {} if firing is None else firing
 
     def value(prefix) -> float | None:
         ids = _prefix_ids(prefix)
         if len(ids) < 2:
             return None
         perturbed = np.where(np.arange(len(ids)) == rng.integers(len(ids)), model.pad_id, ids)
-        return _jaccard(_firing_rhs(model, explainer, prefix, firing),
-                        _firing_rhs(model, explainer, perturbed, firing))
+        return _jaccard(_firing_rhs(model, explainer, prefix),
+                        _firing_rhs(model, explainer, perturbed))
 
     return _summary([value(prefix) for prefix in prefixes])
 
@@ -265,21 +269,15 @@ def _contrast_pairs(lasts, rng: np.random.Generator) -> list[tuple[int, int]]:
     return pairs
 
 
-def contrastivity(model, explainer, prefixes, seed: int = 0,
-                  firing: dict | None = None) -> MetricValue:
+def contrastivity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     """1 - Jaccard similarity over prefix pairs with different last
-    non-PAD activities, at most ``_MAX_PAIRS`` of them sampled.
-    ``firing`` is as for ``continuity``."""
+    non-PAD activities, at most ``_MAX_PAIRS`` of them sampled."""
     pairs = _contrast_pairs([_last_activity(p, model.pad_id) for p in prefixes],
                             np.random.default_rng(seed))
     if not pairs:
         return _summary([None] * len(prefixes))
-    firing = {} if firing is None else firing
-
-    def rhs(i):
-        return _firing_rhs(model, explainer, prefixes[i], firing)
-
-    similarities = [_jaccard(rhs(i), rhs(j)) for i, j in pairs]
+    similarities = [_jaccard(_firing_rhs(model, explainer, prefixes[i]),
+                             _firing_rhs(model, explainer, prefixes[j])) for i, j in pairs]
     return _summary([None if s is None else 1.0 - s for s in similarities])
 
 
@@ -301,9 +299,9 @@ def evaluate_all(model, explainer, logobj: EventLog, sample_frac: float = 1.0,
                  thresholds: Thresholds = Thresholds(), seed: int = 0) -> MetricReport:
     """Run all five metrics over a seeded prefix sample.
 
-    ``continuity`` and ``contrastivity`` share one memo of firing rules,
-    so the explainer is called once per distinct prefix they explain
-    alone. That relies on the explainer being a deterministic function of
+    ``continuity`` and ``contrastivity`` share one memo of the explainer's
+    graphs, so it is called once per distinct prefix they explain alone.
+    That relies on the explainer being a deterministic function of
     (model, prefix ids): the CLI's explainers are, because every
     single-prefix call draws the same sub-seed from the same seed."""
     prefixes = sample_prefixes(logobj, sample_frac, seed)
@@ -311,9 +309,9 @@ def evaluate_all(model, explainer, logobj: EventLog, sample_frac: float = 1.0,
     rules = graph_to_rules(graph)
     corr = correctness(model, graph, prefixes)
     comp_value, precision, recall = completeness(model, rules, prefixes, thresholds)
-    firing = {}
-    cont = continuity(model, explainer, prefixes, seed=seed, firing=firing)
-    contr = contrastivity(model, explainer, prefixes, seed=seed, firing=firing)
+    memoized = _memoized(explainer)
+    cont = continuity(model, memoized, prefixes, seed=seed)
+    contr = contrastivity(model, memoized, prefixes, seed=seed)
     n_rules, mean_rhs = compactness(rules)
     comp = MetricValue(mean=mean_rhs, std=0.0, n=n_rules)
     return MetricReport(

@@ -19,13 +19,13 @@ import numpy as np
 
 from .attnstats import flatten, jsd, tvd
 from .errors import UsageError
-from .eventlog import EventLog, _prefix_ids, extract_prefixes, length_batches, split
+from .eventlog import EventLog, extract_prefixes, length_batches, split
 from .transformer import (
     ATTENTION_FROZEN_UNIFORM,
     ATTENTION_LEARNED,
     ModelConfig,
-    RowScores,
     TransformerModel,
+    score_rows,
     train,
 )
 
@@ -137,17 +137,19 @@ _N_BINS = 20
 def experiment2(model: TransformerModel, prefixes) -> Exp2Result:
     """Per prefix and position, TVD between the input-masked and the
     attention-masked prediction, histogrammed in ``_N_BINS`` bins over
-    [0, 1]. A row repeated within the call, as a repeated prefix's are,
-    is forwarded once."""
-    scores = RowScores(model, sums=False)
-    rows = []
-    for idx, prefix in enumerate(prefixes):
-        ids = _prefix_ids(prefix)
-        single = np.eye(len(ids), dtype=bool)  # row ``pos`` masks position ``pos``
-        p_input, _ = scores(model, np.where(single, model.pad_id, ids))
-        p_attention, _ = scores(model, np.tile(ids, (len(ids), 1)), single)
-        rows.extend((idx, pos, value)
-                    for pos, value in enumerate(tvd(p_input, p_attention).tolist()))
+    [0, 1]. The input-masked rows of all prefixes of one length are scored
+    in one call, and their attention-masked rows in another, so a row
+    they share is forwarded once."""
+    values = [None] * len(prefixes)
+    for indices, ids in length_batches(prefixes):
+        n, T = ids.shape
+        single = np.eye(T, dtype=bool)  # row ``pos`` masks position ``pos``
+        p_input, _ = score_rows(model, np.where(single, model.pad_id, ids[:, None]).reshape(n * T, T))
+        p_attention, _ = score_rows(model, np.repeat(ids, T, axis=0), np.tile(single, (n, 1)))
+        for idx, row_values in zip(indices.tolist(), tvd(p_input, p_attention).reshape(n, T)):
+            values[idx] = row_values.tolist()
+    rows = [(idx, pos, value) for idx, row_values in enumerate(values)
+            for pos, value in enumerate(row_values)]
     hist, edges = np.histogram([v for _, _, v in rows], bins=_N_BINS, range=(0.0, 1.0))
     return Exp2Result(
         rows=tuple(rows),

@@ -56,9 +56,9 @@ ATTENTION_FROZEN_UNIFORM = "frozen_uniform"
 _LN_EPS = 1e-5
 # Tokens per ``predict`` chunk; bounds memory at about 8 KiB a token (T = 24).
 _PREDICT_TOKENS = 192
-# Rows a RowScores scope keeps before it starts over, so that it does not
-# grow with the log: about 2 MiB at T = 24.
-_SCOPE_ROWS = 4096
+# Distinct rows ``score_rows`` forwards per ``predict`` call; bounds the
+# attention it holds at once to 2.25 MiB at T = 24, h = 4.
+_SCORE_ROWS = 128
 # Upper bounds on the sizes that shape the model's arrays, checked before
 # any is allocated. At max_len 4096 one prefix's attention already takes
 # 128 MiB a head; d_k and ff_dim are far above the paper's 36 and 64.
@@ -417,60 +417,40 @@ class TransformerModel:
         return cls(config, meta["activity_labels"], params=params)
 
 
-class RowScores:
-    """Per-row scores of one model, each distinct row forwarded once.
+def score_rows(model, ids, att_mask=None, sums: bool = False):
+    """Each row's ``predict`` probabilities, (B, C), and, with ``sums``,
+    its ``activity_score_sums``, (B, |A|), else (B, 0), for a (B, T) id
+    batch and an optional (B, T) attention mask as ``predict`` takes them.
 
-    Called as ``scores(model, ids, att_mask=None)`` on a (B, T) id batch
-    and an optional (B, T) attention mask (as ``predict`` takes them), it
-    returns the rows' ``predict`` probabilities, (B, C), and their
-    ``activity_score_sums``, (B, |A|), or (B, 0) for a scope made with
-    ``sums=False``. A row is keyed by whether it is masked, its id bytes
-    and its mask bytes; the byte count gives its length. Only the
-    distinct rows not seen before are forwarded, in one ``predict`` call,
-    and only their reduced rows are kept, never their attention;
-    ``len(scores)`` counts them. Past ``_SCOPE_ROWS`` kept rows, the next
-    call starts over with none. The results are bit-identical to scoring
-    the whole batch, because each ``predict`` row equals ``forward`` on
-    that row alone and the sums bin each row separately.
-
-    A scope belongs to the model it was made for, and calling it with
-    another raises ValueError. Each function that scores rows makes one
-    for its call; nothing module-level or on the model holds one.
+    A row is forwarded once however often the batch repeats it: rows are
+    keyed by their id and mask bytes, and the distinct ones are forwarded
+    ``_SCORE_ROWS`` at a time, each chunk's attention reduced before the
+    next is forwarded. The results are bit-identical to scoring the whole
+    batch, because each ``predict`` row equals ``forward`` on that row
+    alone and the sums bin each row separately. Nothing outlives the call.
     """
+    ids = np.ascontiguousarray(ids, dtype=int)
+    _, first, inverse = np.unique(_row_keys(ids, att_mask), return_index=True, return_inverse=True)
+    C = model.num_classes
+    scored = np.empty((len(first), C + (model.num_activities if sums else 0)))
+    for start in range(0, len(first), _SCORE_ROWS):
+        rows = first[start:start + _SCORE_ROWS]
+        probs, att = model.predict(ids[rows], None if att_mask is None else att_mask[rows])
+        chunk = scored[start:start + len(rows)]
+        chunk[:, :C] = probs
+        if sums:
+            chunk[:, C:] = activity_score_sums(att, ids[rows], model.pad_id)
+    scored = scored[inverse]
+    return scored[:, :C], scored[:, C:]
 
-    def __init__(self, model, sums: bool = True):
-        self.model = model
-        self.sums = sums
-        self._rows: dict[tuple[bool, bytes], np.ndarray] = {}  # key -> probs, then sums
 
-    def __len__(self):
-        return len(self._rows)
-
-    def __call__(self, model, ids, att_mask=None):
-        if model is not self.model:
-            raise ValueError("these row scores belong to another model")
-        ids = np.asarray(ids, dtype=int)
-        masked = att_mask is not None
-        key_rows = np.hstack([ids, att_mask]) if masked else ids
-        width = key_rows.itemsize * key_rows.shape[1]
-        raw = key_rows.tobytes()
-        keys = [(masked, raw[row * width:(row + 1) * width]) for row in range(len(ids))]
-        if len(self._rows) > _SCOPE_ROWS:
-            self._rows.clear()
-        misses = {}  # key -> its first row in the batch
-        for row, key in enumerate(keys):
-            if key not in self._rows:
-                misses.setdefault(key, row)
-        if misses or not keys:  # an empty batch is scored as ``predict`` scores it
-            rows = slice(None) if len(misses) == len(keys) else list(misses.values())
-            scored, att = model.predict(ids[rows], att_mask[rows] if masked else None)
-            if self.sums:
-                scored = np.hstack([scored, activity_score_sums(att, ids[rows], model.pad_id)])
-            self._rows.update(zip(misses, scored))
-        if len(misses) < len(keys):
-            scored = np.stack([self._rows[key] for key in keys])
-        C = model.num_classes
-        return scored[:, :C], scored[:, C:]
+def _row_keys(ids, att_mask):
+    """One key per row of a (B, T) id batch, as a (B,) array of
+    fixed-size byte strings: the row's id bytes, then its mask bytes."""
+    rows = ids.view(np.uint8)  # (B, T * itemsize) for a C-contiguous batch
+    if att_mask is not None:
+        rows = np.hstack([rows, att_mask.view(np.uint8)])
+    return rows.view(np.dtype((np.void, rows.shape[1]))).reshape(len(ids))
 
 
 def _head_blocks(G, h):

@@ -522,16 +522,10 @@ def test_metric_value_serialization():
     assert v.as_dict() == {"mean": 0.5, "std": 0.1, "n": 4, "undefined": 1}
 
 
-class PlainScores:
-    """``RowScores`` without its cache: every row is forwarded."""
-
-    def __init__(self, model, sums=True):
-        self.sums = sums
-
-    def __call__(self, model, ids, att_mask=None):
-        probs, att = model.predict(ids, att_mask)
-        sums = activity_score_sums(att, ids, model.pad_id) if self.sums else probs[:, :0]
-        return probs, sums
+def plain_scores(model, ids, att_mask=None, sums=False):
+    """``score_rows`` forwarding every row, repeated ones too."""
+    probs, att = model.predict(ids, att_mask)
+    return probs, activity_score_sums(att, ids, model.pad_id) if sums else probs[:, :0]
 
 
 @given(st.lists(DEGENERATE_PREFIXES | st.lists(st.integers(0, PAD - 1), min_size=2, max_size=5)
@@ -551,7 +545,7 @@ def test_forwarding_each_row_once_changes_no_result(ids_list):
     cached = results()
     with pytest.MonkeyPatch.context() as mp:
         for module in (explain, metrics, prestudy):
-            mp.setattr(module, "RowScores", PlainScores)
+            mp.setattr(module, "score_rows", plain_scores)
         assert results() == cached
 
 
@@ -573,6 +567,41 @@ def test_experiment2_forwards_a_repeated_prefix_once(trained_chain_model, monkey
     n = len(prefixes)
     assert thrice.rows == tuple((idx + k * n, pos, value)
                                 for k in range(3) for idx, pos, value in once.rows)
+
+
+def test_experiment2_and_correctness_forward_each_distinct_row_once(trained_chain_model):
+    model, _ = trained_chain_model
+    A, B, C, PAD_ = 0, 1, 2, model.pad_id
+    # (A, B) and (C, B) masked at position 0 are both (PAD, B); (A, B) repeats
+    prefixes = [(A, B), (C, B), (A, B, C), (A, B), (PAD_, A), (PAD_, PAD_)]
+    graph = backward_explain(model, prefixes, n_mods=4)
+    forwarded = []
+    predict = model.predict
+
+    def recording_predict(ids, att_mask=None):
+        masks = np.zeros(ids.shape, dtype=bool) if att_mask is None else att_mask
+        forwarded.extend((row.tobytes(), m.tobytes()) for row, m in zip(ids, masks))
+        return predict(ids, att_mask)
+
+    def key(ids, mask=()):
+        ids = np.array(ids)
+        return ids.tobytes(), np.isin(np.arange(len(ids)), mask).tobytes()
+
+    def masked(ids, pos):
+        return tuple(PAD_ if i == pos else a for i, a in enumerate(ids))
+
+    exp2_rows = {k for ids in prefixes for pos in range(len(ids))
+                 for k in (key(masked(ids, pos)), key(ids, [pos]))}
+    correctness_rows = {k for ids in prefixes if set(ids) != {PAD_}
+                        for k in [key(ids)] + [key(masked(ids, pos)) for pos in range(len(ids))]}
+    assert key((PAD_, B)) in exp2_rows & correctness_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "predict", recording_predict)
+        for call, rows in ((lambda: experiment2(model, prefixes), exp2_rows),
+                           (lambda: correctness(model, graph, prefixes), correctness_rows)):
+            forwarded.clear()
+            call()
+            assert sorted(forwarded) == sorted(rows)
 
 
 def test_evaluate_all_explains_each_firing_prefix_once(trained_chain_model):

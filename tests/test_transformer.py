@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attnexplain import transformer
@@ -18,12 +18,12 @@ from attnexplain.transformer import (
     _PREDICT_TOKENS,
     SIZE_LIMITS,
     ModelConfig,
-    RowScores,
     TransformerModel,
     gradient_check,
     _embedding_grad,
     _layer_norm,
     _layer_norm_backward,
+    score_rows,
     sinusoidal_positions,
     train,
 )
@@ -240,61 +240,63 @@ def test_predict_rows_equal_forward_exactly(mode, T, extra_rows, seed, masked):
 @st.composite
 def scored_batches(draw):
     """A (B, T) id batch over PREDICT_MODELS' vocabulary with repeated and
-    all-PAD rows in any order, and an attention mask or None."""
+    all-PAD rows in any order, possibly empty, and an attention mask or
+    None."""
     T = draw(st.integers(1, TINY_CONFIG.max_len))
     row = st.lists(st.integers(0, 3), min_size=T, max_size=T)  # 3 is PAD
     distinct = draw(st.lists(row | st.just([3] * T), min_size=1, max_size=5))
-    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
-    ids = np.array([distinct[i] for i in picks]).reshape(len(picks), T)
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=12))
+    ids = np.array([distinct[i] for i in picks], dtype=int).reshape(len(picks), T)
     if not draw(st.booleans()):
         return ids, None
     masks = draw(st.lists(st.lists(st.booleans(), min_size=T, max_size=T), min_size=1,
                           max_size=3))
     mask_picks = draw(st.lists(st.integers(0, len(masks) - 1), min_size=len(picks),
                                max_size=len(picks)))
-    return ids, np.array([masks[i] for i in mask_picks]).reshape(len(picks), T)
+    return ids, np.array([masks[i] for i in mask_picks], dtype=bool).reshape(len(picks), T)
 
 
-@given(mode=st.sampled_from(sorted(PREDICT_MODELS)), sums=st.booleans(),
-       batches=st.lists(scored_batches(), min_size=1, max_size=3))
+@given(mode=st.sampled_from(sorted(PREDICT_MODELS)), sums=st.booleans(), batch=scored_batches(),
+       chunk=st.sampled_from([1, 3, transformer._SCORE_ROWS]))
+@example(mode="learned", sums=True, batch=(np.zeros((0, 3), dtype=int), None), chunk=3)
+@example(mode="learned", sums=False, batch=(np.zeros((0, 3), dtype=int),
+                                             np.zeros((0, 3), dtype=bool)), chunk=3)
 @settings(max_examples=50, deadline=None)
-def test_row_scores_equal_predict_and_forward_each_row_once(mode, sums, batches):
+def test_row_scores_equal_predict_and_forward_each_row_once(mode, sums, batch, chunk):
+    """``score_rows`` equals ``predict`` and ``activity_score_sums`` bit for
+    bit, and forwards each distinct (ids, mask) row once, in chunks of
+    ``_SCORE_ROWS`` rows or of fewer."""
+    ids, att_mask = batch
     model = PREDICT_MODELS[mode]
-    scores, keys = RowScores(model, sums=sums), set()
-    for ids, att_mask in batches:
-        probs, att = model.predict(ids, att_mask)
-        got_probs, got_sums = scores(model, ids, att_mask)
-        np.testing.assert_array_equal(got_probs, probs)
-        want_sums = activity_score_sums(att, ids, model.pad_id) if sums else np.empty((len(ids), 0))
-        np.testing.assert_array_equal(got_sums, want_sums)
-        masks = [None] * len(ids) if att_mask is None else [m.tobytes() for m in att_mask]
-        keys |= {(row.tobytes(), m) for row, m in zip(ids, masks)}
-        assert len(scores) == len(keys)
-    other = PREDICT_MODELS[next(m for m in PREDICT_MODELS if m != mode)]
-    with pytest.raises(ValueError, match="another model"):
-        scores(other, batches[0][0])
+    probs, att = model.predict(ids, att_mask)
+    forwarded, sizes = [], []
 
+    def keys(ids, att_mask):
+        masks = [b""] * len(ids) if att_mask is None else [m.tobytes() for m in att_mask]
+        return [(row.tobytes(), m) for row, m in zip(ids, masks)]
 
-def test_row_scores_start_over_past_their_row_limit(monkeypatch):
-    monkeypatch.setattr(transformer, "_SCOPE_ROWS", 5)
-    model = PREDICT_MODELS["learned"]
-    scores = RowScores(model)
-    pairs = [[a, b] for a in range(4) for b in range(4)]  # over A, B, C and PAD
-    for start in range(0, 16, 4):
-        ids = pairs[start:start + 4] + pairs[:2]  # the first rows again, kept or dropped
-        probs, att = model.predict(ids)
-        got_probs, got_sums = scores(model, ids)
-        np.testing.assert_array_equal(got_probs, probs)
-        np.testing.assert_array_equal(got_sums, activity_score_sums(att, ids, model.pad_id))
-        assert len(scores) <= 5 + len(ids)
+    def recording_predict(ids, att_mask=None):
+        sizes.append(len(ids))
+        forwarded.extend(keys(ids, att_mask))
+        return TransformerModel.predict(model, ids, att_mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "predict", recording_predict)
+        mp.setattr(transformer, "_SCORE_ROWS", chunk)
+        got_probs, got_sums = score_rows(model, ids, att_mask, sums=sums)
+    np.testing.assert_array_equal(got_probs, probs)
+    want_sums = activity_score_sums(att, ids, model.pad_id) if sums else np.empty((len(ids), 0))
+    np.testing.assert_array_equal(got_sums, want_sums)
+    assert sorted(forwarded) == sorted(set(keys(ids, att_mask)))
+    assert all(size <= chunk for size in sizes)
 
 
 def test_row_scores_sum_no_end_ids():
     model = PREDICT_MODELS["learned"]
     ids = np.array([[0, 1, model.end_id]])
     with pytest.raises(DimensionError, match="activity id outside"):
-        RowScores(model)(model, ids)
-    probs, sums = RowScores(model, sums=False)(model, ids)
+        score_rows(model, ids, sums=True)
+    probs, sums = score_rows(model, ids)
     np.testing.assert_array_equal(probs, model.predict(ids)[0])
     assert sums.shape == (1, 0)
 
