@@ -9,7 +9,7 @@ attention exploration explainer, and prints the report tables.
 import argparse
 from pathlib import Path
 
-from attnexplain.explain import Thresholds, attention_exploration_explain, backward_explain
+from attnexplain.explain import Explainer, Thresholds
 from attnexplain.eventlog import split
 from attnexplain.metrics import evaluate_all
 from attnexplain.synthlog import synth_log
@@ -35,12 +35,9 @@ def main():
     model = train(train_log, ModelConfig(epochs=args.epochs, seed=args.seed, max_len=16))
     thresholds = Thresholds()
 
-    explainers = {
-        "backward": lambda m, p: backward_explain(m, p, thresholds, seed=7),
-        "attention_exploration": lambda m, p: attention_exploration_explain(
-            m, p, thresholds, seed=7),
-    }
-    for name, explainer in explainers.items():
+    for name, method in (("backward", "backward"),
+                         ("attention_exploration", "attention-exploration")):
+        explainer = Explainer(method, thresholds, seed=7)
         report = evaluate_all(model, explainer, test_log,
                               sample_frac=args.sample_frac,
                               thresholds=thresholds, seed=7)

@@ -11,6 +11,8 @@ batch; an activity absent from a prefix scores 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
@@ -69,14 +71,32 @@ def tvd(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
 def cosine_distance(p: np.ndarray, q: np.ndarray) -> float:
     """1 - cosine similarity; in [0, 1] for non-negative vectors."""
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise DimensionError(f"length mismatch: {p.shape} vs {q.shape}")
-    np_norm = np.linalg.norm(p)
-    nq_norm = np.linalg.norm(q)
-    if np_norm == 0.0 or nq_norm == 0.0:
-        raise DegenerateInputError("cosine distance undefined for zero vectors")
-    return float(1.0 - np.dot(p, q) / (np_norm * nq_norm))
+    if p.shape != np.shape(q):
+        raise DimensionError(f"length mismatch: {p.shape} vs {np.shape(q)}")
+    return float(cosine_distances(p[None], q)[0])
+
+
+def cosine_distances(P: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``cosine_distance`` of each row of a (B, n) batch to an (n,) vector.
+    A row takes the 1-D products ``np.linalg.norm`` and ``np.dot`` take,
+    so its distance does not depend on the rest of the batch."""
+    P, q = np.asarray(P, dtype=float), np.asarray(q, dtype=float)
+    if P.shape[1:] != q.shape:
+        raise DimensionError(f"length mismatch: {P.shape[1:]} vs {q.shape}")
+    q_norm = _norm(q)
+    distances = np.empty(len(P))
+    for k, p in enumerate(P):
+        p_norm = _norm(p)
+        if p_norm == 0.0 or q_norm == 0.0:
+            raise DegenerateInputError("cosine distance undefined for zero vectors")
+        distances[k] = 1.0 - np.dot(p, q) / (p_norm * q_norm)
+    return distances
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a real array, without its per-call checks."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def aggregate_event_scores(att: np.ndarray) -> np.ndarray:

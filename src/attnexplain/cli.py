@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields, replace
-from functools import partial
 from pathlib import Path
 
 from . import metrics, prestudy, synthlog
@@ -37,13 +36,7 @@ from .eventlog import (
     unique_prefixes,
     write_csv,
 )
-from .explain import (
-    Thresholds,
-    attention_exploration_explain,
-    backward_explain,
-    to_dot,
-    to_json,
-)
+from .explain import Explainer, Thresholds, to_dot, to_json
 from .transformer import ModelConfig, TransformerModel, train
 
 EXIT_USAGE = 2
@@ -260,20 +253,17 @@ def cmd_prestudy(resolved) -> int:
     return 0
 
 
-def _explainer_handle(resolved):
-    """The method's explainer with the given options bound, and the
-    thresholds; an option is range-checked when the explainer runs."""
+def _explainer_handle(resolved) -> Explainer:
+    """The method's explainer with the given options bound; an option is
+    range-checked when the explainer runs."""
     thresholds = Thresholds(**_given(resolved, _THRESHOLD_FIELDS))
-    if resolved["method"] == "backward":
-        explainer, names = backward_explain, ("n_mods", "seed")
-    else:
-        explainer, names = attention_exploration_explain, ("n_mods", "subset_cap", "seed")
-    return partial(explainer, thresholds=thresholds, **_given(resolved, names)), thresholds
+    return Explainer(resolved["method"], thresholds,
+                     **_given(resolved, ("n_mods", "subset_cap", "seed")))
 
 
 def cmd_explain(resolved) -> int:
     out = Path(resolved["out_dir"])
-    handle, thresholds = _explainer_handle(resolved)
+    handle = _explainer_handle(resolved)
     model = TransformerModel.load(resolved["checkpoint"])
     prefixes = extract_prefixes(_test_log(resolved, model))
     prefixes = unique_prefixes(prefixes) if resolved.get("dedup", True) else prefixes
@@ -283,7 +273,7 @@ def cmd_explain(resolved) -> int:
     (out / "graph.json").write_text(to_json(graph), encoding="utf-8")
     provenance = {
         "method": resolved["method"],
-        "thresholds": asdict(thresholds),
+        "thresholds": asdict(handle.thresholds),
         "seed": resolved.get("seed", 0),
         "n_prefixes": len(prefixes),
         "n_vertices": len(graph.vertices),
@@ -297,9 +287,10 @@ def cmd_explain(resolved) -> int:
 
 def cmd_evaluate(resolved) -> int:
     out = Path(resolved["out_dir"])
-    handle, thresholds = _explainer_handle(resolved)
+    handle = _explainer_handle(resolved)
     model = TransformerModel.load(resolved["checkpoint"])
-    report = metrics.evaluate_all(model, handle, _test_log(resolved, model), thresholds=thresholds,
+    report = metrics.evaluate_all(model, handle, _test_log(resolved, model),
+                                  thresholds=handle.thresholds,
                                   **_given(resolved, ("sample_frac", "seed")))
     _write_resolved(out, resolved, "evaluate")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")

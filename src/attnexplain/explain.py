@@ -11,6 +11,9 @@ accumulated over "masking out a few" / "masking out most" subsets of the
 relevant positions into activity-by-activity score matrices, which are
 summed over prefixes, row-normalized, thresholded, and OR-combined into
 an adjacency matrix (edge direction: column activity -> row activity).
+
+Both run through ``Explainer``: a per-prefix phase that scores the rows of
+all prefixes of one length together, then a fold in prefix order.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import numbers
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .attnstats import cosine_distance, max_normalize
+from .attnstats import cosine_distances, max_normalize
 from .errors import UsageError
-from .eventlog import _last_activity, _prefix_ids
-from .transformer import score_rows
+from .eventlog import _prefix_ids
+from .transformer import _length_error, score_rows
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,21 @@ def random_maskings(length: int, n_mods: int, rng: np.random.Generator) -> np.nd
     return masks
 
 
+def _masked_rows(model, ids, masks):
+    """A prefix's ids, then its variant under each mask row that keeps an activity."""
+    variants = np.where(masks, model.pad_id, ids)
+    return np.vstack([ids, variants[(variants != model.pad_id).any(axis=1)]])
+
+
+def _relevance(probs, sums, thresholds: Thresholds):
+    """``relevant_activities`` from the probabilities and ψ sums of its rows."""
+    p_orig = probs[0]
+    stable = np.append(True, cosine_distances(probs[1:], p_orig) <= thresholds.delta_sim)
+    # in variant order: a reordered sum rounds differently
+    psi = max_normalize(np.cumsum(sums[stable], axis=0)[-1])
+    return np.flatnonzero(psi > thresholds.delta_attr), psi, p_orig, max_normalize(sums[0])
+
+
 def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
                         seed: int = 0):
     """Relevant activity ids for a prefix and its aggregated ``(|A|,)``
@@ -116,16 +135,10 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
     earlier row is forwarded once.
     """
     ids = _prefix_ids(prefix)
+    if not len(ids):
+        raise _length_error(0, model.config.max_len)
     masks = random_maskings(len(ids), n_mods, np.random.default_rng(seed))
-    variants = np.where(masks, model.pad_id, ids)
-    batch = np.vstack([ids, variants[(variants != model.pad_id).any(axis=1)]])
-    probs, sums = score_rows(model, batch, sums=True)
-    p_orig = probs[0]
-    stable = np.array([True] + [cosine_distance(p_mod, p_orig) <= thresholds.delta_sim
-                                for p_mod in probs[1:]])
-    # in variant order: a reordered sum rounds differently
-    psi = max_normalize(np.cumsum(sums[stable], axis=0)[-1])
-    return np.flatnonzero(psi > thresholds.delta_attr), psi, p_orig, max_normalize(sums[0])
+    return _relevance(*score_rows(model, _masked_rows(model, ids, masks), sums=True), thresholds)
 
 
 def likely_next(probs, thresholds: Thresholds, num_activities: int) -> np.ndarray:
@@ -134,18 +147,27 @@ def likely_next(probs, thresholds: Thresholds, num_activities: int) -> np.ndarra
     return np.flatnonzero(np.asarray(probs, dtype=float)[:num_activities] > thresholds.delta_pred)
 
 
-def _explained_prefixes(model, prefixes, thresholds: Thresholds, n_mods: int, seed: int):
-    """Both explainers' per-prefix step: ``(ids, last, sub_seed, a_r, p_r,
-    p_orig, psi_orig)`` per prefix, in order. A prefix with no activity
-    (empty or all PAD) is skipped unforwarded, but takes its sub-seed."""
-    seeds = np.random.SeedSequence(entropy=seed).generate_state(max(len(prefixes), 1))
-    for prefix, sub_seed in zip(prefixes, seeds.tolist()):
-        last = _last_activity(prefix, model.pad_id)
-        if last is None:
-            continue
-        a_r, _, p_orig, psi_orig = relevant_activities(model, prefix, thresholds, n_mods, sub_seed)
-        yield (_prefix_ids(prefix), last, sub_seed, a_r,
-               likely_next(p_orig, thresholds, model.num_activities), p_orig, psi_orig)
+# Prefixes per window of ``Explainer._steps``, and rows per ``score_rows``
+# call in it: they bound the steps held for the fold and a call's rows.
+_WINDOW = 64
+_PHASE_ROWS = 1024
+
+
+def _scored_blocks(model, blocks):
+    """``score_rows(model, block, sums=True)`` of each (n_i, T) row block of
+    one length, in order. Consecutive blocks share a call of at most
+    ``_PHASE_ROWS`` rows (a larger block has its own), so a row they share
+    is forwarded once."""
+    calls, rows = [[]], 0
+    for block in blocks:
+        if calls[-1] and rows + len(block) > _PHASE_ROWS:
+            calls, rows = calls + [[]], 0
+        calls[-1].append(block)
+        rows += len(block)
+    for call in calls:
+        probs, sums = score_rows(model, np.vstack(call), sums=True)
+        ends = list(accumulate(map(len, call)))
+        yield from ((probs[a:b], sums[a:b]) for a, b in zip([0] + ends, ends))
 
 
 # ---------------------------------------------------------- Backward Explainer
@@ -159,18 +181,7 @@ def backward_explain(model, prefixes, thresholds: Thresholds = Thresholds(),
     with (u, last) and (last, v) both present is pruned, ``last`` being the
     prefix's last activity; edges incident to ``last`` are never pruned
     (they would witness their own removal)."""
-    _check_at_least("n_mods", n_mods, 0)
-    nA = model.num_activities
-    adjacency = np.zeros((nA, nA), dtype=bool)  # [u, v]: edge u -> v
-    vertices = np.zeros(nA, dtype=bool)
-    for _, last, _, a_r, p_r, *_ in _explained_prefixes(model, prefixes, thresholds, n_mods, seed):
-        if len(a_r) and len(p_r):
-            adjacency[np.ix_(a_r, p_r)] = True
-            vertices[a_r] = vertices[p_r] = True
-        shortcut = np.outer(adjacency[:, last], adjacency[last])
-        shortcut[last, :] = shortcut[:, last] = False
-        adjacency &= ~shortcut
-    return _graph(model.activity_labels, adjacency, vertices)
+    return Explainer("backward", thresholds, n_mods, seed=seed)(model, prefixes)
 
 
 # ------------------------------------------------- Attention Exploration
@@ -235,31 +246,35 @@ def _subsets(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(list(seen.values()), dtype=bool).reshape(-1, n)
 
 
-def score_matrices_for_prefix(model, ids, a_r, p_r, p_orig, psi_orig, thresholds: Thresholds,
-                              subset_cap: int = 256, seed: int = 0):
-    """A prefix's few/most scenario score matrices K_few, K_most, stacked
-    into one (2, |A|, |A|) array, from its ``_explained_prefixes`` step.
-    Both scenarios' variants are scored in one call, a variant they share
-    forwarded once: in each variant's matrix a cell adds its masked terms
-    before its kept ones, each in position order (one ``np.bincount``),
-    and each scenario ``np.cumsum``s its variants in order."""
-    nA = model.num_activities
-    K = np.zeros((2, nA, nA))
-    if not len(p_r):  # nothing to score: spare the forwards
-        return K
-    rng = np.random.default_rng(seed)
+def _scenario_rows(model, ids, a_r, p_r, subset_cap: int, seed: int):
+    """A prefix's number of few-scenario variants, and its few, then its
+    most scenario variants as one (V, T) id batch; none when ``p_r`` is
+    empty, since nothing would score."""
+    if not len(p_r):
+        return 0, np.empty((0, len(ids)), dtype=int)
     relevant = np.isin(ids, a_r)
-    subsets = _subsets(int(relevant.sum()), subset_cap, rng)
+    subsets = _subsets(int(relevant.sum()), subset_cap, np.random.default_rng(seed))
     chosen = np.zeros((len(subsets), len(ids)), dtype=bool)
     chosen[:, relevant] = subsets
     # few scenario: mask a non-empty chosen subset of the relevant
     # positions; most scenario: mask all but a chosen proper subset.
     few, most = chosen[chosen.any(axis=1)], ~chosen[(chosen != relevant).any(axis=1)]
-    variants = np.where(np.vstack([few, most]), model.pad_id, ids)
-    probs, sums = score_rows(model, variants, sums=True)
+    return len(few), np.where(np.vstack([few, most]), model.pad_id, ids)
+
+
+def score_matrices_for_prefix(model, ids, n_few, variants, probs, sums, p_r, p_orig, psi_orig,
+                              thresholds: Thresholds) -> np.ndarray:
+    """A prefix's few/most scenario score matrices K_few, K_most, stacked
+    into one (2, |A|, |A|) array, from its ``_scenario_rows``, their
+    probabilities and ψ sums, and its ``relevant_activities`` result: in
+    each variant's matrix a cell adds its masked terms before its kept
+    ones, each in position order (one ``np.bincount``), and each scenario
+    ``np.cumsum``s its variants in order."""
+    nA = model.num_activities
+    K = np.zeros((2, nA, nA))
     per_variant = relevance_scores(ids, variants, psi_orig, max_normalize(sums), p_orig, probs,
                                    p_r, thresholds.sim_eps, nA)
-    for K_scenario, scored in zip(K, np.split(per_variant, [len(few)])):
+    for K_scenario, scored in zip(K, np.split(per_variant, [n_few])):
         if len(scored):
             K_scenario += np.cumsum(scored, axis=0)[-1]
     return K
@@ -282,16 +297,111 @@ def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thre
                                   n_mods: int = 20) -> ExplanationGraph:
     """Aggregate score matrices across prefixes and read the thresholded,
     OR-combined result as an adjacency matrix."""
-    _check_at_least("n_mods", n_mods, 0)
-    _check_at_least("subset_cap", subset_cap, 1)
-    nA = model.num_activities
-    K = np.zeros((2, nA, nA))  # K_few, K_most
-    for ids, _, sub_seed, *step in _explained_prefixes(model, prefixes, thresholds, n_mods, seed):
-        K += score_matrices_for_prefix(model, ids, *step, thresholds, subset_cap=subset_cap,
-                                       seed=sub_seed)
-    delta = thresholds.edge_threshold(nA)
-    combined = (row_normalize(K[0]) > delta) | (row_normalize(K[1]) > delta)
-    return _graph(model.activity_labels, combined.T, np.ones(nA, dtype=bool))
+    return Explainer("attention-exploration", thresholds, n_mods, subset_cap, seed)(model, prefixes)
+
+
+# ------------------------------------------------------------------ handle
+
+
+@dataclass(frozen=True)
+class Explainer:
+    """One explainer with its options bound, called as ``(model, prefixes)``
+    to explain the prefixes together. An option is range-checked when the
+    explainer runs."""
+
+    method: str  # "backward" or "attention-exploration"
+    thresholds: Thresholds = Thresholds()
+    n_mods: int = 20
+    subset_cap: int = 256
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.method not in ("backward", "attention-exploration"):
+            raise UsageError(f"unknown explainer method {self.method!r}")
+
+    def __call__(self, model, prefixes) -> ExplanationGraph:
+        return self.explain(model, prefixes)[0]
+
+    def explain(self, model, together, alone=()) -> tuple[ExplanationGraph, list]:
+        """The graph of ``together`` explained together, and the graph of
+        each of ``alone`` explained on its own, ``[self(model, [p]) for p in
+        alone]``, from one ``_steps`` call. A one-prefix call always draws
+        the same sub-seed, so the prefixes of one length in ``alone`` share
+        their masking and their calls."""
+        n, state = len(together), np.random.SeedSequence(entropy=self.seed).generate_state
+        sub_seeds = state(max(n, 1)).tolist()[:n] + state(1).tolist() * len(alone)
+        graphs = [self._fold(model, [])] * len(alone) if len(alone) else []
+
+        def together_steps():  # folding each step of ``alone`` as it passes
+            for step in self._steps(model, [*together, *alone], sub_seeds):
+                if step[0] < n:
+                    yield step
+                else:
+                    graphs[step[0] - n] = self._fold(model, [step])
+
+        return self._fold(model, together_steps()), graphs
+
+    def _steps(self, model, prefixes, sub_seeds):
+        """``(i, last, a_r, p_r, K)`` for each prefix i with an activity, in
+        order: its last, relevant and likely next activities, and its
+        ``score_matrices_for_prefix`` for attention exploration; it depends
+        only on the model, the prefix ids and ``sub_seeds[i]``. A prefix
+        with no activity (empty or all PAD) is skipped unforwarded.
+        ``_WINDOW`` prefixes at a time are grouped by length, in input
+        order; per group each distinct sub-seed's masking is drawn once, and
+        each pass (relevance rows, then scenario rows) goes through
+        ``_scored_blocks``."""
+        _check_at_least("n_mods", self.n_mods, 0)
+        explore = self.method != "backward"
+        if explore:
+            _check_at_least("subset_cap", self.subset_cap, 1)
+        th, nA = self.thresholds, model.num_activities
+        for start in range(0, len(prefixes), _WINDOW):
+            groups, steps = {}, []  # length -> (i, ids) of the prefixes with an activity
+            for i in range(start, min(start + _WINDOW, len(prefixes))):
+                ids = _prefix_ids(prefixes[i])
+                if (ids != model.pad_id).any():
+                    groups.setdefault(len(ids), []).append((i, ids))
+            for length, group in groups.items():
+                masks = {s: random_maskings(length, self.n_mods, np.random.default_rng(s))
+                         for s in {sub_seeds[i] for i, _ in group}}
+                found = [_relevance(*scored, th) for scored in _scored_blocks(
+                    model, [_masked_rows(model, ids, masks[sub_seeds[i]]) for i, ids in group])]
+                p_rs = [likely_next(p_orig, th, nA) for _, _, p_orig, _ in found]
+                Ks = [None] * len(group)
+                if explore:
+                    scenarios = [_scenario_rows(model, ids, a_r, p_r, self.subset_cap, sub_seeds[i])
+                                 for (i, ids), (a_r, *_), p_r in zip(group, found, p_rs)]
+                    scored = _scored_blocks(model, [variants for _, variants in scenarios])
+                    Ks = [score_matrices_for_prefix(model, ids, *scenario, *rows, p_r, p_orig,
+                                                    psi_orig, th)
+                          for (_, ids), scenario, rows, p_r, (_, _, p_orig, psi_orig)
+                          in zip(group, scenarios, scored, p_rs, found)]
+                steps += [(i, int(ids[ids != model.pad_id][-1]), a_r, p_r, K)
+                          for (i, ids), (a_r, *_), p_r, K in zip(group, found, p_rs, Ks)]
+            yield from sorted(steps, key=lambda step: step[0])
+
+    def _fold(self, model, steps) -> ExplanationGraph:
+        """The graph of the steps, folded in order: ``backward_explain``'s
+        join and prune, or ``attention_exploration_explain``'s sum."""
+        nA = model.num_activities
+        if self.method == "backward":
+            adjacency = np.zeros((nA, nA), dtype=bool)  # [u, v]: edge u -> v
+            vertices = np.zeros(nA, dtype=bool)
+            for _, last, a_r, p_r, _ in steps:
+                if len(a_r) and len(p_r):
+                    adjacency[np.ix_(a_r, p_r)] = True
+                    vertices[a_r] = vertices[p_r] = True
+                shortcut = np.outer(adjacency[:, last], adjacency[last])
+                shortcut[last, :] = shortcut[:, last] = False
+                adjacency &= ~shortcut
+            return _graph(model.activity_labels, adjacency, vertices)
+        K = np.zeros((2, nA, nA))  # K_few, K_most
+        for *_, K_prefix in steps:
+            K += K_prefix
+        delta = self.thresholds.edge_threshold(nA)
+        combined = (row_normalize(K[0]) > delta) | (row_normalize(K[1]) > delta)
+        return _graph(model.activity_labels, combined.T, np.ones(nA, dtype=bool))
 
 
 # ------------------------------------------------------------------- export

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -193,27 +194,37 @@ def completeness(model, rules: set[Rule], prefixes, thresholds: Thresholds = Thr
     return MetricValue(mean=f1, std=0.0, n=len(active)), prec, rec
 
 
-def _firing_rhs(model, explainer, prefix) -> frozenset[str] | None:
-    """Right-hand side of the rule firing for the prefix's last non-PAD
-    activity, under an explanation computed on that prefix alone."""
-    last = _last_activity(prefix, model.pad_id)
-    if last is None:
-        return None
-    return frozenset(explainer(model, [prefix]).successors(model.activity_labels[last]))
+# Prefixes per ``Explainer.explain`` call in ``_firing_rules``: it holds
+# their graphs until each is reduced to its firing rule.
+_ALONE_CHUNK = 1024
 
 
-def _memoized(explainer):
-    """``explainer``, run once per distinct list of prefix ids and read
-    from a memo after that."""
-    graphs = {}
-
-    def explain(model, prefixes):
-        key = tuple(_prefix_ids(prefix).tobytes() for prefix in prefixes)
-        if key not in graphs:
-            graphs[key] = explainer(model, prefixes)
-        return graphs[key]
-
-    return explain
+def _firing_rules(model, explainer, pairs, together=None):
+    """The graph of ``together`` (if given) explained together, and a lookup
+    from each prefix of the ``pairs`` to the right-hand side of the rule
+    firing for its last non-PAD activity, under an explanation of that
+    prefix alone; None for a prefix with no activity. One
+    ``explainer.explain`` call gives both for an ``explain.Explainer``; a
+    plain callable is called on ``together`` and once per distinct prefix.
+    This relies on the explainer being a deterministic function of (model,
+    prefix ids)."""
+    lasts = {}
+    for prefix in (p for pair in pairs if pair for p in pair):
+        last = _last_activity(prefix, model.pad_id)
+        if last is not None:
+            lasts.setdefault(_prefix_ids(prefix).tobytes(), (prefix, model.activity_labels[last]))
+    alone = [prefix for prefix, _ in lasts.values()]
+    if hasattr(explainer, "explain"):  # _ALONE_CHUNK graphs at a time
+        graph, graphs = explainer.explain(model, () if together is None else together,
+                                          alone[:_ALONE_CHUNK])
+        graphs = chain(graphs, chain.from_iterable(
+            explainer.explain(model, (), alone[i:i + _ALONE_CHUNK])[1]
+            for i in range(_ALONE_CHUNK, len(alone), _ALONE_CHUNK)))
+    else:
+        graph = None if together is None else explainer(model, together)
+        graphs = (explainer(model, [prefix]) for prefix in alone)
+    rhs = {key: frozenset(g.successors(label)) for (key, (_, label)), g in zip(lasts.items(), graphs)}
+    return graph, lambda prefix: rhs.get(_prefix_ids(prefix).tobytes())
 
 
 def _jaccard(a: frozenset | None, b: frozenset | None) -> float | None:
@@ -225,21 +236,27 @@ def _jaccard(a: frozenset | None, b: frozenset | None) -> float | None:
     return len(a & b) / len(a | b)
 
 
+def _similarities(pairs, rhs) -> list[float | None]:
+    """Jaccard similarity of the firing rules of each prefix pair, under
+    the ``_firing_rules`` lookup ``rhs``; None for a None pair."""
+    return [pair and _jaccard(rhs(pair[0]), rhs(pair[1])) for pair in pairs]
+
+
+def _perturbed_pairs(model, prefixes, seed: int) -> list[tuple | None]:
+    """Per prefix, the prefix and a copy with one random position masked,
+    as an id array; None for a prefix shorter than 2."""
+    rng = np.random.default_rng(seed)
+    return [None if len(ids) < 2 else (prefix, np.where(
+        np.arange(len(ids)) == rng.integers(len(ids)), model.pad_id, ids))
+        for prefix, ids in zip(prefixes, map(_prefix_ids, prefixes))]
+
+
 def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     """Jaccard similarity of firing rules before/after masking one
     random position, the explainer seeing the masked prefix as an id
     array; length-1 prefixes are skipped."""
-    rng = np.random.default_rng(seed)
-
-    def value(prefix) -> float | None:
-        ids = _prefix_ids(prefix)
-        if len(ids) < 2:
-            return None
-        perturbed = np.where(np.arange(len(ids)) == rng.integers(len(ids)), model.pad_id, ids)
-        return _jaccard(_firing_rhs(model, explainer, prefix),
-                        _firing_rhs(model, explainer, perturbed))
-
-    return _summary([value(prefix) for prefix in prefixes])
+    pairs = _perturbed_pairs(model, prefixes, seed)
+    return _summary(_similarities(pairs, _firing_rules(model, explainer, pairs)[1]))
 
 
 _MAX_PAIRS = 1000
@@ -269,16 +286,25 @@ def _contrast_pairs(lasts, rng: np.random.Generator) -> list[tuple[int, int]]:
     return pairs
 
 
+def _contrasted_pairs(model, prefixes, seed: int) -> list[tuple]:
+    """The prefix pairs ``contrastivity`` compares."""
+    pairs = _contrast_pairs([_last_activity(p, model.pad_id) for p in prefixes],
+                            np.random.default_rng(seed))
+    return [(prefixes[i], prefixes[j]) for i, j in pairs]
+
+
 def contrastivity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     """1 - Jaccard similarity over prefix pairs with different last
     non-PAD activities, at most ``_MAX_PAIRS`` of them sampled."""
-    pairs = _contrast_pairs([_last_activity(p, model.pad_id) for p in prefixes],
-                            np.random.default_rng(seed))
+    pairs = _contrasted_pairs(model, prefixes, seed)
+    return _dissimilarity(pairs, _firing_rules(model, explainer, pairs)[1], len(prefixes))
+
+
+def _dissimilarity(pairs, rhs, n: int) -> MetricValue:
+    """``contrastivity`` of the ``pairs`` of ``n`` prefixes under ``rhs``."""
     if not pairs:
-        return _summary([None] * len(prefixes))
-    similarities = [_jaccard(_firing_rhs(model, explainer, prefixes[i]),
-                             _firing_rhs(model, explainer, prefixes[j])) for i, j in pairs]
-    return _summary([None if s is None else 1.0 - s for s in similarities])
+        return _summary([None] * n)
+    return _summary([None if s is None else 1.0 - s for s in _similarities(pairs, rhs)])
 
 
 def sample_prefixes(logobj: EventLog, sample_frac: float, seed: int) -> list[Prefix]:
@@ -299,19 +325,21 @@ def evaluate_all(model, explainer, logobj: EventLog, sample_frac: float = 1.0,
                  thresholds: Thresholds = Thresholds(), seed: int = 0) -> MetricReport:
     """Run all five metrics over a seeded prefix sample.
 
-    ``continuity`` and ``contrastivity`` share one memo of the explainer's
-    graphs, so it is called once per distinct prefix they explain alone.
-    That relies on the explainer being a deterministic function of
-    (model, prefix ids): the CLI's explainers are, because every
-    single-prefix call draws the same sub-seed from the same seed."""
+    One ``_firing_rules`` call explains the sample together, and each
+    prefix that ``continuity`` and ``contrastivity`` explain alone,
+    perturbed ones included, on its own: one ``explain`` call for an
+    ``explain.Explainer``, else one call on the sample and one per distinct
+    prefix. ``Explainer`` is a deterministic function of (model, prefix
+    ids), because every one-prefix call draws the same sub-seed."""
     prefixes = sample_prefixes(logobj, sample_frac, seed)
-    graph = explainer(model, prefixes)
+    perturbed = _perturbed_pairs(model, prefixes, seed)
+    contrasted = _contrasted_pairs(model, prefixes, seed)
+    graph, rhs = _firing_rules(model, explainer, perturbed + contrasted, together=prefixes)
     rules = graph_to_rules(graph)
     corr = correctness(model, graph, prefixes)
     comp_value, precision, recall = completeness(model, rules, prefixes, thresholds)
-    memoized = _memoized(explainer)
-    cont = continuity(model, memoized, prefixes, seed=seed)
-    contr = contrastivity(model, memoized, prefixes, seed=seed)
+    cont = _summary(_similarities(perturbed, rhs))
+    contr = _dissimilarity(contrasted, rhs, len(prefixes))
     n_rules, mean_rhs = compactness(rules)
     comp = MetricValue(mean=mean_rhs, std=0.0, n=n_rules)
     return MetricReport(

@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .attnstats import flatten, jsd, tvd
 from .errors import UsageError
-from .eventlog import EventLog, extract_prefixes, length_batches, split
+from .eventlog import EventLog, _prefix_ids, extract_prefixes, length_batches, split
 from .transformer import (
     ATTENTION_FROZEN_UNIFORM,
     ATTENTION_LEARNED,
@@ -61,9 +62,32 @@ class Exp1Result:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+class Exp2Rows(Sequence):
+    """Experiment 2's (prefix index, position, tvd) triples, held as three
+    (N,) arrays; each reads as an (int, int, float) tuple."""
+
+    def __init__(self, index: np.ndarray, position: np.ndarray, tvd: np.ndarray):
+        self.columns = (index, position, tvd)
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(*(column[i].tolist() for column in self.columns)))
+        return tuple(column[i].item() for column in self.columns)
+
+    def __iter__(self):  # a chunk of Python numbers at a time
+        for start in range(0, len(self), 4096):
+            yield from self[start:start + 4096]
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class Exp2Result:
-    rows: tuple[tuple[int, int, float], ...]  # (prefix index, position, tvd)
+    rows: Exp2Rows
     histogram: tuple[int, ...]
     bin_edges: tuple[float, ...]
 
@@ -140,19 +164,19 @@ def experiment2(model: TransformerModel, prefixes) -> Exp2Result:
     [0, 1]. The input-masked rows of all prefixes of one length are scored
     in one call, and their attention-masked rows in another, so a row
     they share is forwarded once."""
-    values = [None] * len(prefixes)
+    lengths = np.array([len(_prefix_ids(p)) for p in prefixes], dtype=int)
+    starts = np.cumsum(lengths) - lengths  # each prefix's first value
+    values = np.empty(lengths.sum())
     for indices, ids in length_batches(prefixes):
         n, T = ids.shape
         single = np.eye(T, dtype=bool)  # row ``pos`` masks position ``pos``
         p_input, _ = score_rows(model, np.where(single, model.pad_id, ids[:, None]).reshape(n * T, T))
         p_attention, _ = score_rows(model, np.repeat(ids, T, axis=0), np.tile(single, (n, 1)))
-        for idx, row_values in zip(indices.tolist(), tvd(p_input, p_attention).reshape(n, T)):
-            values[idx] = row_values.tolist()
-    rows = [(idx, pos, value) for idx, row_values in enumerate(values)
-            for pos, value in enumerate(row_values)]
-    hist, edges = np.histogram([v for _, _, v in rows], bins=_N_BINS, range=(0.0, 1.0))
+        values[(starts[indices, None] + np.arange(T)).ravel()] = tvd(p_input, p_attention)
+    index = np.repeat(np.arange(len(prefixes)), lengths)
+    hist, edges = np.histogram(values, bins=_N_BINS, range=(0.0, 1.0))
     return Exp2Result(
-        rows=tuple(rows),
+        rows=Exp2Rows(index, np.arange(len(values)) - starts[index], values),
         histogram=tuple(int(x) for x in hist),
         bin_edges=tuple(float(x) for x in edges),
     )

@@ -211,7 +211,7 @@ class TransformerModel:
         p = self.params
         B, T = ids.shape
         if T < 1 or T > cfg.max_len:
-            raise ValueError(f"prefix length {T} outside [1, {cfg.max_len}]")
+            raise _length_error(T, cfg.max_len)
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise IndexError("activity id outside vocabulary")
         d, h = cfg.d_k, cfg.h
@@ -430,6 +430,8 @@ def score_rows(model, ids, att_mask=None, sums: bool = False):
     alone and the sums bin each row separately. Nothing outlives the call.
     """
     ids = np.ascontiguousarray(ids, dtype=int)
+    if len(ids) and not ids.shape[1]:  # before zero-width keys are made
+        raise _length_error(0, model.config.max_len)
     _, first, inverse = np.unique(_row_keys(ids, att_mask), return_index=True, return_inverse=True)
     C = model.num_classes
     scored = np.empty((len(first), C + (model.num_activities if sums else 0)))
@@ -442,6 +444,10 @@ def score_rows(model, ids, att_mask=None, sums: bool = False):
             chunk[:, C:] = activity_score_sums(att, ids[rows], model.pad_id)
     scored = scored[inverse]
     return scored[:, :C], scored[:, C:]
+
+
+def _length_error(T: int, max_len: int) -> ValueError:
+    return ValueError(f"prefix length {T} outside [1, {max_len}]")
 
 
 def _row_keys(ids, att_mask):

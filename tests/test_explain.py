@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from attnexplain.attnstats import (activity_score_sums, aggregate_event_scores, cosine_distance,
                                    max_normalize)
 from attnexplain.errors import UsageError
+from attnexplain import explain
 from attnexplain.explain import (
+    Explainer,
     ExplanationGraph,
     Thresholds,
     _subsets,
@@ -330,6 +332,12 @@ def test_relevant_activities_returns_the_unmodified_forward(tiny_model):
     expected_psi = max_normalize(activity_score_sums(expected_att[None], ids[None],
                                                      tiny_model.pad_id))[0]
     np.testing.assert_array_equal(psi_orig, expected_psi)
+
+
+def test_relevant_activities_rejects_the_empty_prefix_before_drawing(monkeypatch):
+    monkeypatch.setattr(explain, "random_maskings", None)  # a draw would raise TypeError
+    with pytest.raises(ValueError, match=r"^prefix length 0 outside \[1, 8\]$"):
+        relevant_activities(ABC_MODEL, (), Thresholds(), n_mods=3)
 
 
 # ------------------------------------------------------ backward explainer
@@ -686,3 +694,58 @@ def test_json_round_trip():
     payload = json.loads(to_json(g))
     assert set(payload["vertices"]) == g.vertices
     assert {tuple(e) for e in payload["edges"]} == g.edges
+
+
+# ----------------------------------------------------- explainer handle
+
+LONG_MODEL = TransformerModel(ModelConfig(d_k=8, h=2, max_len=16, ff_dim=8, seed=0),
+                              ("A", "B", "C"))
+LONG_PAD = LONG_MODEL.pad_id
+LOOP_PREFIX = (0, 1, 2) * 4  # every position relevant: subsets are sampled
+ALONE_PREFIXES = st.lists(
+    st.just(()) | st.integers(1, 4).map(lambda n: (LONG_PAD,) * n)
+    | st.lists(st.integers(0, LONG_PAD), min_size=1, max_size=6).map(tuple),
+    min_size=1, max_size=6)
+
+
+def test_loop_prefix_has_more_than_eight_relevant_positions():
+    a_r = relevant_activities(LONG_MODEL, LOOP_PREFIX, Thresholds(), n_mods=3)[0]
+    assert np.isin(LOOP_PREFIX, a_r).sum() > 8
+
+
+@given(ALONE_PREFIXES, st.integers(0, 8), st.integers(0, 3),
+       st.sampled_from(["backward", "attention-exploration"]))
+@settings(max_examples=30, deadline=None)
+def test_explaining_prefixes_alone_equals_one_prefix_calls(prefixes, where, seed, method):
+    prefixes = prefixes + prefixes[:2]  # repeated prefixes
+    prefixes.insert(where % (len(prefixes) + 1), LOOP_PREFIX)
+    handle = Explainer(method, n_mods=3, subset_cap=4, seed=seed)
+    together, alone = prefixes[:3], prefixes[::-1]
+    graph, graphs = handle.explain(LONG_MODEL, together, alone)
+    assert graphs == [handle(LONG_MODEL, [p]) for p in alone]
+    assert graph == handle(LONG_MODEL, together)
+
+
+def test_explainer_functions_are_the_handle():
+    prefixes = [(0, 1), (2, 0, 1), LOOP_PREFIX]
+    thresholds = Thresholds(delta_attr=0.3)
+    assert (backward_explain(LONG_MODEL, prefixes, thresholds, n_mods=5, seed=2)
+            == Explainer("backward", thresholds, n_mods=5, seed=2)(LONG_MODEL, prefixes))
+    assert (attention_exploration_explain(LONG_MODEL, prefixes, thresholds, 4, 2, 5)
+            == Explainer("attention-exploration", thresholds, 5, 4, 2)(LONG_MODEL, prefixes))
+
+
+def test_explaining_same_length_prefixes_alone_scores_once_per_pass(monkeypatch):
+    calls = []
+    score_rows = explain.score_rows
+
+    def counting(model, ids, att_mask=None, sums=False):
+        calls.append(len(ids))
+        return score_rows(model, ids, att_mask, sums)
+
+    monkeypatch.setattr(explain, "score_rows", counting)
+    prefixes = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 0, 1), (1, 1, 1)]
+    for method, passes in (("backward", 1), ("attention-exploration", 2)):
+        calls.clear()
+        Explainer(method, n_mods=4).explain(ABC_MODEL, (), prefixes)
+        assert len(calls) == passes

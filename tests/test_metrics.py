@@ -10,6 +10,7 @@ from attnexplain.attnstats import activity_score_sums, tvd
 from attnexplain.errors import UsageError
 from attnexplain.eventlog import Prefix, _last_activity, _prefix_ids, build_log, extract_prefixes
 from attnexplain.explain import (
+    Explainer,
     ExplanationGraph,
     Thresholds,
     attention_exploration_explain,
@@ -624,3 +625,14 @@ def test_evaluate_all_explains_each_firing_prefix_once(trained_chain_model):
     contrastivity(model, recording(wanted), prefixes, seed=3)
     assert len(wanted) > len({keys[0] for keys in wanted})  # the memo has repeats to save
     assert set(firing) == {keys[0] for keys in wanted}
+
+
+@pytest.mark.parametrize("method", ["backward", "attention-exploration"])
+def test_evaluate_all_through_the_handle_matches_a_plain_callable(method):
+    from test_explain import LONG_MODEL
+    loop = ["A", "B", "C"] * 4
+    logobj = build_log([(f"c{i}", loop[i % 3:i % 3 + 3 + i]) for i in range(10)])
+    handle = Explainer(method, n_mods=4, subset_cap=4, seed=3)
+    reports = [evaluate_all(LONG_MODEL, explainer, logobj, sample_frac=0.5, seed=2).to_json()
+               for explainer in (handle, lambda m, p: handle(m, p))]
+    assert reports[0] == reports[1]

@@ -134,3 +134,12 @@ def test_experiment2_histogram(tiny_model):
     assert payload["n_values"] == len(result.rows)
     rows = list(csv.DictReader(io.StringIO(result.to_csv())))
     assert len(rows) == len(result.rows)
+
+
+def test_experiment2_rows_read_as_int_int_float_triples(tiny_model):
+    prefixes = [(0, 1, 2), (2, 2), (1,)]
+    rows = experiment2(tiny_model, prefixes).rows
+    assert [row[:2] for row in rows] == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert all(type(i) is int and type(pos) is int and type(v) is float for i, pos, v in rows)
+    assert rows[1:3] == tuple(rows)[1:3] and rows[-1] == tuple(rows)[-1]
+    assert rows == tuple(rows) and rows != tuple(rows)[:-1]

@@ -301,6 +301,13 @@ def test_row_scores_sum_no_end_ids():
     assert sums.shape == (1, 0)
 
 
+def test_row_scores_reject_rows_of_length_zero():
+    model = PREDICT_MODELS["learned"]
+    with pytest.raises(ValueError, match=r"^prefix length 0 outside \[1, 8\]$"):
+        score_rows(model, np.zeros((3, 0), dtype=int), sums=True)
+    probs, sums = score_rows(model, np.zeros((0, 0), dtype=int))  # no rows, nothing to reject
+    assert probs.shape == (0, model.num_classes) and sums.shape == (0, 0)
+
 def test_frozen_forward_and_backward_never_read_qk(abc_log):
     cfg = replace(TINY_CONFIG, attention_mode=ATTENTION_FROZEN_UNIFORM)
     model = TransformerModel(cfg, abc_log.activity_labels)
