@@ -27,9 +27,18 @@ Short-axis reductions are BLAS products too, because at training shapes
 than in arithmetic: the layer-norm means and variances are ``x @ (1/d)``,
 the softmax row sums ``e @ ones(T)``, the layer-norm gain and bias
 gradients ``ones(B*T) @ rows`` and the embedding gradient a one-hot
-product. Only the softmax's row max stays a reduction. ``train`` moves
-the parameters into one flat buffer that the parameter dict views, so a
-step is one gradient concatenation and one ``flat -= lr * gflat``.
+product. The softmax's row max is a running ``np.maximum`` over the T
+columns, exact in any order. ``train`` moves the parameters into one
+flat buffer that the parameter dict views, so a step is one gradient
+concatenation and one ``flat -= lr * gflat``.
+
+The forward writes an op's result in place wherever the op sequence
+stays the same, so every output bit is that of the out-of-place form:
+the softmax is ``A = Q @ K.T; A *= scale; A -= rowmax; exp(A, out=A);
+A /= A @ ones``, residual and bias adds are ``+=`` (IEEE addition
+commutes), the layer norm turns its centred rows into x-hat and its
+variances into 1/sigma, and pooling sums over positions and divides by
+T, which is what ``mean`` computes.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ import numpy as np
 from .attnstats import activity_score_sums
 from .errors import (
     CheckpointError,
+    DimensionError,
     DivergenceError,
     TrainingDataError,
     UsageError,
@@ -54,8 +64,10 @@ ATTENTION_LEARNED = "learned"
 ATTENTION_FROZEN_UNIFORM = "frozen_uniform"
 
 _LN_EPS = 1e-5
-# Tokens per ``predict`` chunk; bounds memory at about 8 KiB a token (T = 24).
-_PREDICT_TOKENS = 192
+# Tokens per ``predict`` chunk; bounds memory at about 8 KiB a token (T = 24),
+# 3 MiB a chunk. With the forward's temporaries written in place, a larger
+# chunk spreads the per-op call overhead over more rows.
+_PREDICT_TOKENS = 384
 # Distinct rows ``score_rows`` forwards per ``predict`` call; bounds the
 # attention it holds at once to 2.25 MiB at T = 24, h = 4.
 _SCORE_ROWS = 128
@@ -217,7 +229,8 @@ class TransformerModel:
         d, h = cfg.d_k, cfg.h
         scale = 1.0 / np.sqrt(d)
 
-        X0 = p["embed"][ids] + self.pos_enc[:T][None, :, :]
+        X0 = p["embed"][ids]
+        X0 += self.pos_enc[:T]
         names = self._projection_names()
         # (k*h, d, dh) -> (d, k*h*dh): column blocks in (projection, head) order.
         W = np.concatenate([p[n] for n in names]).transpose(1, 0, 2).reshape(d, -1)
@@ -230,29 +243,34 @@ class TransformerModel:
             A = np.full((B, h, T, T), 1.0 / T)
         else:
             Q, K = QKV[0], QKV[1]
-            S = (Q @ K.swapaxes(-1, -2)) * scale
-            S = S - S.max(axis=-1, keepdims=True)
-            expS = np.exp(S)
-            A = expS / (expS @ np.ones((T, 1)))
+            A = Q @ K.swapaxes(-1, -2)
+            A *= scale
+            A -= _row_max(A)
+            np.exp(A, out=A)
+            A /= A @ np.ones((T, 1))
         att = A
         if att_mask is not None:
             keep = ~att_mask
             A = A * (keep[:, None, :, None] & keep[:, None, None, :])
         H = A @ Vv
         Hc = H.transpose(0, 2, 1, 3).reshape(B, T, d)
-        M = Hc @ p["Wo"]
-        R1 = X0 + M
+        R1 = Hc @ p["Wo"]
+        R1 += X0
         N1, ln1_cache = _layer_norm(R1, p["ln1_g"], p["ln1_b"])
-        U = N1 @ p["W1"] + p["b1"]
+        U = N1 @ p["W1"]
+        U += p["b1"]
         Urelu = np.maximum(U, 0.0)
-        F = Urelu @ p["W2"] + p["b2"]
-        R2 = N1 + F
+        R2 = Urelu @ p["W2"]
+        R2 += p["b2"]
+        R2 += N1
         N2, ln2_cache = _layer_norm(R2, p["ln2_g"], p["ln2_b"])
-        pooled = N2.mean(axis=1)
-        logits = (pooled[:, None, :] @ p["Wout"])[:, 0] + p["bout"]
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        expl = np.exp(logits)
-        probs = expl / expl.sum(axis=-1, keepdims=True)
+        pooled = N2.sum(axis=1)
+        pooled /= T
+        probs = (pooled[:, None, :] @ p["Wout"])[:, 0]
+        probs += p["bout"]
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
 
         cache = None
         if keep_cache:
@@ -263,9 +281,11 @@ class TransformerModel:
     def predict(self, ids, att_mask=None):
         """``(probs, attention)``, (B, C) and (B, h, T, T), for a (B, T) id
         batch and an optional (B, T) ``att_mask`` as ``_forward_batch``
-        takes. Runs ``_PREDICT_TOKENS`` tokens at a time; each row equals
-        ``forward`` on that row alone, bit for bit."""
+        takes, boolean or 0/1; a mask of another shape raises
+        DimensionError. Runs ``_PREDICT_TOKENS`` tokens at a time; each row
+        equals ``forward`` on that row alone, bit for bit."""
         ids = np.asarray(ids, dtype=int)
+        att_mask = _mask_array(ids, att_mask)
         B, T = ids.shape
         probs = np.empty((B, self.num_classes))
         att = np.empty((B, self.config.h, T, T))
@@ -432,6 +452,7 @@ def score_rows(model, ids, att_mask=None, sums: bool = False):
     ids = np.ascontiguousarray(ids, dtype=int)
     if len(ids) and not ids.shape[1]:  # before zero-width keys are made
         raise _length_error(0, model.config.max_len)
+    att_mask = _mask_array(ids, att_mask)
     _, first, inverse = np.unique(_row_keys(ids, att_mask), return_index=True, return_inverse=True)
     C = model.num_classes
     scored = np.empty((len(first), C + (model.num_activities if sums else 0)))
@@ -448,6 +469,18 @@ def score_rows(model, ids, att_mask=None, sums: bool = False):
 
 def _length_error(T: int, max_len: int) -> ValueError:
     return ValueError(f"prefix length {T} outside [1, {max_len}]")
+
+
+def _mask_array(ids, att_mask):
+    """``att_mask`` as a boolean array, or None. A 0/1 integer mask would
+    otherwise reach ``~att_mask`` as -1/-2 and scale the attention."""
+    if att_mask is None:
+        return None
+    att_mask = np.asarray(att_mask, dtype=bool)
+    if att_mask.shape != ids.shape:
+        raise DimensionError(f"attention mask of shape {att_mask.shape} does not match "
+                             f"the ids' shape {ids.shape}")
+    return att_mask
 
 
 def _row_keys(ids, att_mask):
@@ -471,14 +504,32 @@ def _embedding_grad(ids, dX, vocab_size):
     return onehot.T @ dX.reshape(ids.size, -1)
 
 
+def _row_max(S):
+    """``S.max(axis=-1, keepdims=True)`` as a running ``np.maximum`` over
+    the columns, which at T <= 24 costs less than the reduction. A max is
+    exact in any order, so only the sign of a zero maximum can differ,
+    and ``exp(S - max)`` is the same for either sign."""
+    m = S[..., :1].copy()
+    for j in range(1, S.shape[-1]):
+        np.maximum(m, S[..., j:j + 1], out=m)
+    return m
+
+
 def _layer_norm(x, gamma, beta):
     """Row-wise layer norm; the mean and the variance are products with
-    ``w = 1/d``, kept in the cache for the backward."""
+    ``w = 1/d``, kept in the cache for the backward. The centred rows
+    become x-hat and the variances 1/sigma in place."""
     w = np.full((x.shape[-1], 1), 1.0 / x.shape[-1])
-    xc = x - x @ w
-    inv = 1.0 / np.sqrt((xc * xc) @ w + _LN_EPS)
-    xhat = xc * inv
-    return gamma * xhat + beta, (xhat, inv, w)
+    xhat = x - x @ w
+    y = xhat * xhat
+    inv = y @ w
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(gamma, xhat, out=y)
+    y += beta
+    return y, (xhat, inv, w)
 
 
 def _layer_norm_backward(dy, cache, gamma):

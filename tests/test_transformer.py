@@ -1,11 +1,13 @@
 import json
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from attnexplain import transformer
 from attnexplain.attnstats import activity_score_sums
@@ -23,6 +25,7 @@ from attnexplain.transformer import (
     _embedding_grad,
     _layer_norm,
     _layer_norm_backward,
+    _row_max,
     score_rows,
     sinusoidal_positions,
     train,
@@ -235,6 +238,147 @@ def test_predict_rows_equal_forward_exactly(mode, T, extra_rows, seed, masked):
         single_probs, single_att = model.forward(row, masked_positions=positions)
         np.testing.assert_array_equal(probs[i], single_probs)
         np.testing.assert_array_equal(att[i], single_att)
+
+
+def _out_of_place_forward(model, ids, keep_cache=False, att_mask=None):
+    """``TransformerModel._forward_batch`` written out of place: every op
+    allocates its result, the row max is a reduction and pooling is
+    ``mean``. The in-place forward must equal it bit for bit."""
+    p = model.params
+    B, T = ids.shape
+    d, h = model.config.d_k, model.config.h
+    scale = 1.0 / np.sqrt(d)
+    X0 = p["embed"][ids] + model.pos_enc[:T][None, :, :]
+    names = model._projection_names()
+    W = np.concatenate([p[n] for n in names]).transpose(1, 0, 2).reshape(d, -1)
+    QKV = (X0 @ W).reshape(B, T, len(names), h, d // h).transpose(2, 0, 3, 1, 4)
+    Vv = QKV[-1]
+    if model.frozen_attention:
+        Q = K = None
+        A = np.full((B, h, T, T), 1.0 / T)
+    else:
+        Q, K = QKV[0], QKV[1]
+        S = (Q @ K.swapaxes(-1, -2)) * scale
+        S = S - S.max(axis=-1, keepdims=True)
+        expS = np.exp(S)
+        A = expS / (expS @ np.ones((T, 1)))
+    att = A
+    if att_mask is not None:
+        keep = ~att_mask
+        A = A * (keep[:, None, :, None] & keep[:, None, None, :])
+    Hc = (A @ Vv).transpose(0, 2, 1, 3).reshape(B, T, d)
+    R1 = X0 + Hc @ p["Wo"]
+    N1, ln1_cache = _out_of_place_layer_norm(R1, p["ln1_g"], p["ln1_b"])
+    U = N1 @ p["W1"] + p["b1"]
+    Urelu = np.maximum(U, 0.0)
+    R2 = N1 + (Urelu @ p["W2"] + p["b2"])
+    N2, ln2_cache = _out_of_place_layer_norm(R2, p["ln2_g"], p["ln2_b"])
+    pooled = N2.mean(axis=1)
+    logits = (pooled[:, None, :] @ p["Wout"])[:, 0] + p["bout"]
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    expl = np.exp(logits)
+    probs = expl / expl.sum(axis=-1, keepdims=True)
+    cache = None
+    if keep_cache:
+        cache = dict(X0=X0, W=W, Q=Q, K=K, V=Vv, A=A, Hc=Hc, N1=N1, ln1=ln1_cache,
+                     U=U, Urelu=Urelu, ln2=ln2_cache, pooled=pooled)
+    return probs, att, cache
+
+
+def _out_of_place_layer_norm(x, gamma, beta):
+    w = np.full((x.shape[-1], 1), 1.0 / x.shape[-1])
+    xc = x - x @ w
+    inv = 1.0 / np.sqrt((xc * xc) @ w + _LN_EPS)
+    xhat = xc * inv
+    return gamma * xhat + beta, (xhat, inv, w)
+
+
+def assert_bits_equal(got, want, err_msg=""):
+    """Equal bit for bit: same dtype, shape and bytes, so a -0.0 against a
+    0.0 fails too, which ``assert_array_equal`` alone lets pass."""
+    np.testing.assert_array_equal(got, want, err_msg=err_msg)
+    assert got.dtype == want.dtype, err_msg
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint8),
+                                  np.ascontiguousarray(want).view(np.uint8), err_msg=err_msg)
+
+
+@given(mode=st.sampled_from(sorted(PREDICT_MODELS)), T=st.integers(1, TINY_CONFIG.max_len),
+       full_chunks=st.integers(0, 1), extra_rows=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), masked=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_forward_is_bitwise_the_out_of_place_forward(mode, T, full_chunks, extra_rows, seed,
+                                                     masked):
+    """The in-place forward, its cache, ``predict`` over a partial last
+    chunk and ``loss_and_grads`` equal the out-of-place form bit for bit."""
+    model = PREDICT_MODELS[mode]
+    B = full_chunks * max(1, _PREDICT_TOKENS // T) + extra_rows  # never a whole chunk count
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, model.vocab_size, size=(B, T))
+    att_mask = rng.random((B, T)) < 0.4 if masked else None
+    for keep_cache in (False, True):
+        probs, att, cache = model._forward_batch(ids, keep_cache, att_mask)
+        want_probs, want_att, want_cache = _out_of_place_forward(model, ids, keep_cache, att_mask)
+        assert_bits_equal(probs, want_probs)
+        assert_bits_equal(att, want_att)
+        assert (cache is None) == (not keep_cache)
+        if keep_cache:
+            assert cache.keys() == want_cache.keys()
+            for name, want in want_cache.items():
+                if want is None:
+                    assert cache[name] is None, name
+                    continue
+                got = cache[name]
+                wants = want if isinstance(want, tuple) else (want,)
+                gots = got if isinstance(got, tuple) else (got,)
+                assert len(gots) == len(wants), name
+                for g, w in zip(gots, wants):
+                    assert_bits_equal(g, w, err_msg=name)
+    probs, att = model.predict(ids, att_mask)
+    assert_bits_equal(probs, want_probs)
+    assert_bits_equal(att, want_att)
+
+    targets = rng.integers(0, model.num_classes, size=B)
+    loss, grads = model.loss_and_grads(ids, targets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_forward_batch", partial(_out_of_place_forward, model))
+        want_loss, want_grads = model.loss_and_grads(ids, targets)
+    assert_bits_equal(np.float64(loss), np.float64(want_loss))
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        assert_bits_equal(grads[name], want, err_msg=name)
+
+
+@given(S=hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 2),
+                                         st.integers(1, 30)).map(lambda s: (*s, s[2])),
+                    elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
+                    | st.floats(allow_nan=False)))
+@example(S=np.array([[[[-0.0]]]]))
+@example(S=np.array([[[[0.0, -0.0], [-0.0, 0.0]]]]))
+@settings(max_examples=200, deadline=None)
+def test_row_max_equals_the_max_reduction(S):
+    """``_row_max`` equals ``S.max(axis=-1, keepdims=True)``, ties and
+    infinities included. Only the sign of a zero maximum may differ (the
+    reduction's vector lanes pick either zero), and the softmax numerator
+    ``exp(S - max)`` is bitwise the same either way."""
+    got, want = _row_max(S), S.max(axis=-1, keepdims=True)
+    np.testing.assert_array_equal(got, want)  # counts 0.0 == -0.0
+    nonzero = want != 0.0
+    assert_bits_equal(got[nonzero], want[nonzero])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert_bits_equal(np.exp(S - got), np.exp(S - want))
+
+
+def test_integer_attention_mask_equals_the_boolean_mask():
+    """A 0/1 integer mask masks as the boolean mask does; ``~1`` would be -2."""
+    model = PREDICT_MODELS["learned"]
+    ids = np.array([[0, 1, 2]])
+    int_mask, bool_mask = np.array([[1, 0, 0]]), np.array([[True, False, False]])
+    for score in (model.predict, partial(score_rows, model, sums=True)):
+        for got, want in zip(score(ids, int_mask), score(ids, bool_mask)):
+            assert_bits_equal(got, want)
+        with pytest.raises(DimensionError, match=r"shape \(1, 2\) .* shape \(1, 3\)"):
+            score(ids, np.array([[1, 0]]))
+    assert not np.array_equal(model.predict(ids, int_mask)[0], model.predict(ids)[0])
 
 
 @st.composite
