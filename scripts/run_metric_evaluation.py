@@ -9,7 +9,7 @@ attention exploration explainer, and prints the report tables.
 import argparse
 from pathlib import Path
 
-from attnexplain.explain import Explainer, Thresholds
+from attnexplain.explain import Explainer
 from attnexplain.eventlog import split
 from attnexplain.metrics import evaluate_all
 from attnexplain.synthlog import synth_log
@@ -33,14 +33,11 @@ def main():
     logobj, _ = synth_log(STRUCTURES[args.structure], args.n_traces, seed=1)
     train_log, test_log = split(logobj, 0.7, seed=42)
     model = train(train_log, ModelConfig(epochs=args.epochs, seed=args.seed, max_len=16))
-    thresholds = Thresholds()
 
     for name, method in (("backward", "backward"),
                          ("attention_exploration", "attention-exploration")):
-        explainer = Explainer(method, thresholds, seed=7)
-        report = evaluate_all(model, explainer, test_log,
-                              sample_frac=args.sample_frac,
-                              thresholds=thresholds, seed=7)
+        report = evaluate_all(model, Explainer(method, seed=7), test_log,
+                              sample_frac=args.sample_frac, seed=7)
         (out / f"report_{name}.json").write_text(report.to_json())
         print(f"--- {name} ({report.num_rules} rules, "
               f"precision {report.precision:.2f}, recall {report.recall:.2f})")

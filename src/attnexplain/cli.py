@@ -290,7 +290,6 @@ def cmd_evaluate(resolved) -> int:
     handle = _explainer_handle(resolved)
     model = TransformerModel.load(resolved["checkpoint"])
     report = metrics.evaluate_all(model, handle, _test_log(resolved, model),
-                                  thresholds=handle.thresholds,
                                   **_given(resolved, ("sample_frac", "seed")))
     _write_resolved(out, resolved, "evaluate")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")

@@ -213,9 +213,6 @@ def write_csv(logobj: EventLog, path) -> None:
                 writer.writerow([trace.case_id, logobj.label(aid), pos])
 
 
-_XES_NS = "{http://www.xes-standard.org/}"
-
-
 def parse_xes(path, activity_prefix: str | None = None, lifecycle: str | None = None) -> EventLog:
     """Parse an XES event log (concept:name on traces and events).
 

@@ -322,8 +322,9 @@ def sample_prefixes(logobj: EventLog, sample_frac: float, seed: int) -> list[Pre
 
 
 def evaluate_all(model, explainer, logobj: EventLog, sample_frac: float = 1.0,
-                 thresholds: Thresholds = Thresholds(), seed: int = 0) -> MetricReport:
-    """Run all five metrics over a seeded prefix sample.
+                 thresholds: Thresholds | None = None, seed: int = 0) -> MetricReport:
+    """Run all five metrics over a seeded prefix sample; completeness takes
+    ``thresholds``, by default the explainer's own (else ``Thresholds()``).
 
     One ``_firing_rules`` call explains the sample together, and each
     prefix that ``continuity`` and ``contrastivity`` explain alone,
@@ -331,6 +332,8 @@ def evaluate_all(model, explainer, logobj: EventLog, sample_frac: float = 1.0,
     ``explain.Explainer``, else one call on the sample and one per distinct
     prefix. ``Explainer`` is a deterministic function of (model, prefix
     ids), because every one-prefix call draws the same sub-seed."""
+    if thresholds is None:
+        thresholds = getattr(explainer, "thresholds", Thresholds())
     prefixes = sample_prefixes(logobj, sample_frac, seed)
     perturbed = _perturbed_pairs(model, prefixes, seed)
     contrasted = _contrasted_pairs(model, prefixes, seed)

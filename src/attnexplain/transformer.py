@@ -68,8 +68,10 @@ _LN_EPS = 1e-5
 # 3 MiB a chunk. With the forward's temporaries written in place, a larger
 # chunk spreads the per-op call overhead over more rows.
 _PREDICT_TOKENS = 384
-# Distinct rows ``score_rows`` forwards per ``predict`` call; bounds the
-# attention it holds at once to 2.25 MiB at T = 24, h = 4.
+# Distinct rows ``score_rows`` forwards per ``predict`` call. Forwarding its own
+# 384-token chunks instead lost explore_long 6 of 6 pairs, with medians explain
+# 201 -> 139, evaluate 249 -> 190 and exp2 16.9k -> 11.5k; a CLI exp2 took 191k
+# minor page faults against 111k.
 _SCORE_ROWS = 128
 # Upper bounds on the sizes that shape the model's arrays, checked before
 # any is allocated. At max_len 4096 one prefix's attention already takes

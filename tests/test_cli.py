@@ -284,11 +284,21 @@ EXIT_CASES = {
                              2, "seed must be >= 0, got -1"),
     "synth-n-traces-zero": ([*OUT, "synth", "--spec", "{tmp}/spec.txt", "--n-traces", "0"], 2,
                             "n_traces must be >= 1, got 0"),
+    "log-header-only": ([*OUT, "stats", "--log", "{tmp}/header_only.csv"], 4, "no event rows"),
+    "train-one-trace": ([*OUT, "train", "--log", "{tmp}/one_trace.csv", *TRAIN_FLAGS], 2,
+                        "need at least 2 traces to split, got 1"),
+    "config-learning-rate-beyond-float": (["--config", "{tmp}/lr_big.json", *TRAIN], 2,
+                                          "is not valid for --learning-rate"),
+    "exp2-without-checkpoint": ([*OUT, "prestudy", "--which", "exp2", "--log", "{log}"], 4,
+                                "experiment 2 needs --checkpoint"),
+    "checkpoint-format-version-2": ([*BAD_CHECKPOINT, "{tmp}/version_2.npz"], 4,
+                                    "unsupported checkpoint version 2"),
 }
 CHECKPOINT_METAS = {
     "meta_not_json.npz": b"{not json",
     "meta_list.npz": b"[1, 2]",
     "meta_no_config.npz": b'{"format_version": 1, "activity_labels": ["A", "B", "C"]}',
+    "version_2.npz": b'{"format_version": 2, "config": {}, "activity_labels": ["A", "B", "C"]}',
 }
 CONFIG_FILES = {
     "config.json": "{not json",
@@ -307,6 +317,9 @@ CONFIG_FILES = {
     "seed_-1.json": '{"seed": -1}',
     "max_iter_x.spec": "kind = loop\nbody = A B\nmax_iter = x\n",
     "max_iter_big.spec": "kind = loop\nbody = A B\nmax_iter = 20000\n",
+    "header_only.csv": "case,activity,time\n",
+    "one_trace.csv": "case,activity,time\nc1,A,1\nc1,B,2\n",
+    "lr_big.json": '{"learning_rate": 1' + "0" * 400 + "}",  # an integer beyond float
 }
 
 
@@ -392,6 +405,39 @@ def test_empty_time_col_reads_as_the_library_without_one(tmp_path):
 
 BOM_ARGV = {"log": ["stats", "--log", "{log}"], "spec": ["synth", "--spec", "{spec}"],
             "config": ["--config", "{config}", "synth", "--spec", "{spec}"]}
+
+
+# The unnamed trace is read as case_0; the unnamed event, the "start" event
+# and the event without a lifecycle are dropped; "COMPLETE" matches.
+LIFECYCLE_XES = """<?xml version="1.0" encoding="UTF-8"?>
+<log xmlns="http://www.xes-standard.org/">
+  <trace>
+    <event><string key="concept:name" value="A"/>
+      <string key="lifecycle:transition" value="complete"/></event>
+    <event><string key="concept:name" value="A"/>
+      <string key="lifecycle:transition" value="start"/></event>
+    <event><string key="lifecycle:transition" value="complete"/></event>
+    <event><string key="concept:name" value="B"/>
+      <string key="lifecycle:transition" value="COMPLETE"/></event>
+  </trace>
+  <trace>
+    <string key="concept:name" value="t2"/>
+    <event><string key="concept:name" value="B"/>
+      <string key="lifecycle:transition" value="complete"/></event>
+    <event><string key="concept:name" value="C"/></event>
+  </trace>
+</log>
+"""
+
+
+def test_xes_log_with_lifecycle_filter_and_unnamed_elements(tmp_path):
+    path = tmp_path / "log.xes"
+    path.write_text(LIFECYCLE_XES, encoding="utf-8")
+    out = tmp_path / "stats"
+    assert main(["--out-dir", str(out), "stats", "--log", str(path), "--format", "xes",
+                 "--lifecycle", "complete"]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert (stats["num_cases"], stats["num_events"], stats["num_activities"]) == (2, 3, 2)
 
 
 @pytest.mark.parametrize("kind", sorted(BOM_ARGV))

@@ -125,7 +125,8 @@ def test_explainers_reject_options_out_of_range(tiny_model, explain, option):
 
 
 def test_config_and_thresholds_raise_usage_errors():
-    for make, option in ((ModelConfig, {"h": 0}), (Thresholds, {"delta_sim": float("nan")})):
+    for make, option in ((ModelConfig, {"h": 0}), (Thresholds, {"delta_sim": float("nan")}),
+                         (Explainer, {"method": "bogus"})):
         with pytest.raises(UsageError) as exc:
             make(**option)
         assert isinstance(exc.value, ValueError)
@@ -447,6 +448,29 @@ def test_backward_explain_matches_set_fold(case):
     assert graph.vertices == vertices and graph.edges == edges
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_backward_explain_is_the_set_fold_of_relevant_activities(trained_chain_model, seed):
+    model, _ = trained_chain_model
+    pad, th = model.pad_id, Thresholds(delta_attr=0.3)
+    rng = np.random.default_rng(seed)
+    # More than one window of prefixes, repeated and all-PAD ones among them.
+    prefixes = [tuple(rng.integers(0, pad + 1, size=rng.integers(1, 7)).tolist())
+                for _ in range(80)]
+    sub_seeds = np.random.SeedSequence(seed).generate_state(80).tolist()
+    steps = {}  # prefix index -> (relevant, likely next), for each prefix with an activity
+    for i, (ids, sub_seed) in enumerate(zip(prefixes, sub_seeds)):
+        if set(ids) != {pad}:
+            a_r, _, p_orig, _ = relevant_activities(model, ids, th, n_mods=8, seed=sub_seed)
+            steps[i] = set(a_r.tolist()), set(likely_next(p_orig, th, pad).tolist())
+    handle = Explainer("backward", th, n_mods=8, seed=seed)
+    assert {i: (set(a_r.tolist()), set(p_r.tolist()))
+            for i, _, a_r, p_r, _ in handle._steps(model, prefixes, sub_seeds)} == steps
+    vertices, edges = set_fold(model.activity_labels, [
+        (ids, *steps.get(i, (set(), set()))) for i, ids in enumerate(prefixes)], pad)
+    graph = backward_explain(model, prefixes, th, n_mods=8, seed=seed)
+    assert graph.edges and graph.vertices == vertices and graph.edges == edges
+
+
 def fig_style_mock():
     labels = ["A", "B", "C", "D", "E"]
     # prefix 1: <B, A, C, B, E>, relevant {B, C}, predicted {B, D}
@@ -749,3 +773,26 @@ def test_explaining_same_length_prefixes_alone_scores_once_per_pass(monkeypatch)
         calls.clear()
         Explainer(method, n_mods=4).explain(ABC_MODEL, (), prefixes)
         assert len(calls) == passes
+
+
+@pytest.mark.parametrize("method", ["backward", "attention-exploration"])
+def test_phase_calls_hold_at_most_the_row_bound(monkeypatch, method):
+    rng = np.random.default_rng(0)
+    # One window of one length: about 21 relevance rows a prefix, over 1024 in all.
+    prefixes = [tuple(rng.integers(0, 3, size=10).tolist()) for _ in range(explain._WINDOW)]
+    calls = []
+    score_rows = explain.score_rows
+
+    def counting(model, ids, att_mask=None, sums=False):
+        calls.append(len(ids))
+        return score_rows(model, ids, att_mask, sums)
+
+    monkeypatch.setattr(explain, "score_rows", counting)
+    handle = Explainer(method, Thresholds(delta_attr=0.0), n_mods=20, subset_cap=16, seed=1)
+    graph = handle(LONG_MODEL, prefixes)
+    assert graph.edges and sum(calls) > explain._PHASE_ROWS >= max(calls)
+    # A bound below every block: each block has a call of its own, unsplit.
+    monkeypatch.setattr(explain, "_PHASE_ROWS", 7)
+    calls.clear()
+    assert handle(LONG_MODEL, prefixes) == graph
+    assert len(calls) >= len(prefixes) and max(calls) > 7

@@ -627,12 +627,35 @@ def test_evaluate_all_explains_each_firing_prefix_once(trained_chain_model):
     assert set(firing) == {keys[0] for keys in wanted}
 
 
-@pytest.mark.parametrize("method", ["backward", "attention-exploration"])
-def test_evaluate_all_through_the_handle_matches_a_plain_callable(method):
+def loop_log_and_model():
     from test_explain import LONG_MODEL
     loop = ["A", "B", "C"] * 4
-    logobj = build_log([(f"c{i}", loop[i % 3:i % 3 + 3 + i]) for i in range(10)])
+    return build_log([(f"c{i}", loop[i % 3:i % 3 + 3 + i]) for i in range(10)]), LONG_MODEL
+
+
+@pytest.mark.parametrize("method", ["backward", "attention-exploration"])
+def test_evaluate_all_through_the_handle_matches_a_plain_callable(method):
+    logobj, model = loop_log_and_model()
     handle = Explainer(method, n_mods=4, subset_cap=4, seed=3)
-    reports = [evaluate_all(LONG_MODEL, explainer, logobj, sample_frac=0.5, seed=2).to_json()
+    reports = [evaluate_all(model, explainer, logobj, sample_frac=0.5, seed=2).to_json()
                for explainer in (handle, lambda m, p: handle(m, p))]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_explaining_alone_in_later_chunks_changes_no_report(monkeypatch, chunk):
+    logobj, model = loop_log_and_model()
+    handle = Explainer("attention-exploration", n_mods=4, subset_cap=4, seed=3)
+    report = evaluate_all(model, handle, logobj, sample_frac=0.5, seed=2).to_json()
+    monkeypatch.setattr(metrics, "_ALONE_CHUNK", chunk)
+    assert evaluate_all(model, handle, logobj, sample_frac=0.5, seed=2).to_json() == report
+
+
+def test_evaluate_all_takes_the_explainers_thresholds():
+    logobj, model = loop_log_and_model()
+    thresholds = Thresholds(delta_pred=0.3)
+    handle = Explainer("backward", thresholds, n_mods=4, seed=3)
+    report = evaluate_all(model, handle, logobj, seed=2).to_json()
+    assert evaluate_all(model, handle, logobj, thresholds=thresholds, seed=2).to_json() == report
+    # an explicit value wins, and here scores completeness differently
+    assert evaluate_all(model, handle, logobj, thresholds=Thresholds(), seed=2).to_json() != report

@@ -68,15 +68,21 @@ def test_compare_models_matches_per_prefix_loop(abc_log, scope):
     learned = TransformerModel(TINY_CONFIG, abc_log.activity_labels)
     frozen = TransformerModel(replace(TINY_CONFIG, attention_mode=ATTENTION_FROZEN_UNIFORM),
                               abc_log.activity_labels, rng=np.random.default_rng(1))
-    rng = np.random.default_rng(4)
-    # Lengths 1-8 interleaved, so each length batch scatters to scattered rows.
-    prefixes = [rng.integers(0, learned.pad_id + 1, size=int(n))
-                for n in rng.permutation(np.repeat(np.arange(1, 9), 3))]
-    expected = loop_compare_models(learned, frozen, prefixes, scope)
+    # Per-length results left unscattered would fail the equality below
+    # only if the loop means differ in their last bits when taken in length
+    # order. Which data does that depends on the BLAS kernel, so the data
+    # seed is searched under the running one.
+    for seed in range(4, 44):
+        rng = np.random.default_rng(seed)
+        # Lengths 1-8 interleaved, so each length batch scatters to scattered rows.
+        prefixes = [rng.integers(0, learned.pad_id + 1, size=int(n))
+                    for n in rng.permutation(np.repeat(np.arange(1, 9), 3))]
+        expected = loop_compare_models(learned, frozen, prefixes, scope)
+        if loop_compare_models(learned, frozen, sorted(prefixes, key=len), scope) != expected:
+            break
+    else:
+        pytest.fail("no data seed in [4, 44) makes length order change the loop means")
     assert expected[0] > 0.0 and expected[1] > 0.0
-    # These means differ in their last bits when taken in length order, so
-    # per-length results left unscattered would fail the equality below.
-    assert loop_compare_models(learned, frozen, sorted(prefixes, key=len), scope) != expected
     assert compare_models(learned, frozen, prefixes, scope) == expected
 
 
