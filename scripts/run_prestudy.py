@@ -47,7 +47,7 @@ def main():
     exp2 = experiment2(model, prefixes)
     (out / "exp2.csv").write_text(exp2.to_csv())
     (out / "exp2.json").write_text(exp2.to_json())
-    print(f"exp2: {len(exp2.rows)} TVD values, histogram {list(exp2.histogram)}")
+    print(f"exp2: {len(exp2.tvd)} TVD values, histogram {list(exp2.histogram)}")
     print(f"wrote results to {out}/")
 
 

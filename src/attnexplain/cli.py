@@ -249,7 +249,7 @@ def cmd_prestudy(resolved) -> int:
         _write_resolved(out, resolved, "prestudy")
         (out / "exp2.csv").write_text(result.to_csv(), encoding="utf-8")
         (out / "exp2.json").write_text(result.to_json(), encoding="utf-8")
-        sys.stdout.write(f"wrote {len(result.rows)} TVD values\n")
+        sys.stdout.write(f"wrote {len(result.tvd)} TVD values\n")
     return 0
 
 

@@ -51,10 +51,7 @@ def _prefix_ids(prefix) -> np.ndarray:
 
 def _last_activity(prefix, pad_id: int) -> int | None:
     """The last non-PAD activity id of a prefix, or None if it is all PAD."""
-    for aid in reversed(_prefix_ids(prefix).tolist()):
-        if aid != pad_id:
-            return aid
-    return None
+    return next((aid for aid in reversed(_prefix_ids(prefix).tolist()) if aid != pad_id), None)
 
 
 @dataclass(frozen=True)
@@ -304,15 +301,13 @@ def extract_prefixes(logobj: EventLog) -> list[Prefix]:
     return out
 
 
-def unique_prefixes(prefixes) -> list[Prefix]:
-    """First occurrence of each distinct activity sequence, in order."""
-    seen = set()
-    out = []
+def unique_prefixes(prefixes) -> list:
+    """First occurrence of each distinct activity sequence, in order, keyed
+    by its id bytes. Takes Prefixes or id sequences."""
+    seen = {}
     for p in prefixes:
-        if p.activities not in seen:
-            seen.add(p.activities)
-            out.append(p)
-    return out
+        seen.setdefault(_prefix_ids(p).tobytes(), p)
+    return list(seen.values())
 
 
 def length_batches(prefixes):

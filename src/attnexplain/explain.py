@@ -30,7 +30,7 @@ import numpy as np
 
 from .attnstats import cosine_distances, max_normalize
 from .errors import UsageError
-from .eventlog import _prefix_ids
+from .eventlog import _last_activity, _prefix_ids
 from .transformer import _length_error, score_rows
 
 
@@ -84,9 +84,17 @@ class ExplanationGraph:
 # --------------------------------------------------------- shared machinery
 
 
-def _check_at_least(name: str, value, low: int) -> None:
+# Limits of ``n_mods`` and ``subset_cap``: each counts the variant rows a
+# ``_WINDOW`` of prefixes holds before scoring. 64 random length-64 prefixes
+# peaked at 241 MiB RSS at n_mods 4096 and 376 MiB at subset_cap 4096.
+MAX_N_MODS = MAX_SUBSET_CAP = 4096
+
+
+def _check_range(name: str, value, low: int, high: int) -> None:
     if not value >= low:
         raise UsageError(f"{name} must be >= {low}, got {value!r}")
+    if not value <= high:
+        raise UsageError(f"{name} must be <= {high}, got {value!r}")
 
 
 def _graph(labels, adjacency: np.ndarray, vertices: np.ndarray) -> ExplanationGraph:
@@ -134,6 +142,7 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
     ``delta_sim`` cosine distance of the original. A variant equal to an
     earlier row is forwarded once.
     """
+    _check_range("n_mods", n_mods, 0, MAX_N_MODS)
     ids = _prefix_ids(prefix)
     if not len(ids):
         raise _length_error(0, model.config.max_len)
@@ -324,23 +333,24 @@ class Explainer:
         return self.explain(model, prefixes)[0]
 
     def explain(self, model, together, alone=()) -> tuple[ExplanationGraph, list]:
-        """The graph of ``together`` explained together, and the graph of
-        each of ``alone`` explained on its own, ``[self(model, [p]) for p in
-        alone]``, from one ``_steps`` call. A one-prefix call always draws
-        the same sub-seed, so the prefixes of one length in ``alone`` share
-        their masking and their calls."""
+        """The graph of ``together``, and for each p of ``alone`` the labels
+        its last non-PAD activity points to in ``self(model, [p])`` (None if
+        it has none), from one ``_steps`` call. A one-prefix call always
+        draws the same sub-seed, so the prefixes of one length in ``alone``
+        share their masking and their calls."""
         n, state = len(together), np.random.SeedSequence(entropy=self.seed).generate_state
         sub_seeds = state(max(n, 1)).tolist()[:n] + state(1).tolist() * len(alone)
-        graphs = [self._fold(model, [])] * len(alone) if len(alone) else []
+        labels, rules = model.activity_labels, [None] * len(alone)
 
-        def together_steps():  # folding each step of ``alone`` as it passes
+        def together_steps():  # reducing each step of ``alone`` to its rule as it passes
             for step in self._steps(model, [*together, *alone], sub_seeds):
                 if step[0] < n:
                     yield step
                 else:
-                    graphs[step[0] - n] = self._fold(model, [step])
+                    graph = self._fold(model, [step])
+                    rules[step[0] - n] = frozenset(graph.successors(labels[step[1]]))
 
-        return self._fold(model, together_steps()), graphs
+        return self._fold(model, together_steps()), rules
 
     def _steps(self, model, prefixes, sub_seeds):
         """``(i, last, a_r, p_r, K)`` for each prefix i with an activity, in
@@ -352,34 +362,34 @@ class Explainer:
         order; per group each distinct sub-seed's masking is drawn once, and
         each pass (relevance rows, then scenario rows) goes through
         ``_scored_blocks``."""
-        _check_at_least("n_mods", self.n_mods, 0)
+        _check_range("n_mods", self.n_mods, 0, MAX_N_MODS)
         explore = self.method != "backward"
         if explore:
-            _check_at_least("subset_cap", self.subset_cap, 1)
+            _check_range("subset_cap", self.subset_cap, 1, MAX_SUBSET_CAP)
         th, nA = self.thresholds, model.num_activities
         for start in range(0, len(prefixes), _WINDOW):
-            groups, steps = {}, []  # length -> (i, ids) of the prefixes with an activity
+            groups, steps = {}, []  # length -> (i, ids, last) of the prefixes with an activity
             for i in range(start, min(start + _WINDOW, len(prefixes))):
                 ids = _prefix_ids(prefixes[i])
-                if (ids != model.pad_id).any():
-                    groups.setdefault(len(ids), []).append((i, ids))
+                if (last := _last_activity(ids, model.pad_id)) is not None:
+                    groups.setdefault(len(ids), []).append((i, ids, last))
             for length, group in groups.items():
                 masks = {s: random_maskings(length, self.n_mods, np.random.default_rng(s))
-                         for s in {sub_seeds[i] for i, _ in group}}
+                         for s in {sub_seeds[i] for i, *_ in group}}
                 found = [_relevance(*scored, th) for scored in _scored_blocks(
-                    model, [_masked_rows(model, ids, masks[sub_seeds[i]]) for i, ids in group])]
+                    model, [_masked_rows(model, ids, masks[sub_seeds[i]]) for i, ids, _ in group])]
                 p_rs = [likely_next(p_orig, th, nA) for _, _, p_orig, _ in found]
                 Ks = [None] * len(group)
                 if explore:
                     scenarios = [_scenario_rows(model, ids, a_r, p_r, self.subset_cap, sub_seeds[i])
-                                 for (i, ids), (a_r, *_), p_r in zip(group, found, p_rs)]
+                                 for (i, ids, _), (a_r, *_), p_r in zip(group, found, p_rs)]
                     scored = _scored_blocks(model, [variants for _, variants in scenarios])
                     Ks = [score_matrices_for_prefix(model, ids, *scenario, *rows, p_r, p_orig,
                                                     psi_orig, th)
-                          for (_, ids), scenario, rows, p_r, (_, _, p_orig, psi_orig)
+                          for (_, ids, _), scenario, rows, p_r, (_, _, p_orig, psi_orig)
                           in zip(group, scenarios, scored, p_rs, found)]
-                steps += [(i, int(ids[ids != model.pad_id][-1]), a_r, p_r, K)
-                          for (i, ids), (a_r, *_), p_r, K in zip(group, found, p_rs, Ks)]
+                steps += [(i, last, a_r, p_r, K)
+                          for (i, _, last), (a_r, *_), p_r, K in zip(group, found, p_rs, Ks)]
             yield from sorted(steps, key=lambda step: step[0])
 
     def _fold(self, model, steps) -> ExplanationGraph:

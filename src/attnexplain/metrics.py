@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
 from .attnstats import tvd
 from .errors import UsageError
 from .eventlog import (EventLog, Prefix, _last_activity, _prefix_ids, extract_prefixes,
-                       length_batches)
+                       length_batches, unique_prefixes)
 from .explain import ExplanationGraph, Thresholds, likely_next
 from .transformer import score_rows
 
@@ -194,37 +193,23 @@ def completeness(model, rules: set[Rule], prefixes, thresholds: Thresholds = Thr
     return MetricValue(mean=f1, std=0.0, n=len(active)), prec, rec
 
 
-# Prefixes per ``Explainer.explain`` call in ``_firing_rules``: it holds
-# their graphs until each is reduced to its firing rule.
-_ALONE_CHUNK = 1024
-
-
 def _firing_rules(model, explainer, pairs, together=None):
-    """The graph of ``together`` (if given) explained together, and a lookup
-    from each prefix of the ``pairs`` to the right-hand side of the rule
-    firing for its last non-PAD activity, under an explanation of that
-    prefix alone; None for a prefix with no activity. One
-    ``explainer.explain`` call gives both for an ``explain.Explainer``; a
-    plain callable is called on ``together`` and once per distinct prefix.
-    This relies on the explainer being a deterministic function of (model,
-    prefix ids)."""
-    lasts = {}
-    for prefix in (p for pair in pairs if pair for p in pair):
-        last = _last_activity(prefix, model.pad_id)
-        if last is not None:
-            lasts.setdefault(_prefix_ids(prefix).tobytes(), (prefix, model.activity_labels[last]))
-    alone = [prefix for prefix, _ in lasts.values()]
-    if hasattr(explainer, "explain"):  # _ALONE_CHUNK graphs at a time
-        graph, graphs = explainer.explain(model, () if together is None else together,
-                                          alone[:_ALONE_CHUNK])
-        graphs = chain(graphs, chain.from_iterable(
-            explainer.explain(model, (), alone[i:i + _ALONE_CHUNK])[1]
-            for i in range(_ALONE_CHUNK, len(alone), _ALONE_CHUNK)))
+    """The graph of ``together`` (if given), and a lookup from each prefix of
+    the ``pairs`` to the right-hand side of the rule firing for its last
+    non-PAD activity when it is explained alone (None if it has none): one
+    ``explain`` call for an ``explain.Explainer``; a plain callable is called
+    on ``together`` and once per distinct prefix with an activity. This
+    relies on the explainer being a deterministic function of (model, prefix
+    ids)."""
+    alone = unique_prefixes(p for pair in pairs if pair for p in pair)
+    if hasattr(explainer, "explain"):
+        graph, rules = explainer.explain(model, () if together is None else together, alone)
     else:
         graph = None if together is None else explainer(model, together)
-        graphs = (explainer(model, [prefix]) for prefix in alone)
-    rhs = {key: frozenset(g.successors(label)) for (key, (_, label)), g in zip(lasts.items(), graphs)}
-    return graph, lambda prefix: rhs.get(_prefix_ids(prefix).tobytes())
+        rules = [None if (last := _last_activity(p, model.pad_id)) is None else frozenset(
+            explainer(model, [p]).successors(model.activity_labels[last])) for p in alone]
+    rhs = {_prefix_ids(p).tobytes(): rule for p, rule in zip(alone, rules)}
+    return graph, lambda prefix: rhs[_prefix_ids(prefix).tobytes()]
 
 
 def _jaccard(a: frozenset | None, b: frozenset | None) -> float | None:
@@ -330,8 +315,9 @@ def evaluate_all(model, explainer, logobj: EventLog, sample_frac: float = 1.0,
     prefix that ``continuity`` and ``contrastivity`` explain alone,
     perturbed ones included, on its own: one ``explain`` call for an
     ``explain.Explainer``, else one call on the sample and one per distinct
-    prefix. ``Explainer`` is a deterministic function of (model, prefix
-    ids), because every one-prefix call draws the same sub-seed."""
+    prefix with an activity. ``Explainer`` is a deterministic function of
+    (model, prefix ids), because every one-prefix call draws the same
+    sub-seed."""
     if thresholds is None:
         thresholds = getattr(explainer, "thresholds", Thresholds())
     prefixes = sample_prefixes(logobj, sample_frac, seed)

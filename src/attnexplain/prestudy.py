@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -62,50 +61,42 @@ class Exp1Result:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class Exp2Rows(Sequence):
-    """Experiment 2's (prefix index, position, tvd) triples, held as three
-    (N,) arrays; each reads as an (int, int, float) tuple. Plain triples took
-    CLI exp2's peak RSS from 66.8 to 74.1 MiB on 128,206 values."""
-
-    def __init__(self, index: np.ndarray, position: np.ndarray, tvd: np.ndarray):
-        self.columns = (index, position, tvd)
-
-    def __len__(self):
-        return len(self.columns[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(zip(*(column[i].tolist() for column in self.columns)))
-        return tuple(column[i].item() for column in self.columns)
-
-    def __iter__(self):  # a chunk of Python numbers at a time
-        for start in range(0, len(self), 4096):
-            yield from self[start:start + 4096]
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-
 @dataclass(frozen=True)
 class Exp2Result:
-    rows: Exp2Rows
+    """Experiment 2's (prefix index, position, tvd) values as three (N,)
+    arrays, and their histogram. Plain triples took CLI exp2's peak RSS from
+    66.8 to 74.1 MiB on 128,206 values."""
+
+    index: np.ndarray
+    position: np.ndarray
+    tvd: np.ndarray
     histogram: tuple[int, ...]
     bin_edges: tuple[float, ...]
+
+    def _triples(self, part=slice(None)):
+        return zip(*(column[part].tolist() for column in (self.index, self.position, self.tvd)))
+
+    @property
+    def rows(self) -> tuple[tuple[int, int, float], ...]:
+        """The values as (int, int, float) triples, built when read."""
+        return tuple(self._triples())
+
+    def __eq__(self, other):
+        return (isinstance(other, Exp2Result) and self.rows == other.rows
+                and (self.histogram, self.bin_edges) == (other.histogram, other.bin_edges))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["prefix_index", "position", "tvd"])
-        for idx, pos, value in self.rows:
-            writer.writerow([idx, pos, f"{value:.12g}"])
+        for start in range(0, len(self.tvd), 4096):  # a chunk of Python numbers at a time
+            writer.writerows([idx, pos, f"{value:.12g}"]
+                             for idx, pos, value in self._triples(slice(start, start + 4096)))
         return buf.getvalue()
 
     def to_json(self) -> str:
-        payload = {
-            "histogram": list(self.histogram),
-            "bin_edges": list(self.bin_edges),
-            "n_values": len(self.rows),
-        }
+        payload = {"histogram": list(self.histogram), "bin_edges": list(self.bin_edges),
+                   "n_values": len(self.tvd)}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -177,7 +168,7 @@ def experiment2(model: TransformerModel, prefixes) -> Exp2Result:
     index = np.repeat(np.arange(len(prefixes)), lengths)
     hist, edges = np.histogram(values, bins=_N_BINS, range=(0.0, 1.0))
     return Exp2Result(
-        rows=Exp2Rows(index, np.arange(len(values)) - starts[index], values),
+        index=index, position=np.arange(len(values)) - starts[index], tvd=values,
         histogram=tuple(int(x) for x in hist),
         bin_edges=tuple(float(x) for x in edges),
     )

@@ -226,6 +226,9 @@ EXIT_CASES = {
                          "sample_frac must be in (0, 1], got 0.0"),
     "n-mods-negative": ([*EXPLAIN, "--n-mods", "-3"], 2, "n_mods must be >= 0, got -3"),
     "subset-cap-zero": ([*EXPLAIN, "--subset-cap", "0"], 2, "subset_cap must be >= 1, got 0"),
+    "n-mods-above-limit": ([*EXPLAIN, "--n-mods", "4097"], 2, "n_mods must be <= 4096, got 4097"),
+    "subset-cap-above-limit": ([*EXPLAIN, "--subset-cap", "4097"], 2,
+                               "subset_cap must be <= 4096, got 4097"),
     "delta-sim-nan": ([*EXPLAIN, "--delta-sim", "nan"], 2,
                       "delta_sim must be a finite number in [0, 1], got nan"),
     "delta-attr-negative": ([*EVALUATE, "--delta-attr", "-1"], 2,

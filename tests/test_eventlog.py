@@ -7,11 +7,13 @@ from attnexplain.errors import EmptyLogError, LogParseError, SchemaError, SplitE
 from attnexplain.eventlog import (
     END_LABEL,
     PAD_LABEL,
+    Prefix,
     build_log,
     extract_prefixes,
     parse_csv,
     parse_xes,
     split,
+    unique_prefixes,
     write_csv,
 )
 
@@ -226,3 +228,12 @@ def test_prefix_targets(abc_log):
     first_trace = [p for p in prefixes if p.source_case == "c1"]
     assert [p.activities for p in first_trace] == [(0,), (0, 1), (0, 1, 2)]
     assert [p.target for p in first_trace] == [1, 2, abc_log.end_id]
+
+
+def test_unique_prefixes_keeps_each_first_occurrence_of_prefixes_and_id_arrays():
+    ab = np.array([0, 1])
+    items = [ab, Prefix((0, 1), 2, "c1"), Prefix((1,), 2, "c1"), (0, 1), np.array([1]),
+             np.array([3, 0]), (), Prefix((3, 0), 1, "c2"), [0, 1, 2], (0, 1, 2)]
+    first = [items[i] for i in (0, 2, 5, 6, 8)]
+    got = unique_prefixes(items)
+    assert len(got) == len(first) and all(g is f for g, f in zip(got, first))

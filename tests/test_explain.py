@@ -124,6 +124,24 @@ def test_explainers_reject_options_out_of_range(tiny_model, explain, option):
     assert isinstance(exc.value, ValueError)
 
 
+@pytest.mark.parametrize("name, limit", [("n_mods", explain.MAX_N_MODS),
+                                         ("subset_cap", explain.MAX_SUBSET_CAP)])
+def test_options_above_their_limits_raise_before_anything_is_drawn(tiny_model, monkeypatch,
+                                                                   name, limit):
+    ids = (0, 1, 2)
+    calls = [lambda **option: attention_exploration_explain(tiny_model, [ids], **option)]
+    if name == "n_mods":
+        calls += [lambda **option: backward_explain(tiny_model, [ids], **option),
+                  lambda **option: relevant_activities(tiny_model, ids, Thresholds(), **option)]
+    for call in calls:
+        call(**{name: limit})  # the limit itself is accepted
+        with monkeypatch.context() as mp:
+            for drawing in ("random_maskings", "_subsets"):
+                mp.setattr(explain, drawing, lambda *_, d=drawing: pytest.fail(f"{d} ran"))
+            with pytest.raises(UsageError, match=f"^{name} must be <= {limit}, got {limit + 1}$"):
+                call(**{name: limit + 1})
+
+
 def test_config_and_thresholds_raise_usage_errors():
     for make, option in ((ModelConfig, {"h": 0}), (Thresholds, {"delta_sim": float("nan")}),
                          (Explainer, {"method": "bogus"})):
@@ -745,8 +763,13 @@ def test_explaining_prefixes_alone_equals_one_prefix_calls(prefixes, where, seed
     prefixes.insert(where % (len(prefixes) + 1), LOOP_PREFIX)
     handle = Explainer(method, n_mods=3, subset_cap=4, seed=seed)
     together, alone = prefixes[:3], prefixes[::-1]
-    graph, graphs = handle.explain(LONG_MODEL, together, alone)
-    assert graphs == [handle(LONG_MODEL, [p]) for p in alone]
+    graph, rules = handle.explain(LONG_MODEL, together, alone)
+    for prefix, rule in zip(alone, rules, strict=True):
+        if set(prefix) <= {LONG_PAD}:  # empty or all PAD: no activity
+            assert rule is None
+        else:
+            last = LONG_MODEL.activity_labels[[a for a in prefix if a != LONG_PAD][-1]]
+            assert rule == handle(LONG_MODEL, [prefix]).successors(last)
     assert graph == handle(LONG_MODEL, together)
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from attnexplain import explain, metrics, prestudy
 from attnexplain.attnstats import activity_score_sums, tvd
 from attnexplain.errors import UsageError
-from attnexplain.eventlog import Prefix, _last_activity, _prefix_ids, build_log, extract_prefixes
+from attnexplain.eventlog import (Prefix, _last_activity, _prefix_ids, build_log, extract_prefixes,
+                                  unique_prefixes)
 from attnexplain.explain import (
     Explainer,
     ExplanationGraph,
@@ -637,18 +638,15 @@ def loop_log_and_model():
 def test_evaluate_all_through_the_handle_matches_a_plain_callable(method):
     logobj, model = loop_log_and_model()
     handle = Explainer(method, n_mods=4, subset_cap=4, seed=3)
-    reports = [evaluate_all(model, explainer, logobj, sample_frac=0.5, seed=2).to_json()
-               for explainer in (handle, lambda m, p: handle(m, p))]
-    assert reports[0] == reports[1]
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_explaining_alone_in_later_chunks_changes_no_report(monkeypatch, chunk):
-    logobj, model = loop_log_and_model()
-    handle = Explainer("attention-exploration", n_mods=4, subset_cap=4, seed=3)
-    report = evaluate_all(model, handle, logobj, sample_frac=0.5, seed=2).to_json()
-    monkeypatch.setattr(metrics, "_ALONE_CHUNK", chunk)
-    assert evaluate_all(model, handle, logobj, sample_frac=0.5, seed=2).to_json() == report
+    for sample_frac in (0.5, 1.0):
+        reports = [evaluate_all(model, explainer, logobj, sample_frac=sample_frac, seed=2).to_json()
+                   for explainer in (handle, lambda m, p: handle(m, p))]
+        assert reports[0] == reports[1]
+    # the whole log explains prefixes alone over several windows of the phase
+    prefixes = sample_prefixes(logobj, 1.0, 2)
+    pairs = [*metrics._perturbed_pairs(model, prefixes, 2),
+             *metrics._contrasted_pairs(model, prefixes, 2)]
+    assert len(unique_prefixes(p for pair in pairs if pair for p in pair)) > explain._WINDOW
 
 
 def test_evaluate_all_takes_the_explainers_thresholds():

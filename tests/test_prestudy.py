@@ -149,3 +149,17 @@ def test_experiment2_rows_read_as_int_int_float_triples(tiny_model):
     assert all(type(i) is int and type(pos) is int and type(v) is float for i, pos, v in rows)
     assert rows[1:3] == tuple(rows)[1:3] and rows[-1] == tuple(rows)[-1]
     assert rows == tuple(rows) and rows != tuple(rows)[:-1]
+
+
+def test_experiment2_csv_across_its_chunk_boundary_equals_the_csv_of_its_rows(tiny_model):
+    rng = np.random.default_rng(0)
+    prefixes = [tuple(rng.integers(0, 3, size=4).tolist()) for _ in range(1100)]
+    result = experiment2(tiny_model, prefixes)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["prefix_index", "position", "tvd"])
+    for idx, pos, value in result.rows:
+        writer.writerow([idx, pos, f"{value:.12g}"])
+    assert len(result.rows) > 4096 and result.to_csv() == buf.getvalue()
+    assert result == experiment2(tiny_model, prefixes)
+    assert result != experiment2(tiny_model, prefixes[:-1])
