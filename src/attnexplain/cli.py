@@ -105,12 +105,15 @@ def _resolve(args, parser) -> dict:
     return resolved
 
 
-def _write_resolved(out_dir: Path, resolved: dict, command: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {**resolved, "command": command}  # the command that ran, not a config key
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _write(out: Path, resolved: dict, command: str, files: dict) -> None:
+    """Echo the resolved config into ``out``, with the command that ran (not
+    a config key), then write each ``name -> text`` artifact in order; a
+    payload that is not text is written as sorted, indented JSON."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in {"resolved_config.json": {**resolved, "command": command}, **files}.items():
+        if not isinstance(text, str):
+            text = json.dumps(text, indent=2, sort_keys=True) + "\n"
+        (out / name).write_text(text, encoding="utf-8")
 
 
 def _given(resolved, names) -> dict:
@@ -130,9 +133,10 @@ def _split(resolved, logobj: EventLog) -> tuple[EventLog, EventLog]:
     return split(logobj, **_given(resolved, ("train_frac", "seed")))
 
 
-def _test_log(resolved, model) -> EventLog:
-    """The test half of the resolved log; its vocabulary must be the
-    model's and its traces must fit the model."""
+def _model_and_test_log(resolved) -> tuple[TransformerModel, EventLog]:
+    """The checkpoint's model and the test half of the resolved log; the
+    log's vocabulary must be the model's and its test traces must fit it."""
+    model = TransformerModel.load(resolved["checkpoint"])
     logobj = _read_log(resolved)
     if logobj.activity_labels != model.activity_labels:
         raise CheckpointError(f"log activities {logobj.activity_labels} differ from "
@@ -142,7 +146,7 @@ def _test_log(resolved, model) -> EventLog:
     if longest > max_len:
         raise CheckpointError(f"test traces reach length {longest}, "
                               f"beyond the checkpoint's max_len {max_len}")
-    return test_log
+    return model, test_log
 
 
 def _add_log_flags(p):
@@ -176,9 +180,8 @@ def _add_threshold_flags(p):
     p.add_argument("--subset-cap", dest="subset_cap", type=int)
 
 
-def cmd_stats(resolved) -> int:
-    logobj = _read_log(resolved)
-    s = logobj.stats
+def cmd_stats(resolved) -> None:
+    s = _read_log(resolved).stats
     table = (
         f"cases      {s.num_cases}\n"
         f"activities {s.num_activities}\n"
@@ -189,26 +192,19 @@ def cmd_stats(resolved) -> int:
     )
     sys.stdout.write(table)
     if resolved.get("out_dir"):
-        out = Path(resolved["out_dir"])
-        _write_resolved(out, resolved, "stats")
-        (out / "stats.json").write_text(
-            json.dumps(asdict(s), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return 0
+        _write(Path(resolved["out_dir"]), resolved, "stats", {"stats.json": asdict(s)})
 
 
-def cmd_synth(resolved) -> int:
+def cmd_synth(resolved) -> None:
     out = Path(resolved["out_dir"])
     spec = synthlog.parse_spec_file(resolved["spec"])
     logobj, truth = synthlog.synth_log(spec, **_given(resolved, ("n_traces", "seed")))
-    _write_resolved(out, resolved, "synth")
+    _write(out, resolved, "synth", {"ground_truth_edges.json": sorted([list(e) for e in truth])})
     write_csv(logobj, out / "log.csv")
-    (out / "ground_truth_edges.json").write_text(
-        json.dumps(sorted([list(e) for e in truth]), indent=2) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {len(logobj.traces)} traces to {out / 'log.csv'}\n")
-    return 0
 
 
-def cmd_train(resolved) -> int:
+def cmd_train(resolved) -> None:
     out = Path(resolved["out_dir"])
     config = ModelConfig(**_given(resolved, _MODEL_KEYS))
     logobj = _read_log(resolved)
@@ -216,7 +212,7 @@ def cmd_train(resolved) -> int:
     config = replace(config, max_len=max(config.max_len, logobj.stats.max_len))
     train_log, test_log = _split(resolved, logobj)
     model = train(train_log, config)
-    _write_resolved(out, resolved, "train")
+    out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.npz")
     # Score the float32 model on disk, not the float64 one in memory.
     model = TransformerModel.load(out / "checkpoint.npz")
@@ -224,53 +220,43 @@ def cmd_train(resolved) -> int:
     f1 = metrics.weighted_f1(model, test_prefixes)
     report = {"weighted_f1": f1, "n_test_prefixes": len(test_prefixes),
               "n_train_traces": len(train_log.traces), "n_test_traces": len(test_log.traces)}
-    (out / "f1_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                        encoding="utf-8")
+    _write(out, resolved, "train", {"f1_report.json": report})
     sys.stdout.write(f"weighted F1 on test prefixes: {f1:.4f}\n")
-    return 0
 
 
-def cmd_prestudy(resolved) -> int:
-    out = Path(resolved["out_dir"])
-    if resolved["which"] == "exp1":
-        logobj = _read_log(resolved)
-        result = prestudy.experiment1(logobj, config=ModelConfig(**_given(resolved, _MODEL_KEYS)),
+def cmd_prestudy(resolved) -> None:
+    out, which = Path(resolved["out_dir"]), resolved["which"]
+    if which == "exp1":
+        result = prestudy.experiment1(_read_log(resolved),
+                                      config=ModelConfig(**_given(resolved, _MODEL_KEYS)),
                                       **_given(resolved, ("repeats", "train_frac", "scope")))
-        _write_resolved(out, resolved, "prestudy")
-        (out / "exp1.csv").write_text(result.to_csv(), encoding="utf-8")
-        (out / "exp1.json").write_text(result.to_json(), encoding="utf-8")
-        sys.stdout.write(f"wrote {len(result.points)} comparison points\n")
+        summary = f"wrote {len(result.points)} comparison points\n"
     else:
         if not resolved.get("checkpoint"):
             raise CheckpointError("experiment 2 needs --checkpoint of a trained model")
-        model = TransformerModel.load(resolved["checkpoint"])
-        prefixes = extract_prefixes(_test_log(resolved, model))
-        result = prestudy.experiment2(model, prefixes)
-        _write_resolved(out, resolved, "prestudy")
-        (out / "exp2.csv").write_text(result.to_csv(), encoding="utf-8")
-        (out / "exp2.json").write_text(result.to_json(), encoding="utf-8")
-        sys.stdout.write(f"wrote {len(result.tvd)} TVD values\n")
-    return 0
+        model, test_log = _model_and_test_log(resolved)
+        result = prestudy.experiment2(model, extract_prefixes(test_log))
+        summary = f"wrote {len(result.tvd)} TVD values\n"
+    _write(out, resolved, "prestudy",
+           {f"{which}.csv": result.to_csv(), f"{which}.json": result.to_json()})
+    sys.stdout.write(summary)
 
 
 def _explainer_handle(resolved) -> Explainer:
-    """The method's explainer with the given options bound; an option is
-    range-checked when the explainer runs."""
+    """The method's explainer with the given options bound. Building it
+    range-checks every option, so a bad one fails before any input is read."""
     thresholds = Thresholds(**_given(resolved, _THRESHOLD_FIELDS))
     return Explainer(resolved["method"], thresholds,
                      **_given(resolved, ("n_mods", "subset_cap", "seed")))
 
 
-def cmd_explain(resolved) -> int:
+def cmd_explain(resolved) -> None:
     out = Path(resolved["out_dir"])
     handle = _explainer_handle(resolved)
-    model = TransformerModel.load(resolved["checkpoint"])
-    prefixes = extract_prefixes(_test_log(resolved, model))
+    model, test_log = _model_and_test_log(resolved)
+    prefixes = extract_prefixes(test_log)
     prefixes = unique_prefixes(prefixes) if resolved.get("dedup", True) else prefixes
     graph = handle(model, prefixes)
-    _write_resolved(out, resolved, "explain")
-    (out / "graph.dot").write_text(to_dot(graph), encoding="utf-8")
-    (out / "graph.json").write_text(to_json(graph), encoding="utf-8")
     provenance = {
         "method": resolved["method"],
         "thresholds": asdict(handle.thresholds),
@@ -279,23 +265,20 @@ def cmd_explain(resolved) -> int:
         "n_vertices": len(graph.vertices),
         "n_edges": len(graph.edges),
     }
-    (out / "provenance.json").write_text(
-        json.dumps(provenance, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write(out, resolved, "explain", {"graph.dot": to_dot(graph), "graph.json": to_json(graph),
+                                      "provenance.json": provenance})
     sys.stdout.write(f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges\n")
-    return 0
 
 
-def cmd_evaluate(resolved) -> int:
+def cmd_evaluate(resolved) -> None:
     out = Path(resolved["out_dir"])
     handle = _explainer_handle(resolved)
-    model = TransformerModel.load(resolved["checkpoint"])
-    report = metrics.evaluate_all(model, handle, _test_log(resolved, model),
+    model, test_log = _model_and_test_log(resolved)
+    report = metrics.evaluate_all(model, handle, test_log,
                                   **_given(resolved, ("sample_frac", "seed")))
-    _write_resolved(out, resolved, "evaluate")
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "report.txt").write_text(report.to_table(), encoding="utf-8")
+    _write(out, resolved, "evaluate",
+           {"report.json": report.to_json(), "report.txt": report.to_table()})
     sys.stdout.write(report.to_table())
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,12 +341,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_resolve(args, parser))
+        args.func(_resolve(args, parser))
     except (AttnExplainError, OSError, KeyError, UnicodeDecodeError) as e:
         code, prefix = next((code, prefix) for types, code, prefix in _EXIT_CODES
                             if isinstance(e, types))
         sys.stderr.write(f"error: {prefix}{e}\n")
         return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -316,8 +316,8 @@ def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thre
 @dataclass(frozen=True)
 class Explainer:
     """One explainer with its options bound, called as ``(model, prefixes)``
-    to explain the prefixes together. An option is range-checked when the
-    explainer runs."""
+    to explain the prefixes together. Every option is range-checked when the
+    handle is built, for both methods; backward ignores ``subset_cap``."""
 
     method: str  # "backward" or "attention-exploration"
     thresholds: Thresholds = Thresholds()
@@ -328,6 +328,8 @@ class Explainer:
     def __post_init__(self):
         if self.method not in ("backward", "attention-exploration"):
             raise UsageError(f"unknown explainer method {self.method!r}")
+        _check_range("n_mods", self.n_mods, 0, MAX_N_MODS)
+        _check_range("subset_cap", self.subset_cap, 1, MAX_SUBSET_CAP)
 
     def __call__(self, model, prefixes) -> ExplanationGraph:
         return self.explain(model, prefixes)[0]
@@ -362,10 +364,7 @@ class Explainer:
         order; per group each distinct sub-seed's masking is drawn once, and
         each pass (relevance rows, then scenario rows) goes through
         ``_scored_blocks``."""
-        _check_range("n_mods", self.n_mods, 0, MAX_N_MODS)
         explore = self.method != "backward"
-        if explore:
-            _check_range("subset_cap", self.subset_cap, 1, MAX_SUBSET_CAP)
         th, nA = self.thresholds, model.num_activities
         for start in range(0, len(prefixes), _WINDOW):
             groups, steps = {}, []  # length -> (i, ids, last) of the prefixes with an activity

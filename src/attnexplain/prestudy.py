@@ -100,14 +100,18 @@ class Exp2Result:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _check_scope(scope: str) -> None:
+    if scope not in ("all_heads", "per_head"):
+        raise UsageError(f"unknown scope {scope!r}")
+
+
 def compare_models(baseline: TransformerModel, modified: TransformerModel,
                    prefixes, scope: str = "all_heads") -> tuple[float, float]:
     """Mean JSD between attention distributions and mean TVD between
     predictions over the given prefixes. ``per_head`` takes each prefix's
     mean of the per-head JSDs; ``all_heads`` compares the heads'
     concatenation."""
-    if scope not in ("all_heads", "per_head"):
-        raise ValueError(f"unknown scope {scope!r}")
+    _check_scope(scope)
     jsds, tvds = np.empty(len(prefixes)), np.empty(len(prefixes))
     for rows, ids in length_batches(prefixes):
         p_b, att_b = baseline.predict(ids)
@@ -128,6 +132,7 @@ def experiment1(logobj: EventLog, repeats: int = 5, config: ModelConfig = ModelC
     trace of the whole log, so that every test prefix fits."""
     if repeats < 1:
         raise UsageError(f"repeats must be >= 1, got {repeats}")
+    _check_scope(scope)
     config = replace(config, max_len=max(config.max_len, logobj.stats.max_len))
     root = np.random.SeedSequence(entropy=config.seed)
     split_seed, *model_seeds = [int(s) for s in root.generate_state(repeats + 1)]

@@ -122,22 +122,32 @@ def test_config_file_with_flag_override(tmp_path, log_file):
 
 
 def test_rerun_is_byte_identical(tmp_path, spec_file, log_file, checkpoint):
-    """Primary outputs of every command are reproducible byte for byte."""
-    pairs = []
-    for tag in ("x", "y"):
-        synth = tmp_path / f"synth_{tag}"
-        main(["--seed", "1", "--out-dir", str(synth), "synth",
-              "--spec", str(spec_file), "--n-traces", "30"])
-        train = tmp_path / f"train_{tag}"
-        main(["--seed", "1", "--out-dir", str(train), "train",
-              "--log", str(log_file), *TRAIN_FLAGS])
-        explain = tmp_path / f"explain_{tag}"
-        main(["--seed", "1", "--out-dir", str(explain), "explain",
-              "--method", "attention-exploration", "--checkpoint", str(checkpoint),
-              "--log", str(log_file), "--n-mods", "4"])
-        pairs.append((read_bytes(synth), read_bytes(train), read_bytes(explain)))
-    for first, second in zip(*pairs):
-        assert first == second
+    """Every command writes the same files, byte for byte, when rerun."""
+    log = ["--log", str(log_file)]
+    explainer = [*log, "--checkpoint", str(checkpoint), "--n-mods", "4"]
+    methods = ("backward", "attention-exploration")
+    runs = {  # output directory: (argv after --out-dir, files besides resolved_config.json)
+        "synth": (["synth", "--spec", str(spec_file), "--n-traces", "30"],
+                  {"log.csv", "ground_truth_edges.json"}),
+        "stats": (["stats", *log], {"stats.json"}),
+        "train": (["train", *log, *TRAIN_FLAGS], {"checkpoint.npz", "f1_report.json"}),
+        **{f"explain-{m}": (["explain", "--method", m, *explainer],
+                            {"graph.dot", "graph.json", "provenance.json"}) for m in methods},
+        **{f"evaluate-{m}": (["evaluate", "--method", m, *explainer, "--sample-frac", "0.5"],
+                             {"report.json", "report.txt"}) for m in methods},
+        "exp1": (["prestudy", "--which", "exp1", *log, "--repeats", "1", *TRAIN_FLAGS],
+                 {"exp1.csv", "exp1.json"}),
+        "exp2": (["prestudy", "--which", "exp2", *log, "--checkpoint", str(checkpoint)],
+                 {"exp2.csv", "exp2.json"}),
+    }
+    for name, (argv, files) in runs.items():
+        outputs = []
+        for tag in ("x", "y"):
+            out = tmp_path / tag / name
+            assert main(["--seed", "1", "--out-dir", str(out), *argv]) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted({"resolved_config.json", *files})
+            outputs.append(read_bytes(out))
+        assert outputs[0] == outputs[1], name
 
 
 def write_log(path, traces):
@@ -226,6 +236,12 @@ EXIT_CASES = {
                          "sample_frac must be in (0, 1], got 0.0"),
     "n-mods-negative": ([*EXPLAIN, "--n-mods", "-3"], 2, "n_mods must be >= 0, got -3"),
     "subset-cap-zero": ([*EXPLAIN, "--subset-cap", "0"], 2, "subset_cap must be >= 1, got 0"),
+    "subset-cap-zero-backward": (
+        [*OUT, "explain", "--method", "backward", "--log", "{log}", "--checkpoint", "{ckpt}",
+         "--subset-cap", "0"], 2, "subset_cap must be >= 1, got 0"),
+    "n-mods-with-missing-checkpoint": (
+        [*OUT, "evaluate", "--method", "backward", "--log", "{log}", "--checkpoint",
+         "{tmp}/none.npz", "--n-mods", "-1"], 2, "n_mods must be >= 0, got -1"),
     "n-mods-above-limit": ([*EXPLAIN, "--n-mods", "4097"], 2, "n_mods must be <= 4096, got 4097"),
     "subset-cap-above-limit": ([*EXPLAIN, "--subset-cap", "4097"], 2,
                                "subset_cap must be <= 4096, got 4097"),
@@ -374,6 +390,7 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, monkeypatch, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_values_take_their_flag_type(tmp_path, log_file):

@@ -143,8 +143,12 @@ def test_options_above_their_limits_raise_before_anything_is_drawn(tiny_model, m
 
 
 def test_config_and_thresholds_raise_usage_errors():
+    # backward ignores subset_cap, but is built only with one in range
     for make, option in ((ModelConfig, {"h": 0}), (Thresholds, {"delta_sim": float("nan")}),
-                         (Explainer, {"method": "bogus"})):
+                         (Explainer, {"method": "bogus"}),
+                         (Explainer, {"method": "backward", "subset_cap": 0}),
+                         (Explainer, {"method": "backward",
+                                      "subset_cap": explain.MAX_SUBSET_CAP + 1})):
         with pytest.raises(UsageError) as exc:
             make(**option)
         assert isinstance(exc.value, ValueError)

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from attnexplain import prestudy
 from attnexplain.attnstats import flatten, jsd, tvd
+from attnexplain.errors import UsageError
 from attnexplain.eventlog import build_log, extract_prefixes
 from attnexplain.prestudy import compare_models, experiment1, experiment2
 from attnexplain.transformer import (
@@ -101,6 +103,12 @@ def test_experiment1_shapes_and_determinism(abc_log):
 def test_experiment1_rejects_bad_repeats(abc_log):
     with pytest.raises(ValueError):
         experiment1(abc_log, repeats=0, config=SMALL_CONFIG)
+
+
+def test_experiment1_rejects_an_unknown_scope_before_training(abc_log, monkeypatch):
+    monkeypatch.setattr(prestudy, "train", lambda *_: pytest.fail("trained before the check"))
+    with pytest.raises(UsageError, match="^unknown scope 'bogus'$"):
+        experiment1(abc_log, repeats=1, config=SMALL_CONFIG, scope="bogus")
 
 
 def test_exp1_serialization(abc_log):
