@@ -10,13 +10,13 @@ Two attention modes exist: ``learned`` (normal training) and
 ``frozen_uniform``, where every attention row is exactly the uniform
 distribution and the query/key projections receive no gradients.
 
-Every contraction is a matmul on reshaped views. The per-head projections
-``Wq``, ``Wk`` and ``Wv`` are stored as ``(h, d, dh)`` arrays (checkpoint
-format v1); at use each is reshaped to ``(d, d)`` with head-major columns
-and the three are concatenated into one ``(d, 3d)`` Q|K|V matrix, so the
-forward projects with a single product and the backward takes all three
-gradients from one. Nothing keeps the fused copy, because training
-updates the parameters in place. ``frozen_uniform`` projects V only.
+Every contraction is a matmul on reshaped views. The parameters live in
+one flat float64 buffer, where ``Wq``, ``Wk`` and ``Wv`` (``Wv`` alone in
+``frozen_uniform``) form one ``(d, k*d)`` Q|K|V matrix with head-major
+columns, so the forward projects with a single product and the backward
+takes all three gradients from one. ``params`` maps each name to a view
+of the buffer in its checkpoint shape (format v1), ``(h, d, dh)`` for a
+projection.
 The forward's products are stacked per batch row, never taken over rows
 flattened together: BLAS picks its kernels by matrix shape, so a flattened
 product lets a row's last bits depend on its batch. Stacked, each row of
@@ -27,10 +27,10 @@ Short-axis reductions are BLAS products too, because at training shapes
 than in arithmetic: the layer-norm means and variances are ``x @ (1/d)``,
 the softmax row sums ``e @ ones(T)``, the layer-norm gain and bias
 gradients ``ones(B*T) @ rows`` and the embedding gradient a one-hot
-product. The softmax's row max is a running ``np.maximum`` over the T
-columns, exact in any order. ``train`` moves the parameters into one
-flat buffer that the parameter dict views, so a step is one gradient
-concatenation and one ``flat -= lr * gflat``.
+product; these constant operands are made once per shape. The softmax's
+row max is a running ``np.maximum`` over the T columns, exact in any
+order. ``loss_and_grads`` writes the gradients into a fresh buffer laid
+out as the parameters', so a training step is one ``flat -= lr * gflat``.
 
 The forward writes an op's result in place wherever the op sequence
 stays the same, so every output bit is that of the out-of-place form:
@@ -38,12 +38,15 @@ the softmax is ``A = Q @ K.T; A *= scale; A -= rowmax; exp(A, out=A);
 A /= A @ ones``, residual and bias adds are ``+=`` (IEEE addition
 commutes), the layer norm turns its centred rows into x-hat and its
 variances into 1/sigma, and pooling sums over positions and divides by
-T, which is what ``mean`` computes.
+T, which is what ``mean`` computes. The backward does the same, from
+the output gradient, formed in ``probs``, to the layer-norm gradients.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import numbers
 import zipfile
 from dataclasses import dataclass, asdict, replace
@@ -138,13 +141,16 @@ class TransformerModel:
         self.vocab_size = self.num_activities + 2      # activities + PAD + END
         self.num_classes = self.num_activities + 1     # activities + END
         self.pos_enc = sinusoidal_positions(config.max_len, config.d_k)
-        if params is not None:
-            self.params = params
-        else:
-            if rng is None:
-                rng = np.random.default_rng(config.seed)
-            self.params = self._init_params(rng)
-        self._check_params()
+        if params is None:
+            params = self._init_params(np.random.default_rng(config.seed) if rng is None else rng)
+        self._check_params(params)
+        self._spans, start = {}, 0
+        for name, shape in self.expected_shapes().items():
+            self._spans[name] = (slice(start, start + math.prod(shape)), shape)
+            start += math.prod(shape)
+        self._fused, self.params = self._views(np.empty(start))
+        for name, value in params.items():
+            self.params[name][...] = value
 
     # ---------------------------------------------------------------- setup
 
@@ -179,17 +185,31 @@ class TransformerModel:
             "Wout": (d, C), "bout": (C,),
         }
 
-    def _check_params(self):
-        expected, names = self.expected_shapes(), self.params.keys()
+    def _check_params(self, params):
+        expected, names = self.expected_shapes(), params.keys()
         if names != expected.keys():
             raise CheckpointError(f"missing parameters {sorted(expected.keys() - names)}, "
                                   f"unexpected {sorted(names - expected.keys())}")
         for name, shape in expected.items():
-            got = self.params[name].shape
+            got = params[name].shape
             if tuple(got) != shape:
                 raise CheckpointError(f"parameter {name}: expected shape {shape}, got {got}")
-            if not np.all(np.isfinite(self.params[name])):
+            if not np.all(np.isfinite(params[name])):
                 raise CheckpointError(f"parameter {name} holds NaN or infinite values")
+
+    def _views(self, buf):
+        """``(fused, views)`` of a flat buffer in ``expected_shapes`` order.
+        The projections the forward computes lie side by side, d*d values
+        each, so their span is also ``fused``, the ``(d, k*d)`` matrix of
+        their head-major column blocks."""
+        d, h = self.config.d_k, self.config.h
+        names = self._projection_names()
+        fused = buf[self._spans[names[0]][0].start:self._spans[names[-1]][0].stop].reshape(d, -1)
+        projections = dict(zip(names, fused.reshape(d, -1, h, d // h).transpose(1, 2, 0, 3)))
+        views = _Views({n: projections[n] if n in projections else buf[span].reshape(shape)
+                        for n, (span, shape) in self._spans.items()})
+        views.flat = buf
+        return fused, views
 
     @property
     def frozen_attention(self) -> bool:
@@ -211,9 +231,10 @@ class TransformerModel:
         """Forward a (B, T) id batch.
 
         Q, K and V come from one ``(B, T, d) @ (d, 3d)`` product on the
-        fused ``Wq|Wk|Wv`` matrix, built from the ``(h, d, dh)`` parameters
-        on each call; ``frozen_uniform`` projects V only. It and the head's
-        product are stacked per row, so no row depends on the rest.
+        fused ``Wq|Wk|Wv`` matrix the model stores, whose column blocks
+        the ``(h, d, dh)`` parameters view; ``frozen_uniform`` projects V
+        only. It and the head's product are stacked per row, so no row
+        depends on the rest.
 
         ``att_mask``, a (B, T) boolean array, zeroes the rows and columns
         of every head's post-softmax attention matrix at the positions it
@@ -233,11 +254,9 @@ class TransformerModel:
 
         X0 = p["embed"][ids]
         X0 += self.pos_enc[:T]
-        names = self._projection_names()
-        # (k*h, d, dh) -> (d, k*h*dh): column blocks in (projection, head) order.
-        W = np.concatenate([p[n] for n in names]).transpose(1, 0, 2).reshape(d, -1)
+        W = self._fused
         # (B, T, k*d) -> (k, B, h, T, dh): one (T, dh) block per projection and head.
-        QKV = (X0 @ W).reshape(B, T, len(names), h, d // h)
+        QKV = (X0 @ W).reshape(B, T, -1, h, d // h)
         QKV = QKV.transpose(2, 0, 3, 1, 4)
         Vv = QKV[-1]
         if self.frozen_attention:
@@ -249,7 +268,7 @@ class TransformerModel:
             A *= scale
             A -= _row_max(A)
             np.exp(A, out=A)
-            A /= A @ np.ones((T, 1))
+            A /= A @ _constant(np.ones, (T, 1))
         att = A
         if att_mask is not None:
             keep = ~att_mask
@@ -315,8 +334,9 @@ class TransformerModel:
     # ------------------------------------------------------------- backward
 
     def loss_and_grads(self, ids: np.ndarray, targets: np.ndarray):
-        """Mean cross-entropy over a same-length (B, T) batch and its
-        gradients w.r.t. every parameter."""
+        """Mean cross-entropy over a same-length (B, T) batch and its gradients
+        w.r.t. every parameter, views of ``grads.flat``, a fresh buffer laid out
+        as ``params.flat``."""
         p = self.params
         cfg = self.config
         B, T = ids.shape
@@ -326,53 +346,52 @@ class TransformerModel:
 
         probs, _, c = self._forward_batch(ids, keep_cache=True)
         eps = 1e-12
-        loss = float(-np.log(probs[np.arange(B), targets] + eps).sum() / B)
+        loss = float(-np.log(probs[_constant(np.arange, B), targets] + eps).sum() / B)
 
-        dlogits = probs.copy()
-        dlogits[np.arange(B), targets] -= 1.0
+        dlogits = probs
+        dlogits[_constant(np.arange, B), targets] -= 1.0
         dlogits /= B
 
-        g = {}
-        g["Wout"] = c["pooled"].T @ dlogits
-        g["bout"] = dlogits.sum(axis=0)
+        gW, g = self._views(np.empty_like(p.flat))
+        np.matmul(c["pooled"].T, dlogits, out=g["Wout"])
+        dlogits.sum(axis=0, out=g["bout"])
         dpooled = dlogits @ p["Wout"].T
-        dN2 = np.broadcast_to((dpooled / T)[:, None, :], (B, T, d))
-        dR2, g["ln2_g"], g["ln2_b"] = _layer_norm_backward(dN2, c["ln2"], p["ln2_g"])
-        dF = dR2
-        g["W2"] = c["Urelu"].reshape(BT, -1).T @ dF.reshape(BT, d)
-        g["b2"] = dF.sum(axis=(0, 1))
-        dUrelu = dF @ p["W2"].T
-        dU = dUrelu * (c["U"] > 0.0)
-        g["W1"] = c["N1"].reshape(BT, d).T @ dU.reshape(BT, -1)
-        g["b1"] = dU.sum(axis=(0, 1))
-        dN1 = dR2 + dU @ p["W1"].T
-        dR1, g["ln1_g"], g["ln1_b"] = _layer_norm_backward(dN1, c["ln1"], p["ln1_g"])
-        dM = dR1
-        g["Wo"] = c["Hc"].reshape(BT, d).T @ dM.reshape(BT, d)
-        dHc = dM @ p["Wo"].T
-        dH = dHc.reshape(B, T, h, d // h).transpose(0, 2, 1, 3)
+        dpooled /= T
+        # Not a copy: at B = 1, numpy sums ln2_b's rows of stride 0 without BLAS.
+        dN2 = np.broadcast_to(dpooled[:, None, :], (B, T, d))
+        dR2 = _layer_norm_backward(dN2, c["ln2"], p["ln2_g"], g["ln2_g"], g["ln2_b"])
+        np.matmul(c["Urelu"].reshape(BT, -1).T, dR2.reshape(BT, d), out=g["W2"])
+        dR2.sum(axis=(0, 1), out=g["b2"])
+        dU = dR2 @ p["W2"].T
+        dU *= c["U"] > 0.0
+        np.matmul(c["N1"].reshape(BT, d).T, dU.reshape(BT, -1), out=g["W1"])
+        dU.sum(axis=(0, 1), out=g["b1"])
+        dN1 = dU @ p["W1"].T
+        dN1 += dR2
+        dR1 = _layer_norm_backward(dN1, c["ln1"], p["ln1_g"], g["ln1_g"], g["ln1_b"])
+        np.matmul(c["Hc"].reshape(BT, d).T, dR1.reshape(BT, d), out=g["Wo"])
+        dH = (dR1 @ p["Wo"].T).reshape(B, T, h, d // h).transpose(0, 2, 1, 3)
         A = c["A"]
-        names = self._projection_names()
         # Laid out (B, T, k, h, dh), so the fused (B*T, k*d) layout below is
         # a reshape; blocks[i] views projection i's (B, h, T, dh) gradient.
-        dQKV = np.empty((B, T, len(names), h, d // h))
+        dQKV = np.empty((B, T, gW.shape[1] // d, h, d // h))
         blocks = dQKV.transpose(2, 0, 3, 1, 4)
         np.matmul(A.swapaxes(-1, -2), dH, out=blocks[-1])
         if self.frozen_attention:
-            g["Wq"] = np.zeros_like(p["Wq"])
-            g["Wk"] = np.zeros_like(p["Wk"])
+            g["Wq"][...] = 0.0
+            g["Wk"][...] = 0.0
         else:
-            dA = dH @ c["V"].swapaxes(-1, -2)
-            dS = A * (dA - (dA * A) @ np.ones((T, 1)))
+            dS = dH @ c["V"].swapaxes(-1, -2)
+            dS -= (dS * A) @ _constant(np.ones, (T, 1))
+            dS *= A
             dS *= scale
             np.matmul(dS, c["K"], out=blocks[0])
             np.matmul(dS.swapaxes(-1, -2), c["Q"], out=blocks[1])
         dQKV = dQKV.reshape(BT, -1)
-        gW = c["X0"].reshape(BT, d).T @ dQKV
-        for i, name in enumerate(names):
-            g[name] = _head_blocks(gW[:, i * d:(i + 1) * d], h)
-        dX0 = dR1 + (dQKV @ c["W"].T).reshape(B, T, d)
-        g["embed"] = _embedding_grad(ids, dX0, self.vocab_size)
+        np.matmul(c["X0"].reshape(BT, d).T, dQKV, out=gW)
+        dX0 = dQKV @ c["W"].T
+        dX0 += dR1.reshape(BT, d)
+        _embedding_grad(ids, dX0, self.vocab_size, out=g["embed"])
         return loss, g
 
     # ------------------------------------------------------------ accessors
@@ -494,16 +513,27 @@ def _row_keys(ids, att_mask):
     return rows.view(np.dtype((np.void, rows.shape[1]))).reshape(len(ids))
 
 
-def _head_blocks(G, h):
-    """(d, h*dh) head-major columns -> (h, d, dh) per-head blocks."""
-    return G.reshape(G.shape[0], h, -1).transpose(1, 0, 2)
+class _Views(dict):
+    """Views of one flat buffer by parameter name; ``flat`` is the buffer."""
+
+    def __setitem__(self, name, value):
+        if value is not self.get(name):  # ``params[name] -= x`` stores the same view back
+            raise TypeError(f"write parameter {name} in place: params[{name!r}][...] = value")
 
 
-def _embedding_grad(ids, dX, vocab_size):
+@functools.lru_cache(maxsize=256)
+def _constant(make, *args):
+    """``make(*args)`` made read-only, once per ``make`` and arguments."""
+    out = make(*args)
+    out.flags.writeable = False
+    return out
+
+
+def _embedding_grad(ids, dX, vocab_size, out=None):
     """Sum of the (B, T, d) rows of ``dX`` per id in ``ids``, as the
     (V, B*T) one-hot matrix times ``dX``'s (B*T, d) rows."""
-    onehot = ids.reshape(-1, 1) == np.arange(vocab_size)
-    return onehot.T @ dX.reshape(ids.size, -1)
+    onehot = ids.reshape(-1, 1) == _constant(np.arange, vocab_size)
+    return np.matmul(onehot.T, dX.reshape(ids.size, -1), out=out)
 
 
 def _row_max(S):
@@ -521,7 +551,7 @@ def _layer_norm(x, gamma, beta):
     """Row-wise layer norm; the mean and the variance are products with
     ``w = 1/d``, kept in the cache for the backward. The centred rows
     become x-hat and the variances 1/sigma in place."""
-    w = np.full((x.shape[-1], 1), 1.0 / x.shape[-1])
+    w = _constant(np.full, (x.shape[-1], 1), 1.0 / x.shape[-1])
     xhat = x - x @ w
     y = xhat * xhat
     inv = y @ w
@@ -534,15 +564,23 @@ def _layer_norm(x, gamma, beta):
     return y, (xhat, inv, w)
 
 
-def _layer_norm_backward(dy, cache, gamma):
+def _layer_norm_backward(dy, cache, gamma, dgamma, dbeta):
+    """``inv * (dxhat - dxhat @ w - xhat * ((dxhat * xhat) @ w))``, with
+    ``dxhat = dy * gamma``, formed in place; the gain and bias gradients
+    go into ``dgamma`` and ``dbeta``."""
     xhat, inv, w = cache
     d = dy.shape[-1]
-    ones = np.ones(dy.size // d)
-    dgamma = ones @ (dy * xhat).reshape(-1, d)
-    dbeta = ones @ dy.reshape(-1, d)
+    ones = _constant(np.ones, dy.size // d)
+    t = dy * xhat
+    np.matmul(ones, t.reshape(-1, d), out=dgamma)
+    np.matmul(ones, dy.reshape(-1, d), out=dbeta)
     dxhat = dy * gamma
-    dx = inv * (dxhat - dxhat @ w - xhat * ((dxhat * xhat) @ w))
-    return dx, dgamma, dbeta
+    np.multiply(dxhat, xhat, out=t)
+    np.multiply(xhat, t @ w, out=t)
+    dxhat -= dxhat @ w
+    dxhat -= t
+    dxhat *= inv
+    return dxhat
 
 
 # ------------------------------------------------------------------ training
@@ -568,13 +606,6 @@ def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
     all_ids = np.full((len(prefixes), longest), model.pad_id)
     all_ids[np.arange(longest) < lengths[:, None]] = np.concatenate(
         [p.activities for p in prefixes])
-    # The parameters become views into one buffer, updated in one step.
-    names = list(model.params)
-    flat = np.concatenate([model.params[n].ravel() for n in names])
-    gflat = np.empty_like(flat)
-    ends = np.cumsum([model.params[n].size for n in names])
-    model.params = {n: flat[end - model.params[n].size:end].reshape(model.params[n].shape)
-                    for n, end in zip(names, ends)}
 
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below report divergence
@@ -599,8 +630,7 @@ def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at step {step}", step=step)
                 # Frozen Q/K get exact zero gradients, so they stay at 0.0.
-                np.concatenate([grads[n].ravel() for n in names], out=gflat)
-                flat -= config.learning_rate * gflat
+                model.params.flat -= config.learning_rate * grads.flat
                 step += 1
     for name, arr in model.params.items():
         if not np.all(np.isfinite(arr)):
@@ -622,17 +652,17 @@ def gradient_check(model: TransformerModel, prefix, n_samples: int = 30, step: f
             if np.any(grads[name] != 0.0):
                 return np.inf
             continue
-        flat = param.reshape(-1)
-        k = min(n_samples, flat.size)
-        for idx in rng.choice(flat.size, size=k, replace=False):
-            orig = flat[idx]
-            flat[idx] = orig + step
+        k = min(n_samples, param.size)
+        for idx in rng.choice(param.size, size=k, replace=False):
+            at = np.unravel_index(idx, param.shape)  # param may view the buffer with gaps
+            orig = param[at]
+            param[at] = orig + step
             lo_p = model.loss_and_grads(ids, target)[0]
-            flat[idx] = orig - step
+            param[at] = orig - step
             lo_m = model.loss_and_grads(ids, target)[0]
-            flat[idx] = orig
+            param[at] = orig
             numeric = (lo_p - lo_m) / (2.0 * step)
-            analytic = grads[name].reshape(-1)[idx]
+            analytic = grads[name][at]
             denom = max(abs(numeric) + abs(analytic), 1e-8)
             worst = max(worst, abs(numeric - analytic) / denom)
     return worst

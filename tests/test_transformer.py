@@ -129,6 +129,16 @@ def test_gradient_check_frozen(abc_log):
     assert np.isfinite(err) and err < 1e-4
 
 
+@pytest.mark.parametrize("mode", ["learned", ATTENTION_FROZEN_UNIFORM])
+def test_gradient_check_on_trained_model(abc_log, mode):
+    """A model's projections view the parameter buffer with gaps between
+    their rows, where ``reshape(-1)`` copies; the check must perturb the
+    parameter itself."""
+    model = train(abc_log, replace(TINY_CONFIG, attention_mode=mode))
+    err = gradient_check(model, extract_prefixes(abc_log)[3], n_samples=20, seed=0)
+    assert err < 1e-4
+
+
 @given(d=st.integers(1, 64), rows=st.integers(1, 12), log_scale=st.floats(-3, 3),
        constant=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
@@ -143,7 +153,8 @@ def test_layer_norm_matches_mean_var_reference(d, rows, log_scale, constant, see
     gamma, beta, dy = rng.normal(size=d), rng.normal(size=d), rng.normal(size=x.shape)
 
     y, cache = _layer_norm(x, gamma, beta)
-    dx, dgamma, dbeta = _layer_norm_backward(dy, cache, gamma)
+    dgamma, dbeta = np.empty(d), np.empty(d)
+    dx = _layer_norm_backward(dy, cache, gamma, dgamma, dbeta)
 
     inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS)
     xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
@@ -348,6 +359,109 @@ def test_forward_is_bitwise_the_out_of_place_forward(mode, T, full_chunks, extra
         assert_bits_equal(grads[name], want, err_msg=name)
 
 
+def _out_of_place_loss_and_grads(model, ids, targets):
+    """``TransformerModel.loss_and_grads`` written out of place on
+    ``_out_of_place_forward``: every op allocates its result, the fused
+    projection gradient is split into per-head blocks and each gradient
+    is its own array. The in-place backward must equal it bit for bit."""
+    p = model.params
+    B, T = ids.shape
+    d, h = model.config.d_k, model.config.h
+    BT = B * T
+    scale = 1.0 / np.sqrt(d)
+    probs, _, c = _out_of_place_forward(model, ids, keep_cache=True)
+    loss = float(-np.log(probs[np.arange(B), targets] + 1e-12).sum() / B)
+    dlogits = probs.copy()
+    dlogits[np.arange(B), targets] -= 1.0
+    dlogits /= B
+    g = {}
+    g["Wout"] = c["pooled"].T @ dlogits
+    g["bout"] = dlogits.sum(axis=0)
+    dpooled = dlogits @ p["Wout"].T
+    dN2 = np.broadcast_to((dpooled / T)[:, None, :], (B, T, d))
+    dR2, g["ln2_g"], g["ln2_b"] = _out_of_place_layer_norm_backward(dN2, c["ln2"], p["ln2_g"])
+    g["W2"] = c["Urelu"].reshape(BT, -1).T @ dR2.reshape(BT, d)
+    g["b2"] = dR2.sum(axis=(0, 1))
+    dU = (dR2 @ p["W2"].T) * (c["U"] > 0.0)
+    g["W1"] = c["N1"].reshape(BT, d).T @ dU.reshape(BT, -1)
+    g["b1"] = dU.sum(axis=(0, 1))
+    dN1 = dR2 + dU @ p["W1"].T
+    dR1, g["ln1_g"], g["ln1_b"] = _out_of_place_layer_norm_backward(dN1, c["ln1"], p["ln1_g"])
+    g["Wo"] = c["Hc"].reshape(BT, d).T @ dR1.reshape(BT, d)
+    dH = (dR1 @ p["Wo"].T).reshape(B, T, h, d // h).transpose(0, 2, 1, 3)
+    A = c["A"]
+    names = model._projection_names()
+    dQKV = np.empty((B, T, len(names), h, d // h))
+    blocks = dQKV.transpose(2, 0, 3, 1, 4)
+    np.matmul(A.swapaxes(-1, -2), dH, out=blocks[-1])
+    if model.frozen_attention:
+        g["Wq"] = np.zeros_like(p["Wq"])
+        g["Wk"] = np.zeros_like(p["Wk"])
+    else:
+        dA = dH @ c["V"].swapaxes(-1, -2)
+        dS = A * (dA - (dA * A) @ np.ones((T, 1))) * scale
+        np.matmul(dS, c["K"], out=blocks[0])
+        np.matmul(dS.swapaxes(-1, -2), c["Q"], out=blocks[1])
+    dQKV = dQKV.reshape(BT, -1)
+    gW = c["X0"].reshape(BT, d).T @ dQKV
+    for i, name in enumerate(names):
+        g[name] = _head_blocks(gW[:, i * d:(i + 1) * d], h)
+    dX0 = dR1 + (dQKV @ c["W"].T).reshape(B, T, d)
+    g["embed"] = _out_of_place_embedding_grad(ids, dX0, model.vocab_size)
+    return loss, g
+
+
+def _out_of_place_layer_norm_backward(dy, cache, gamma):
+    xhat, inv, w = cache
+    d = dy.shape[-1]
+    ones = np.ones(dy.size // d)
+    dgamma = ones @ (dy * xhat).reshape(-1, d)
+    dbeta = ones @ dy.reshape(-1, d)
+    dxhat = dy * gamma
+    dx = inv * (dxhat - dxhat @ w - xhat * ((dxhat * xhat) @ w))
+    return dx, dgamma, dbeta
+
+
+def _head_blocks(G, h):
+    """(d, h*dh) head-major columns -> (h, d, dh) per-head blocks."""
+    return G.reshape(G.shape[0], h, -1).transpose(1, 0, 2)
+
+
+def _out_of_place_embedding_grad(ids, dX, vocab_size):
+    onehot = ids.reshape(-1, 1) == np.arange(vocab_size)
+    return onehot.T @ dX.reshape(ids.size, -1)
+
+
+# The tiny sizes and the default ones (d_k 36, h 4, ff 64), which the benchmark trains.
+BACKWARD_MODELS = {(size, mode): TransformerModel(replace(config, attention_mode=mode),
+                                                  ["A", "B", "C"], rng=np.random.default_rng(5))
+                   for size, config in (("tiny", TINY_CONFIG), ("default", ModelConfig(max_len=24)))
+                   for mode in ("learned", ATTENTION_FROZEN_UNIFORM)}
+
+
+@given(case=st.sampled_from(sorted(BACKWARD_MODELS)).flatmap(lambda key: st.tuples(
+           st.just(key), st.integers(1, BACKWARD_MODELS[key].config.max_len))),
+       B=st.sampled_from([16, 32]) | st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(case=(("default", "learned"), 24), B=16, seed=0)
+@example(case=(("default", ATTENTION_FROZEN_UNIFORM), 24), B=13, seed=1)
+@settings(max_examples=40, deadline=None)
+def test_backward_is_bitwise_the_out_of_place_backward(case, B, seed):
+    """``loss_and_grads`` equals the out-of-place backward bit for bit:
+    the loss and all 15 gradients, in both attention modes, at every
+    length and at batch sizes that are a multiple of 16 and that are not."""
+    key, T = case
+    model = BACKWARD_MODELS[key]
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, model.vocab_size, size=(B, T))
+    targets = rng.integers(0, model.num_classes, size=B)
+    loss, grads = model.loss_and_grads(ids, targets)
+    want_loss, want_grads = _out_of_place_loss_and_grads(model, ids, targets)
+    assert_bits_equal(np.float64(loss), np.float64(want_loss))
+    assert grads.keys() == want_grads.keys() == model.params.keys()
+    for name, want in want_grads.items():
+        assert_bits_equal(grads[name], want, err_msg=name)
+
+
 @given(S=hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 2),
                                          st.integers(1, 30)).map(lambda s: (*s, s[2])),
                     elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
@@ -496,7 +610,8 @@ def test_train_deterministic(abc_log):
 
 def _reference_sgd_train(logobj, config):
     """``train`` as a straight loop: batches assembled with ``np.stack``,
-    the same random draws, one ``param -= lr * grad`` per parameter."""
+    the same random draws, the out-of-place backward and one
+    ``param -= lr * grad`` per parameter."""
     prefixes = extract_prefixes(logobj)
     config = replace(config, max_len=max(config.max_len,
                                          max(len(p.activities) for p in prefixes)))
@@ -519,7 +634,7 @@ def _reference_sgd_train(logobj, config):
             if config.pad_dropout > 0.0:
                 drop = epoch_rng.random(ids.shape) < config.pad_dropout
                 ids = np.where(drop, model.pad_id, ids)
-            _, grads = model.loss_and_grads(ids, targets[batch])
+            _, grads = _out_of_place_loss_and_grads(model, ids, targets[batch])
             for name, grad in grads.items():
                 model.params[name] -= config.learning_rate * grad
     return model
@@ -571,6 +686,65 @@ def test_frozen_training_never_touches_qk(abc_log):
     model = train(abc_log, cfg)
     assert np.all(model.params["Wq"] == 0.0)
     assert np.all(model.params["Wk"] == 0.0)
+
+
+@pytest.mark.parametrize("mode", ["learned", ATTENTION_FROZEN_UNIFORM])
+def test_parameters_view_one_buffer(tmp_path, abc_log, mode):
+    """Built, trained or loaded, the parameters tile one buffer without
+    overlap, the forward projects with the fused matrix inside it, and a
+    parameter cannot be replaced by an array outside it."""
+    config = replace(TINY_CONFIG, attention_mode=mode)
+    trained = train(abc_log, config)
+    trained.save(tmp_path / "model.npz")
+    for model in (TransformerModel(config, abc_log.activity_labels), trained,
+                  TransformerModel.load(tmp_path / "model.npz")):
+        flat = model.params.flat
+        saved = flat.copy()
+        flat[...] = -1.0
+        for i, param in enumerate(model.params.values()):
+            assert np.shares_memory(param, flat)
+            param[...] = i
+        assert flat.min() == 0.0
+        assert np.bincount(flat.astype(int)).tolist() == [p.size for p in model.params.values()]
+        flat[...] = saved
+        _, _, cache = model._forward_batch(np.array([[0, 1, 2]]), True)
+        assert np.shares_memory(cache["W"], flat)
+        with pytest.raises(TypeError, match=r"write parameter Wq in place"):
+            model.params["Wq"] = np.zeros_like(model.params["Wq"])  # the forward would not see it
+
+
+@pytest.mark.parametrize("mode, name", [("learned", "Wq"), ("learned", "Wv"),
+                                        (ATTENTION_FROZEN_UNIFORM, "Wv")])
+def test_in_place_parameter_write_reaches_the_forward(abc_log, mode, name):
+    model = TransformerModel(replace(TINY_CONFIG, attention_mode=mode), abc_log.activity_labels,
+                             rng=np.random.default_rng(5))
+    ids = np.array([[0, 1, 2, 0], [2, 1, 3, 1]])
+    before, _ = model.predict(ids)
+    model.params[name][1, 2] += 0.5  # head 1's weights from input feature 2
+    probs, att = model.predict(ids)
+    assert not np.array_equal(probs, before)
+    for row, row_probs, row_att in zip(ids, probs, att):
+        ref_probs, ref_att = reference_forward(model, row)
+        np.testing.assert_allclose(row_probs, ref_probs, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(row_att, ref_att, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["learned", ATTENTION_FROZEN_UNIFORM])
+def test_gradients_outlive_the_next_call(mode):
+    """Each call's gradients have their own buffer; ``gradient_check``
+    and the row-mean test hold one call's while making more."""
+    model = PREDICT_MODELS[mode]
+    _, grads = model.loss_and_grads(np.array([[0, 1, 2]]), np.array([1]))
+    kept = {name: grad.copy() for name, grad in grads.items()}
+    model.loss_and_grads(np.array([[2, 2, 1], [1, 0, 3]]), np.array([0, 3]))
+    for name, grad in grads.items():
+        assert_bits_equal(grad, kept[name], err_msg=name)
+
+
+def test_save_load_save_writes_identical_bytes(tmp_path, abc_log):
+    train(abc_log, TINY_CONFIG).save(tmp_path / "first.npz")
+    TransformerModel.load(tmp_path / "first.npz").save(tmp_path / "second.npz")
+    assert (tmp_path / "first.npz").read_bytes() == (tmp_path / "second.npz").read_bytes()
 
 
 def test_save_load_round_trip(tmp_path, abc_log):
