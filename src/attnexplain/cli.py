@@ -26,6 +26,7 @@ from .errors import (
     SplitError,
     SynthSpecError,
     UsageError,
+    check_number,
 )
 from .eventlog import (
     EventLog,
@@ -100,8 +101,7 @@ def _resolve(args, parser) -> dict:
         if key in options:
             resolved[key] = _file_value(actions[key], key, value)
     resolved.update({k: v for k, v in options.items() if v is not None})
-    if resolved.get("seed", 0) < 0:  # numpy takes no negative seed
-        raise UsageError(f"seed must be >= 0, got {resolved['seed']!r}")
+    check_number("seed", resolved.get("seed", 0), "[0, inf)", integer=True)
     return resolved
 
 
@@ -260,7 +260,7 @@ def cmd_explain(resolved) -> None:
     provenance = {
         "method": resolved["method"],
         "thresholds": asdict(handle.thresholds),
-        "seed": resolved.get("seed", 0),
+        "seed": handle.seed,
         "n_prefixes": len(prefixes),
         "n_vertices": len(graph.vertices),
         "n_edges": len(graph.edges),

@@ -4,6 +4,8 @@ The CLI maps these onto distinct exit codes, so keep the split between
 usage, I/O, parse, and numerical failures intact.
 """
 
+import numbers
+
 
 class AttnExplainError(Exception):
     """Base class for all package errors."""
@@ -32,8 +34,18 @@ class UsageError(AttnExplainError, ValueError):
     Also a ValueError, as the library raises it for bad arguments."""
 
 
+def check_number(name: str, value, interval: str, integer: bool = False) -> None:
+    """Raise UsageError unless ``value`` is a number, an integer if ``integer``,
+    in ``interval``, written as "[0, 1)" or "[1, inf)"; no bool or NaN is."""
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if (isinstance(value, bool) or not isinstance(value, kind) or not low <= value <= high
+            or (value, interval[0]) == (low, "(") or (value, interval[-1]) == (high, ")")):
+        raise UsageError(f"{name} must be {noun} in {interval}, got {value!r}")
+
+
 class SplitError(AttnExplainError):
-    """Train/test split cannot be performed (too few traces, bad fraction)."""
+    """Train/test split cannot be performed (too few traces)."""
 
 
 class SynthSpecError(AttnExplainError):

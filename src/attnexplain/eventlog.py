@@ -22,6 +22,7 @@ from .errors import (
     LogParseError,
     SchemaError,
     SplitError,
+    check_number,
 )
 
 log = logging.getLogger(__name__)
@@ -269,8 +270,8 @@ def parse_xes(path, activity_prefix: str | None = None, lifecycle: str | None = 
 
 def split(logobj: EventLog, train_frac: float = 0.7, seed: int = 0) -> tuple[EventLog, EventLog]:
     """Seeded trace-level train/test split; both halves share the vocabulary."""
-    if not 0.0 < train_frac < 1.0:
-        raise SplitError(f"train_frac must be in (0, 1), got {train_frac}")
+    check_number("train_frac", train_frac, "(0, 1)")
+    check_number("seed", seed, "[0, inf)", integer=True)
     n = len(logobj.traces)
     if n < 2:
         raise SplitError(f"need at least 2 traces to split, got {n}")

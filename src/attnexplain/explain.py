@@ -19,8 +19,6 @@ all prefixes of one length together, then a fold in prefix order.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -29,7 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .attnstats import cosine_distances, max_normalize
-from .errors import UsageError
+from .errors import UsageError, check_number
 from .eventlog import _last_activity, _prefix_ids
 from .transformer import _length_error, score_rows
 
@@ -46,14 +44,9 @@ class Thresholds:
     sim_eps: float = 0.02
 
     def __post_init__(self):
-        for name in ("delta_sim", "delta_attr", "delta_pred", "delta_edge", "sim_eps"):
-            value = getattr(self, name)
-            if name == "delta_edge" and value is None:
-                continue
-            high, rule = (math.inf, ">= 0") if name == "sim_eps" else (1.0, "in [0, 1]")
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not (math.isfinite(value) and 0.0 <= value <= high)):
-                raise UsageError(f"{name} must be a finite number {rule}, got {value!r}")
+        for name, value in vars(self).items():
+            if not (name == "delta_edge" and value is None):
+                check_number(name, value, "[0, inf)" if name == "sim_eps" else "[0, 1]")
 
     def edge_threshold(self, num_activities: int) -> float:
         if self.delta_edge is not None:
@@ -88,13 +81,6 @@ class ExplanationGraph:
 # ``_WINDOW`` of prefixes holds before scoring. 64 random length-64 prefixes
 # peaked at 241 MiB RSS at n_mods 4096 and 376 MiB at subset_cap 4096.
 MAX_N_MODS = MAX_SUBSET_CAP = 4096
-
-
-def _check_range(name: str, value, low: int, high: int) -> None:
-    if not value >= low:
-        raise UsageError(f"{name} must be >= {low}, got {value!r}")
-    if not value <= high:
-        raise UsageError(f"{name} must be <= {high}, got {value!r}")
 
 
 def _graph(labels, adjacency: np.ndarray, vertices: np.ndarray) -> ExplanationGraph:
@@ -142,7 +128,8 @@ def relevant_activities(model, prefix, thresholds: Thresholds, n_mods: int = 20,
     ``delta_sim`` cosine distance of the original. A variant equal to an
     earlier row is forwarded once.
     """
-    _check_range("n_mods", n_mods, 0, MAX_N_MODS)
+    check_number("n_mods", n_mods, f"[0, {MAX_N_MODS}]", integer=True)
+    check_number("seed", seed, "[0, inf)", integer=True)
     ids = _prefix_ids(prefix)
     if not len(ids):
         raise _length_error(0, model.config.max_len)
@@ -316,8 +303,8 @@ def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thre
 @dataclass(frozen=True)
 class Explainer:
     """One explainer with its options bound, called as ``(model, prefixes)``
-    to explain the prefixes together. Every option is range-checked when the
-    handle is built, for both methods; backward ignores ``subset_cap``."""
+    to explain the prefixes together. Building it checks ``n_mods``,
+    ``subset_cap`` and ``seed`` for both methods; backward ignores ``subset_cap``."""
 
     method: str  # "backward" or "attention-exploration"
     thresholds: Thresholds = Thresholds()
@@ -328,8 +315,9 @@ class Explainer:
     def __post_init__(self):
         if self.method not in ("backward", "attention-exploration"):
             raise UsageError(f"unknown explainer method {self.method!r}")
-        _check_range("n_mods", self.n_mods, 0, MAX_N_MODS)
-        _check_range("subset_cap", self.subset_cap, 1, MAX_SUBSET_CAP)
+        check_number("n_mods", self.n_mods, f"[0, {MAX_N_MODS}]", integer=True)
+        check_number("subset_cap", self.subset_cap, f"[1, {MAX_SUBSET_CAP}]", integer=True)
+        check_number("seed", self.seed, "[0, inf)", integer=True)
 
     def __call__(self, model, prefixes) -> ExplanationGraph:
         return self.explain(model, prefixes)[0]

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attnstats import tvd
-from .errors import UsageError
+from .errors import check_number
 from .eventlog import (EventLog, Prefix, _last_activity, _prefix_ids, extract_prefixes,
                        length_batches, unique_prefixes)
 from .explain import ExplanationGraph, Thresholds, likely_next
@@ -240,6 +240,7 @@ def continuity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     """Jaccard similarity of firing rules before/after masking one
     random position, the explainer seeing the masked prefix as an id
     array; length-1 prefixes are skipped."""
+    check_number("seed", seed, "[0, inf)", integer=True)
     pairs = _perturbed_pairs(model, prefixes, seed)
     return _summary(_similarities(pairs, _firing_rules(model, explainer, pairs)[1]))
 
@@ -281,6 +282,7 @@ def _contrasted_pairs(model, prefixes, seed: int) -> list[tuple]:
 def contrastivity(model, explainer, prefixes, seed: int = 0) -> MetricValue:
     """1 - Jaccard similarity over prefix pairs with different last
     non-PAD activities, at most ``_MAX_PAIRS`` of them sampled."""
+    check_number("seed", seed, "[0, inf)", integer=True)
     pairs = _contrasted_pairs(model, prefixes, seed)
     return _dissimilarity(pairs, _firing_rules(model, explainer, pairs)[1], len(prefixes))
 
@@ -293,10 +295,10 @@ def _dissimilarity(pairs, rhs, n: int) -> MetricValue:
 
 
 def sample_prefixes(logobj: EventLog, sample_frac: float, seed: int) -> list[Prefix]:
-    """A seeded ``sample_frac`` share of the log's prefixes (at least one),
-    in log order; UsageError unless ``sample_frac`` is in (0, 1]."""
-    if not 0.0 < sample_frac <= 1.0:
-        raise UsageError(f"sample_frac must be in (0, 1], got {sample_frac!r}")
+    """A seeded ``sample_frac`` share of the log's prefixes (at least one), in
+    log order; UsageError unless ``sample_frac`` is in (0, 1] and ``seed`` an integer >= 0."""
+    check_number("sample_frac", sample_frac, "(0, 1]")
+    check_number("seed", seed, "[0, inf)", integer=True)
     prefixes = extract_prefixes(logobj)
     if sample_frac == 1.0:
         return prefixes

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .attnstats import flatten, jsd, tvd
-from .errors import UsageError
+from .errors import UsageError, check_number
 from .eventlog import EventLog, _prefix_ids, extract_prefixes, length_batches, split
 from .transformer import (
     ATTENTION_FROZEN_UNIFORM,
@@ -130,8 +130,7 @@ def experiment1(logobj: EventLog, repeats: int = 5, config: ModelConfig = ModelC
     """Train ``repeats`` baseline / frozen-uniform model pairs and compare
     each pair on the test prefixes. ``max_len`` is raised to the longest
     trace of the whole log, so that every test prefix fits."""
-    if repeats < 1:
-        raise UsageError(f"repeats must be >= 1, got {repeats}")
+    check_number("repeats", repeats, "[1, inf)", integer=True)
     _check_scope(scope)
     config = replace(config, max_len=max(config.max_len, logobj.stats.max_len))
     root = np.random.SeedSequence(entropy=config.seed)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SynthSpecError, UsageError
+from .errors import SynthSpecError, check_number
 from .eventlog import EventLog, build_log
 
 KINDS = ("sequence", "xor", "and", "loop")
@@ -167,8 +167,8 @@ def synth_log(spec: SynthSpec, n_traces: int = 1000,
     Vocabulary order is first-appearance over the enumerated language,
     not over the sample, so it does not depend on the seed.
     """
-    if n_traces < 1:
-        raise UsageError(f"n_traces must be >= 1, got {n_traces}")
+    check_number("n_traces", n_traces, "[1, inf)", integer=True)
+    check_number("seed", seed, "[0, inf)", integer=True)
     rng = np.random.default_rng(seed)
     label_traces = [(f"case_{i}", list(sample_trace(spec, rng))) for i in range(n_traces)]
     # build_log orders the vocabulary by first appearance, which would

@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import zipfile
 from dataclasses import dataclass, asdict, replace
 
@@ -60,6 +59,7 @@ from .errors import (
     DivergenceError,
     TrainingDataError,
     UsageError,
+    check_number,
 )
 from .eventlog import EventLog, Prefix, _prefix_ids, extract_prefixes
 
@@ -80,10 +80,15 @@ _SCORE_ROWS = 128
 # any is allocated. At max_len 4096 one prefix's attention already takes
 # 128 MiB a head; d_k and ff_dim are far above the paper's 36 and 64.
 SIZE_LIMITS = {"d_k": 1024, "max_len": 4096, "ff_dim": 4096}
+_INTERVALS = {**{name: f"[1, {limit}]" for name, limit in SIZE_LIMITS.items()},
+              "h": "[1, inf)", "epochs": "[1, inf)", "batch_size": "[1, inf)",
+              "seed": "[0, inf)", "learning_rate": "(0, inf)", "pad_dropout": "[0, 1)"}
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model sizes and training options; each number lies in its ``_INTERVALS`` interval."""
+
     d_k: int = 36
     h: int = 4
     max_len: int = 64
@@ -96,27 +101,12 @@ class ModelConfig:
     pad_dropout: float = 0.1
 
     def __post_init__(self):
-        for name in ("d_k", "h", "max_len", "ff_dim", "epochs", "batch_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
-        if self.h < 1:
-            raise UsageError("need at least one attention head")
+        for name, interval in _INTERVALS.items():
+            check_number(name, getattr(self, name), interval, self.__annotations__[name] == "int")
         if self.d_k % self.h != 0:
             raise UsageError(f"d_k={self.d_k} not divisible by h={self.h}")
         if self.attention_mode not in (ATTENTION_LEARNED, ATTENTION_FROZEN_UNIFORM):
             raise UsageError(f"unknown attention_mode {self.attention_mode!r}")
-        for name in ("d_k", "max_len", "ff_dim", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name, limit in SIZE_LIMITS.items():
-            if getattr(self, name) > limit:
-                raise UsageError(f"{name} must be <= {limit}, got {getattr(self, name)}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise UsageError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
-        if (not isinstance(self.pad_dropout, numbers.Real) or isinstance(self.pad_dropout, bool)
-                or not 0.0 <= self.pad_dropout < 1.0):
-            raise UsageError(f"pad_dropout must be a number in [0, 1), got {self.pad_dropout!r}")
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
@@ -223,7 +213,7 @@ class TransformerModel:
         return ("Wv",) if self.frozen_attention else ("Wq", "Wk", "Wv")
 
     def num_params(self) -> int:
-        return int(sum(p.size for p in self.params.values()))
+        return self.params.flat.size
 
     # -------------------------------------------------------------- forward
 

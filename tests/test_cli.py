@@ -171,7 +171,8 @@ EXIT_CASES = {
     # "{tmp}" the test's scratch directory
     "missing-out-dir": (["train", "--log", "{log}", *TRAIN_FLAGS], 2, "'out_dir'"),
     "train-frac-out-of-range": ([*OUT, "--train-frac", "1.5", "train", "--log", "{log}",
-                                 *TRAIN_FLAGS], 2, "train_frac must be in (0, 1)"),
+                                 *TRAIN_FLAGS], 2,
+                                 "train_frac must be a number in (0, 1), got 1.5"),
     "d-k-not-divisible-by-heads": ([*OUT, "train", "--log", "{log}", *TRAIN_FLAGS,
                                     "--d-k", "7"], 2, "d_k=7 not divisible by h=2"),
     "missing-log": ([*OUT, "stats", "--log", "{tmp}/nope.csv"], 3, "nope.csv"),
@@ -190,23 +191,27 @@ EXIT_CASES = {
         [*OUT, "explain", "--method", "backward", "--log", "{tmp}/cba.csv",
          "--checkpoint", "{ckpt}"], 4,
         "log activities ['C', 'B', 'A'] differ from the checkpoint's ['A', 'B', 'C']"),
-    "batch-size-zero": ([*TRAIN, "--batch-size", "0"], 2, "batch_size must be >= 1"),
-    "epochs-negative": ([*TRAIN, "--epochs", "-1"], 2, "epochs must be >= 1"),
-    "max-len-negative": ([*TRAIN, "--max-len", "-3"], 2, "max_len must be >= 1, got -3"),
-    "ff-dim-zero": ([*TRAIN, "--ff-dim", "0"], 2, "ff_dim must be >= 1"),
+    "batch-size-zero": ([*TRAIN, "--batch-size", "0"], 2,
+                        "batch_size must be an integer in [1, inf), got 0"),
+    "epochs-negative": ([*TRAIN, "--epochs", "-1"], 2,
+                        "epochs must be an integer in [1, inf), got -1"),
+    "max-len-negative": ([*TRAIN, "--max-len", "-3"], 2,
+                         "max_len must be an integer in [1, 4096], got -3"),
+    "ff-dim-zero": ([*TRAIN, "--ff-dim", "0"], 2, "ff_dim must be an integer in [1, 4096], got 0"),
     "max-len-above-limit": ([*TRAIN, "--max-len", "10000000000000"], 2,
-                            "max_len must be <= 4096, got 10000000000000"),
+                            "max_len must be an integer in [1, 4096], got 10000000000000"),
     "d-k-above-limit": ([*TRAIN, "--d-k", "10000000000000"], 2,
-                        "d_k must be <= 1024, got 10000000000000"),
+                        "d_k must be an integer in [1, 1024], got 10000000000000"),
     "ff-dim-above-limit": ([*TRAIN, "--ff-dim", "10000000000000"], 2,
-                           "ff_dim must be <= 4096, got 10000000000000"),
-    "learning-rate-zero": ([*TRAIN, "--learning-rate", "0"], 2, "learning_rate must be > 0"),
+                           "ff_dim must be an integer in [1, 4096], got 10000000000000"),
+    "learning-rate-zero": ([*TRAIN, "--learning-rate", "0"], 2,
+                           "learning_rate must be a number in (0, inf), got 0.0"),
     "learning-rate-negative": ([*TRAIN, "--learning-rate", "-0.01"], 2,
-                               "learning_rate must be > 0"),
+                               "learning_rate must be a number in (0, inf), got -0.01"),
     "learning-rate-inf": ([*TRAIN, "--learning-rate", "inf"], 2,
-                          "learning_rate must be > 0 and finite, got inf"),
+                          "learning_rate must be a number in (0, inf), got inf"),
     "config-learning-rate-inf": (["--config", "{tmp}/lr_inf.json", *TRAIN], 2,
-                                 "learning_rate must be > 0 and finite, got inf"),
+                                 "learning_rate must be a number in (0, inf), got inf"),
     "config-not-an-object": (["--config", "{tmp}/list.json", *OUT, "stats", "--log", "{log}"],
                              4, "is not a JSON object"),
     "config-value-outside-choices": (
@@ -222,35 +227,38 @@ EXIT_CASES = {
     "pad-dropout-negative": (["--config", "{tmp}/pad_-0.1.json", *TRAIN], 2,
                              "pad_dropout must be a number in [0, 1), got -0.1"),
     "exp1-repeats-zero": ([*OUT, "prestudy", "--which", "exp1", "--log", "{log}",
-                           "--repeats", "0"], 2, "repeats must be >= 1, got 0"),
+                           "--repeats", "0"], 2, "repeats must be an integer in [1, inf), got 0"),
     "config-epochs-float": (["--config", "{tmp}/epochs_2.0.json", *TRAIN], 2, "epochs=2.0"),
     "config-seed-float": (["--config", "{tmp}/seed_1.0.json", *TRAIN], 2, "seed=1.0"),
     "config-epochs-bool": (["--config", "{tmp}/epochs_true.json", *TRAIN], 2, "epochs=True"),
     "config-learning-rate-bool": (["--config", "{tmp}/lr_true.json", *TRAIN], 2,
                                   "learning_rate=True"),
     "sample-frac-nan": ([*EVALUATE, "--sample-frac", "nan"], 2,
-                        "sample_frac must be in (0, 1], got nan"),
+                        "sample_frac must be a number in (0, 1], got nan"),
     "sample-frac-negative": ([*EVALUATE, "--sample-frac", "-1"], 2,
-                             "sample_frac must be in (0, 1], got -1.0"),
+                             "sample_frac must be a number in (0, 1], got -1.0"),
     "sample-frac-zero": ([*EVALUATE, "--sample-frac", "0"], 2,
-                         "sample_frac must be in (0, 1], got 0.0"),
-    "n-mods-negative": ([*EXPLAIN, "--n-mods", "-3"], 2, "n_mods must be >= 0, got -3"),
-    "subset-cap-zero": ([*EXPLAIN, "--subset-cap", "0"], 2, "subset_cap must be >= 1, got 0"),
+                         "sample_frac must be a number in (0, 1], got 0.0"),
+    "n-mods-negative": ([*EXPLAIN, "--n-mods", "-3"], 2,
+                        "n_mods must be an integer in [0, 4096], got -3"),
+    "subset-cap-zero": ([*EXPLAIN, "--subset-cap", "0"], 2,
+                        "subset_cap must be an integer in [1, 4096], got 0"),
     "subset-cap-zero-backward": (
         [*OUT, "explain", "--method", "backward", "--log", "{log}", "--checkpoint", "{ckpt}",
-         "--subset-cap", "0"], 2, "subset_cap must be >= 1, got 0"),
+         "--subset-cap", "0"], 2, "subset_cap must be an integer in [1, 4096], got 0"),
     "n-mods-with-missing-checkpoint": (
         [*OUT, "evaluate", "--method", "backward", "--log", "{log}", "--checkpoint",
-         "{tmp}/none.npz", "--n-mods", "-1"], 2, "n_mods must be >= 0, got -1"),
-    "n-mods-above-limit": ([*EXPLAIN, "--n-mods", "4097"], 2, "n_mods must be <= 4096, got 4097"),
+         "{tmp}/none.npz", "--n-mods", "-1"], 2, "n_mods must be an integer in [0, 4096], got -1"),
+    "n-mods-above-limit": ([*EXPLAIN, "--n-mods", "4097"], 2,
+                           "n_mods must be an integer in [0, 4096], got 4097"),
     "subset-cap-above-limit": ([*EXPLAIN, "--subset-cap", "4097"], 2,
-                               "subset_cap must be <= 4096, got 4097"),
+                               "subset_cap must be an integer in [1, 4096], got 4097"),
     "delta-sim-nan": ([*EXPLAIN, "--delta-sim", "nan"], 2,
-                      "delta_sim must be a finite number in [0, 1], got nan"),
+                      "delta_sim must be a number in [0, 1], got nan"),
     "delta-attr-negative": ([*EVALUATE, "--delta-attr", "-1"], 2,
-                            "delta_attr must be a finite number in [0, 1], got -1.0"),
+                            "delta_attr must be a number in [0, 1], got -1.0"),
     "delta-pred-above-one": ([*EXPLAIN, "--delta-pred", "2"], 2,
-                             "delta_pred must be a finite number in [0, 1], got 2.0"),
+                             "delta_pred must be a number in [0, 1], got 2.0"),
     "log-not-utf8": ([*OUT, "stats", "--log", "{tmp}/not_utf8.csv"], 4, NOT_UTF8),
     "config-not-utf8": (["--config", "{tmp}/not_utf8.json", *OUT, "stats", "--log", "{log}"],
                         4, NOT_UTF8),
@@ -271,21 +279,28 @@ EXIT_CASES = {
     "checkpoint-unknown-parameter": ([*BAD_CHECKPOINT, "{tmp}/extra_param.npz"], 4,
                                      "missing parameters [], unexpected ['extra']"),
     "checkpoint-max-len-negative": ([*BAD_CHECKPOINT, "{tmp}/max_len_neg.npz"], 4,
-                                    "max_len must be >= 1, got -1"),
+                                    "max_len must be an integer in [1, 4096], got -1"),
     "checkpoint-d-k-float": ([*BAD_CHECKPOINT, "{tmp}/d_k_float.npz"], 4,
-                             "d_k must be an integer, got 8.0"),
+                             "d_k must be an integer in [1, 1024], got 8.0"),
     "checkpoint-heads-float": ([*BAD_CHECKPOINT, "{tmp}/h_float.npz"], 4,
-                               "h must be an integer, got 2.0"),
+                               "h must be an integer in [1, inf), got 2.0"),
     "checkpoint-max-len-float": ([*BAD_CHECKPOINT, "{tmp}/max_len_float.npz"], 4,
-                                 "max_len must be an integer, got 8.0"),
+                                 "max_len must be an integer in [1, 4096], got 8.0"),
     "checkpoint-ff-dim-float": ([*BAD_CHECKPOINT, "{tmp}/ff_dim_float.npz"], 4,
-                                "ff_dim must be an integer, got 8.0"),
-    "checkpoint-max-len-above-limit": ([*BAD_CHECKPOINT, "{tmp}/max_len_big.npz"], 4,
-                                       "max_len must be <= 4096, got 10000000000000"),
+                                "ff_dim must be an integer in [1, 4096], got 8.0"),
+    "checkpoint-max-len-above-limit": (
+        [*BAD_CHECKPOINT, "{tmp}/max_len_big.npz"], 4,
+        "max_len must be an integer in [1, 4096], got 10000000000000"),
     "checkpoint-d-k-above-limit": ([*BAD_CHECKPOINT, "{tmp}/d_k_big.npz"], 4,
-                                   "d_k must be <= 1024, got 10000000000000"),
+                                   "d_k must be an integer in [1, 1024], got 10000000000000"),
     "checkpoint-learning-rate-inf": ([*BAD_CHECKPOINT, "{tmp}/lr_inf.npz"], 4,
-                                     "learning_rate must be > 0 and finite, got inf"),
+                                     "learning_rate must be a number in (0, inf), got inf"),
+    "checkpoint-seed-not-a-number": ([*BAD_CHECKPOINT, "{tmp}/seed_x.npz"], 4,
+                                     "seed must be an integer in [0, inf), got 'x'"),
+    "checkpoint-seed-negative": ([*BAD_CHECKPOINT, "{tmp}/seed_neg.npz"], 4,
+                                 "seed must be an integer in [0, inf), got -1"),
+    "checkpoint-seed-bool": ([*BAD_CHECKPOINT, "{tmp}/seed_true.npz"], 4,
+                             "seed must be an integer in [0, inf), got True"),
     "checkpoint-parameter-of-strings": ([*BAD_CHECKPOINT, "{tmp}/str_param.npz"], 4,
                                         "could not convert string to float"),
     "checkpoint-member-not-npy": ([*BAD_CHECKPOINT, "{tmp}/raw_member.npz"], 4,
@@ -296,13 +311,14 @@ EXIT_CASES = {
                                    "max_iter must be an integer, got 'x'"),
     "spec-max-iter-above-limit": ([*OUT, "synth", "--spec", "{tmp}/max_iter_big.spec"], 4,
                                   "loop max_iter 20000 outside [1, 1000]"),
-    "seed-negative-train": (["--seed", "-1", *TRAIN], 2, "seed must be >= 0, got -1"),
+    "seed-negative-train": (["--seed", "-1", *TRAIN], 2,
+                            "seed must be an integer in [0, inf), got -1"),
     "seed-negative-synth": (["--seed", "-1", *OUT, "synth", "--spec", "{tmp}/spec.txt"], 2,
-                            "seed must be >= 0, got -1"),
+                            "seed must be an integer in [0, inf), got -1"),
     "config-seed-negative": (["--config", "{tmp}/seed_-1.json", *OUT, "stats", "--log", "{log}"],
-                             2, "seed must be >= 0, got -1"),
+                             2, "seed must be an integer in [0, inf), got -1"),
     "synth-n-traces-zero": ([*OUT, "synth", "--spec", "{tmp}/spec.txt", "--n-traces", "0"], 2,
-                            "n_traces must be >= 1, got 0"),
+                            "n_traces must be an integer in [1, inf), got 0"),
     "log-header-only": ([*OUT, "stats", "--log", "{tmp}/header_only.csv"], 4, "no event rows"),
     "train-one-trace": ([*OUT, "train", "--log", "{tmp}/one_trace.csv", *TRAIN_FLAGS], 2,
                         "need at least 2 traces to split, got 1"),
@@ -370,7 +386,9 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, monkeypatch, case):
                                ("max_len_float.npz", "max_len", 8.0),
                                ("ff_dim_float.npz", "ff_dim", 8.0),
                                ("max_len_big.npz", "max_len", 10_000_000_000_000),
-                               ("d_k_big.npz", "d_k", 10_000_000_000_000)):
+                               ("d_k_big.npz", "d_k", 10_000_000_000_000),
+                               ("seed_x.npz", "seed", "x"), ("seed_neg.npz", "seed", -1),
+                               ("seed_true.npz", "seed", True)):
         meta = json.loads(bytes(arrays["__meta__"]).decode())
         meta["config"][field] = value
         np.savez(tmp_path / name, **{**arrays, "__meta__": np.frombuffer(

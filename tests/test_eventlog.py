@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attnexplain.errors import EmptyLogError, LogParseError, SchemaError, SplitError
+from attnexplain.errors import EmptyLogError, LogParseError, SchemaError, UsageError
 from attnexplain.eventlog import (
     END_LABEL,
     PAD_LABEL,
@@ -213,7 +213,8 @@ def test_split_clamps_to_nonempty_halves(abc_log):
 
 def test_split_rejects_bad_fraction(abc_log):
     for frac in (0.0, 1.0, -0.1):
-        with pytest.raises(SplitError):
+        message = rf"^train_frac must be a number in \(0, 1\), got {frac}$"
+        with pytest.raises(UsageError, match=message):
             split(abc_log, frac, seed=0)
 
 

@@ -119,7 +119,8 @@ def test_thresholds_reject_non_numbers():
 ])
 def test_explainers_reject_options_out_of_range(tiny_model, explain, option):
     (name, value), = option.items()
-    with pytest.raises(UsageError, match=f"^{name} must be >= {value + 1}, got {value}$") as exc:
+    message = rf"^{name} must be an integer in \[{value + 1}, 4096\], got {value}$"
+    with pytest.raises(UsageError, match=message) as exc:
         explain(tiny_model, [(0, 1, 2)], Thresholds(), **option)
     assert isinstance(exc.value, ValueError)
 
@@ -138,7 +139,9 @@ def test_options_above_their_limits_raise_before_anything_is_drawn(tiny_model, m
         with monkeypatch.context() as mp:
             for drawing in ("random_maskings", "_subsets"):
                 mp.setattr(explain, drawing, lambda *_, d=drawing: pytest.fail(f"{d} ran"))
-            with pytest.raises(UsageError, match=f"^{name} must be <= {limit}, got {limit + 1}$"):
+            low = 0 if name == "n_mods" else 1
+            message = rf"^{name} must be an integer in \[{low}, {limit}\], got {limit + 1}$"
+            with pytest.raises(UsageError, match=message):
                 call(**{name: limit + 1})
 
 

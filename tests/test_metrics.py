@@ -342,7 +342,7 @@ def test_sample_prefixes_full_and_fractional():
 @pytest.mark.parametrize("sample_frac", [0.0, -0.5, float("nan"), 1.5])
 def test_sample_prefixes_rejects_fraction_outside_unit_interval(sample_frac):
     logobj = build_log([("c1", ["A", "B"]), ("c2", ["B", "A"])])
-    message = rf"^sample_frac must be in \(0, 1\], got {sample_frac}$"
+    message = rf"^sample_frac must be a number in \(0, 1\], got {sample_frac}$"
     with pytest.raises(UsageError, match=message) as exc:
         sample_prefixes(logobj, sample_frac, seed=0)
     assert isinstance(exc.value, ValueError)

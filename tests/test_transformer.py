@@ -61,7 +61,8 @@ def test_config_rejects_sizes_above_their_limit(name):
     at_limit = ModelConfig(**{name: limit, "h": 1})
     assert getattr(at_limit, name) == limit
     for above in (limit + 1, 10_000_000_000_000):
-        with pytest.raises(UsageError, match=rf"^{name} must be <= {limit}, got {above}$"):
+        message = rf"^{name} must be an integer in \[1, {limit}\], got {above}$"
+        with pytest.raises(UsageError, match=message):
             ModelConfig(**{name: above, "h": 1})
 
 
