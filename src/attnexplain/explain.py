@@ -303,7 +303,7 @@ def attention_exploration_explain(model, prefixes, thresholds: Thresholds = Thre
 @dataclass(frozen=True)
 class Explainer:
     """One explainer with its options bound, called as ``(model, prefixes)``
-    to explain the prefixes together. Building it checks ``n_mods``,
+    to explain the prefixes together. Building it checks ``thresholds``, ``n_mods``,
     ``subset_cap`` and ``seed`` for both methods; backward ignores ``subset_cap``."""
 
     method: str  # "backward" or "attention-exploration"
@@ -315,6 +315,8 @@ class Explainer:
     def __post_init__(self):
         if self.method not in ("backward", "attention-exploration"):
             raise UsageError(f"unknown explainer method {self.method!r}")
+        if not isinstance(self.thresholds, Thresholds):
+            raise UsageError(f"thresholds must be a Thresholds, got {self.thresholds!r}")
         check_number("n_mods", self.n_mods, f"[0, {MAX_N_MODS}]", integer=True)
         check_number("subset_cap", self.subset_cap, f"[1, {MAX_SUBSET_CAP}]", integer=True)
         check_number("seed", self.seed, "[0, inf)", integer=True)

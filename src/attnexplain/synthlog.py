@@ -6,12 +6,8 @@ iteration count. Each generator also yields the ground-truth
 directly-follows edge set of the structure's trace language, which later
 serves as the reference graph for explainer evaluation.
 
-Spec file format (key = value, ``#`` comments)::
-
-    kind = xor
-    pre = A
-    branches = B | C
-    post = D
+Spec file format (key = value, ``#`` comments; ``KINDS`` holds each kind's
+keys, and any other key is ignored)::
 
     kind = loop
     body = A B
@@ -22,16 +18,27 @@ Spec file format (key = value, ``#`` comments)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Number
 
 import numpy as np
 
-from .errors import SynthSpecError, check_number
-from .eventlog import EventLog, build_log
+from .errors import SynthSpecError, UsageError, check_number
+from .eventlog import END_LABEL, PAD_LABEL, EventLog, Trace
 
-KINDS = ("sequence", "xor", "and", "loop")
+# Each kind's spec-file keys, in the order ``write_spec_file`` writes them.
+KINDS = {
+    "sequence": ("activities",),
+    "xor": ("pre", "branches", "post"),
+    "and": ("pre", "branches", "post"),
+    "loop": ("body", "max_iter", "p_repeat"),
+}
 MAX_ACTIVITIES = 10
 # Building a loop's trace language is quadratic in max_iter (0.16 s at 1000).
 MAX_ITER = 1000
+# Bound on n_traces times the longest trace of the language. One-event traces
+# cost the most per event: 2M took 5.9 s and 465 MiB peak RSS (31 MiB of it
+# the interpreter); 400k five-event traces took 1.1 s and 134 MiB.
+MAX_EVENTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -48,28 +55,28 @@ class SynthSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SynthSpecError(f"unknown structure kind {self.kind!r}")
+        check_number("max_iter", self.max_iter, f"[1, {MAX_ITER}]", integer=True)
+        check_number("p_repeat", self.p_repeat, "[0, 1)")
         acts = self.activity_set()
         if not acts:
             raise SynthSpecError("structure names no activities")
         if len(acts) > MAX_ACTIVITIES:
             raise SynthSpecError(f"at most {MAX_ACTIVITIES} activities supported, got {len(acts)}")
+        reserved = sorted(acts & {"", PAD_LABEL, END_LABEL})
+        if reserved:
+            raise SynthSpecError(f"activity name {reserved[0]!r} is empty or reserved")
         if self.kind == "xor" and len(self.branches) < 2:
             raise SynthSpecError("xor needs at least two branches")
+        if self.kind == "xor" and () in self.branches and not self.pre + self.post:
+            raise SynthSpecError("an xor with an empty branch needs a pre or post activity")
         if self.kind == "and" and len(self.branches) != 2:
             raise SynthSpecError("and-split needs exactly two branches")
-        if self.kind == "loop":
-            if not self.body:
-                raise SynthSpecError("loop needs a non-empty body")
-            if not 1 <= self.max_iter <= MAX_ITER:
-                raise SynthSpecError(f"loop max_iter {self.max_iter} outside [1, {MAX_ITER}]")
-            if not 0.0 <= self.p_repeat < 1.0:
-                raise SynthSpecError("loop p_repeat must be in [0, 1)")
 
     def activity_set(self) -> set[str]:
-        acts = set(self.activities) | set(self.pre) | set(self.post) | set(self.body)
-        for b in self.branches:
-            acts |= set(b)
-        return acts
+        """The activities that the fields of the spec's kind name."""
+        words = [getattr(self, key) for key in KINDS[self.kind] if key != "branches"]
+        words += self.branches if "branches" in KINDS[self.kind] else ()
+        return {a for w in words if not isinstance(w, Number) for a in w}
 
 
 def sequence(*activities: str) -> SynthSpec:
@@ -111,9 +118,7 @@ def enumerate_language(spec: SynthSpec) -> list[tuple[str, ...]]:
     if spec.kind == "xor":
         return [spec.pre + b + spec.post for b in spec.branches]
     if spec.kind == "and":
-        b1, b2 = spec.branches
-        middles = _interleavings(b1, b2)
-        return [spec.pre + m + spec.post for m in middles]
+        return [spec.pre + m + spec.post for m in _interleavings(*spec.branches)]
     return [spec.body * k for k in range(1, spec.max_iter + 1)]  # loop
 
 
@@ -162,30 +167,27 @@ def sample_trace(spec: SynthSpec, rng: np.random.Generator) -> tuple[str, ...]:
 
 def synth_log(spec: SynthSpec, n_traces: int = 1000,
               seed: int = 0) -> tuple[EventLog, set[tuple[str, str]]]:
-    """Sample a log of ``n_traces`` walks; deterministic per seed.
+    """Sample a log of ``n_traces`` walks; deterministic per seed. At most
+    ``MAX_EVENTS`` events fit: ``n_traces`` times the longest trace.
 
     Vocabulary order is first-appearance over the enumerated language,
     not over the sample, so it does not depend on the seed.
     """
-    check_number("n_traces", n_traces, "[1, inf)", integer=True)
+    language = enumerate_language(spec)
+    longest = max(map(len, language))
+    check_number("n_traces", n_traces, f"[1, {MAX_EVENTS // longest}]", integer=True)
     check_number("seed", seed, "[0, inf)", integer=True)
+    ids = {a: i for i, a in enumerate(dict.fromkeys(a for trace in language for a in trace))}
     rng = np.random.default_rng(seed)
-    label_traces = [(f"case_{i}", list(sample_trace(spec, rng))) for i in range(n_traces)]
-    # build_log orders the vocabulary by first appearance, which would
-    # depend on the seed; anchor it to the enumerated language instead.
-    order: list[str] = []
-    for trace in enumerate_language(spec):
-        for a in trace:
-            if a not in order:
-                order.append(a)
-    remap_log = build_log([("__vocab__", order)] + [(c, t) for c, t in label_traces])
-    logobj = EventLog(remap_log.traces[1:], remap_log.vocabulary)
-    return logobj, ground_truth_edges(spec)
+    traces = [Trace(f"case_{i}", tuple(map(ids.__getitem__, sample_trace(spec, rng))))
+              for i in range(n_traces)]
+    return EventLog(traces, [*ids, PAD_LABEL, END_LABEL]), ground_truth_edges(spec)
 
 
 def parse_spec_file(path) -> SynthSpec:
     """Read a structure spec from the documented key/value text format
-    (UTF-8; a leading byte-order mark is skipped)."""
+    (UTF-8; a leading byte-order mark is skipped). Keys that the kind does
+    not take are ignored."""
     kv: dict[str, str] = {}
     with open(path, encoding="utf-8-sig") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -198,49 +200,38 @@ def parse_spec_file(path) -> SynthSpec:
             kv[key] = value
     if "kind" not in kv:
         raise SynthSpecError(f"{path}: missing 'kind'")
-    kind = kv["kind"]
+    try:
+        return SynthSpec(kv["kind"], **{key: _field(key, kv[key])
+                                        for key in KINDS.get(kv["kind"], ()) if key in kv})
+    except (SynthSpecError, UsageError) as e:
+        raise SynthSpecError(f"{path}: {e}") from None
 
-    def words(key, default=""):
-        return tuple(kv.get(key, default).split())
 
-    def number(key, kind, default):
-        try:
-            return kind(kv.get(key, default))
-        except ValueError:
-            rule = "an integer" if kind is int else "a number"
-            raise SynthSpecError(f"{path}: {key} must be {rule}, got {kv[key]!r}") from None
-
-    if kind == "sequence":
-        return SynthSpec(kind="sequence", activities=words("activities"))
-    if kind in ("xor", "and"):
-        branches = tuple(
-            tuple(part.split()) for part in kv.get("branches", "").split("|") if part.split()
-        )
-        return SynthSpec(kind=kind, pre=words("pre"), branches=branches, post=words("post"))
-    if kind == "loop":
-        return SynthSpec(
-            kind="loop",
-            body=words("body"),
-            max_iter=number("max_iter", int, "3"),
-            p_repeat=number("p_repeat", float, "0.5"),
-        )
-    raise SynthSpecError(f"{path}: unknown kind {kind!r}")
+def _field(key: str, text: str):
+    """A spec-file value as the SynthSpec field ``key`` holds it: words,
+    ``|``-separated branches of words, or the field's int or float. Text
+    that does not convert is passed on, for the field's check to reject."""
+    if key == "branches":
+        return tuple(tuple(part.split()) for part in text.split("|") if part.split())
+    convert = type(getattr(SynthSpec, key))  # the field's default
+    if convert is tuple:
+        return tuple(text.split())
+    try:
+        return convert(text)
+    except ValueError:
+        return text
 
 
 def write_spec_file(spec: SynthSpec, path) -> None:
     lines = [f"kind = {spec.kind}"]
-    if spec.kind == "sequence":
-        lines.append("activities = " + " ".join(spec.activities))
-    elif spec.kind in ("xor", "and"):
-        if spec.pre:
-            lines.append("pre = " + " ".join(spec.pre))
-        lines.append("branches = " + " | ".join(" ".join(b) for b in spec.branches))
-        if spec.post:
-            lines.append("post = " + " ".join(spec.post))
-    else:
-        lines.append("body = " + " ".join(spec.body))
-        lines.append(f"max_iter = {spec.max_iter}")
-        lines.append(f"p_repeat = {spec.p_repeat}")
+    for key in KINDS[spec.kind]:
+        value = getattr(spec, key)
+        if key == "branches":
+            value = " | ".join(" ".join(b) for b in value)
+        elif isinstance(value, tuple):
+            value = " ".join(value)
+        if value != "":
+            lines.append(f"{key} = {value}")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -248,8 +239,6 @@ def write_spec_file(spec: SynthSpec, path) -> None:
 def deterministic_continuations(spec: SynthSpec) -> dict[tuple[str, ...], str]:
     """Prefixes (as label tuples) whose next symbol is uniquely determined
     by the trace language; END is denoted by the reserved END label."""
-    from .eventlog import END_LABEL
-
     continuations: dict[tuple[str, ...], set[str]] = {}
     for trace in enumerate_language(spec):
         for r in range(1, len(trace) + 1):

@@ -440,11 +440,13 @@ class TransformerModel:
             config = ModelConfig(**meta["config"])
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"invalid model configuration in {path}: {e}") from e
-        # A non-.npy member reads as bytes: text fails here, a number fails the shape check.
         try:
-            params = {n: np.asarray(data[n], dtype=float) for n in data.files if n != "__meta__"}
-        except (ValueError, zipfile.BadZipFile) as e:
+            params = {n: np.asarray(data[n]) for n in data.files if n != "__meta__"}
+        except (ValueError, zipfile.BadZipFile) as e:  # an object array, a damaged member
             raise CheckpointError(f"cannot read the parameters in {path}: {e}") from e
+        for name, value in params.items():  # only as save writes it, in C or Fortran order
+            if value.dtype.str != "<f4":
+                raise CheckpointError(f"parameter {name} has dtype {value.dtype.str}, not <f4")
         return cls(config, meta["activity_labels"], params=params)
 
 

@@ -9,6 +9,7 @@ from attnexplain.attnstats import (
     activity_score_sums,
     aggregate_event_scores,
     cosine_distance,
+    cosine_distances,
     flatten,
     jsd,
     max_normalize,
@@ -142,6 +143,10 @@ def test_distance_shape_mismatch():
         tvd(np.ones(2), np.ones(3))
     with pytest.raises(DimensionError):
         jsd(np.ones((4, 2)) / 2, np.ones((4, 3)) / 3)
+    with pytest.raises(DimensionError, match=r"length mismatch: \(2,\) vs \(3,\)"):
+        cosine_distance(np.ones(2), np.ones(3))
+    with pytest.raises(DimensionError, match=r"length mismatch: \(3,\) vs \(2,\)"):
+        cosine_distances(np.ones((4, 3)), np.ones(2))
     with pytest.raises(DegenerateInputError):
         cosine_distance(np.zeros(3), np.ones(3))
 

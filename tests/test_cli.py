@@ -302,15 +302,31 @@ EXIT_CASES = {
     "checkpoint-seed-bool": ([*BAD_CHECKPOINT, "{tmp}/seed_true.npz"], 4,
                              "seed must be an integer in [0, inf), got True"),
     "checkpoint-parameter-of-strings": ([*BAD_CHECKPOINT, "{tmp}/str_param.npz"], 4,
-                                        "could not convert string to float"),
+                                        "parameter Wout has dtype <U1, not <f4"),
+    "checkpoint-parameter-of-numeric-strings": (
+        [*BAD_CHECKPOINT, "{tmp}/numeric_str_param.npz"], 4, "parameter Wo has dtype <U3, not <f4"),
+    "checkpoint-parameter-complex": (
+        [*OUT, "explain", "--method", "backward", "--log", "{log}", "--checkpoint",
+         "{tmp}/complex_param.npz"], 4, "parameter Wo has dtype <c8, not <f4"),
+    "checkpoint-parameter-big-endian": ([*BAD_CHECKPOINT, "{tmp}/big_endian_param.npz"], 4,
+                                        "parameter Wo has dtype >f4, not <f4"),
     "checkpoint-member-not-npy": ([*BAD_CHECKPOINT, "{tmp}/raw_member.npz"], 4,
-                                  "cannot read the parameters"),
+                                  "parameter Wout has dtype |S12, not <f4"),
     "checkpoint-truncated": ([*BAD_CHECKPOINT, "{tmp}/truncated.npz"], 4,
                              "cannot read checkpoint"),
     "spec-max-iter-not-a-number": ([*OUT, "synth", "--spec", "{tmp}/max_iter_x.spec"], 4,
-                                   "max_iter must be an integer, got 'x'"),
+                                   "max_iter must be an integer in [1, 1000], got 'x'"),
     "spec-max-iter-above-limit": ([*OUT, "synth", "--spec", "{tmp}/max_iter_big.spec"], 4,
-                                  "loop max_iter 20000 outside [1, 1000]"),
+                                  "max_iter must be an integer in [1, 1000], got 20000"),
+    "spec-max-iter-float": (
+        [*OUT, "synth", "--spec", "{tmp}/max_iter_2.5.spec"], 4,
+        "max_iter_2.5.spec: max_iter must be an integer in [1, 1000], got '2.5'"),
+    "spec-activity-pad": ([*OUT, "synth", "--spec", "{tmp}/pad_name.spec"], 4,
+                          "pad_name.spec: activity name '_' is empty or reserved"),
+    "spec-activity-end": ([*OUT, "synth", "--spec", "{tmp}/end_name.spec"], 4,
+                          "end_name.spec: activity name '<END>' is empty or reserved"),
+    "spec-kind-unknown": ([*OUT, "synth", "--spec", "{tmp}/nope.spec"], 4,
+                          "nope.spec: unknown structure kind 'nope'"),
     "seed-negative-train": (["--seed", "-1", *TRAIN], 2,
                             "seed must be an integer in [0, inf), got -1"),
     "seed-negative-synth": (["--seed", "-1", *OUT, "synth", "--spec", "{tmp}/spec.txt"], 2,
@@ -318,7 +334,12 @@ EXIT_CASES = {
     "config-seed-negative": (["--config", "{tmp}/seed_-1.json", *OUT, "stats", "--log", "{log}"],
                              2, "seed must be an integer in [0, inf), got -1"),
     "synth-n-traces-zero": ([*OUT, "synth", "--spec", "{tmp}/spec.txt", "--n-traces", "0"], 2,
-                            "n_traces must be an integer in [1, inf), got 0"),
+                            "n_traces must be an integer in [1, 666666], got 0"),
+    "synth-n-traces-above-limit": (
+        [*OUT, "synth", "--spec", "{tmp}/spec.txt", "--n-traces", "1000000000000"], 2,
+        "n_traces must be an integer in [1, 666666], got 1000000000000"),
+    "xes-without-traces": ([*OUT, "stats", "--log", "{tmp}/no_traces.xes", "--format", "xes"], 4,
+                           "no usable traces in"),
     "log-header-only": ([*OUT, "stats", "--log", "{tmp}/header_only.csv"], 4, "no event rows"),
     "train-one-trace": ([*OUT, "train", "--log", "{tmp}/one_trace.csv", *TRAIN_FLAGS], 2,
                         "need at least 2 traces to split, got 1"),
@@ -352,6 +373,11 @@ CONFIG_FILES = {
     "seed_-1.json": '{"seed": -1}',
     "max_iter_x.spec": "kind = loop\nbody = A B\nmax_iter = x\n",
     "max_iter_big.spec": "kind = loop\nbody = A B\nmax_iter = 20000\n",
+    "max_iter_2.5.spec": "kind = loop\nbody = A B\nmax_iter = 2.5\n",
+    "pad_name.spec": "kind = sequence\nactivities = A _\n",
+    "end_name.spec": "kind = sequence\nactivities = A <END>\n",
+    "nope.spec": "kind = nope\nactivities = A\n",
+    "no_traces.xes": '<log xmlns="http://www.xes-standard.org/"></log>\n',
     "header_only.csv": "case,activity,time\n",
     "one_trace.csv": "case,activity,time\nc1,A,1\nc1,B,2\n",
     "lr_big.json": '{"learning_rate": 1' + "0" * 400 + "}",  # an integer beyond float
@@ -375,6 +401,10 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, monkeypatch, case):
     np.savez(tmp_path / "inf_param.npz", **{**arrays, "embed": inf_embed})
     np.savez(tmp_path / "extra_param.npz", **arrays, extra=np.zeros(1, dtype="<f4"))
     np.savez(tmp_path / "str_param.npz", **{**arrays, "Wout": np.full(arrays["Wout"].shape, "x")})
+    for name, wo in (("numeric_str_param.npz", arrays["Wo"].astype("<U3")),
+                     ("complex_param.npz", arrays["Wo"].astype(np.complex64) + np.complex64(1j)),
+                     ("big_endian_param.npz", arrays["Wo"].astype(">f4"))):
+        np.savez(tmp_path / name, **{**arrays, "Wo": wo})
     raw_member = tmp_path / "raw_member.npz"
     with zipfile.ZipFile(checkpoint) as npz, zipfile.ZipFile(raw_member, "w") as out:
         for name in npz.namelist():  # Wout.npy holds bytes that are not .npy data

@@ -7,6 +7,7 @@ from attnexplain.errors import EmptyLogError, LogParseError, SchemaError, UsageE
 from attnexplain.eventlog import (
     END_LABEL,
     PAD_LABEL,
+    EventLog,
     Prefix,
     build_log,
     extract_prefixes,
@@ -57,6 +58,14 @@ def test_empty_log_rejected():
         build_log([])
     with pytest.raises(EmptyLogError):
         build_log([("c1", [])])
+
+
+def test_vocabulary_rejected_without_unique_labels_or_the_reserved_symbols():
+    with pytest.raises(SchemaError, match="duplicate activity labels in vocabulary"):
+        EventLog([], ["A", "A", PAD_LABEL, END_LABEL])
+    for vocabulary in (["A"], ["A", END_LABEL, PAD_LABEL], []):
+        with pytest.raises(SchemaError, match="vocabulary must end with PAD and END symbols"):
+            EventLog([], vocabulary)
 
 
 def test_stats(abc_log):

@@ -151,7 +151,8 @@ def test_config_and_thresholds_raise_usage_errors():
                          (Explainer, {"method": "bogus"}),
                          (Explainer, {"method": "backward", "subset_cap": 0}),
                          (Explainer, {"method": "backward",
-                                      "subset_cap": explain.MAX_SUBSET_CAP + 1})):
+                                      "subset_cap": explain.MAX_SUBSET_CAP + 1}),
+                         (Explainer, {"method": "backward", "thresholds": 0.5})):
         with pytest.raises(UsageError) as exc:
             make(**option)
         assert isinstance(exc.value, ValueError)

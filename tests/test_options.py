@@ -16,7 +16,7 @@ from attnexplain.eventlog import build_log, extract_prefixes, split
 from attnexplain.explain import Explainer, ExplanationGraph, Thresholds, relevant_activities
 from attnexplain.metrics import continuity, contrastivity, sample_prefixes
 from attnexplain.prestudy import experiment1
-from attnexplain.synthlog import sequence, synth_log
+from attnexplain.synthlog import MAX_EVENTS, MAX_ITER, loop, sequence, synth_log
 from attnexplain.transformer import ModelConfig, TransformerModel
 from conftest import TINY_CONFIG
 
@@ -50,7 +50,11 @@ OPTIONS = {
        for name, interval in (("n_mods", "[0, 4096]"), ("seed", "[0, inf)"))},
     "sample_prefixes.sample_frac": ("(0, 1]", False, lambda v: sample_prefixes(LOG, v, 0)),
     "sample_prefixes.seed": ("[0, inf)", True, lambda v: sample_prefixes(LOG, 0.5, v)),
-    "synth_log.n_traces": ("[1, inf)", True, lambda v: synth_log(sequence("A", "B"), v)),
+    # traces of up to 1000 events, so that at most 2000 fit
+    "synth_log.n_traces": (f"[1, {MAX_EVENTS // 1000}]", True, lambda v: synth_log(
+        loop([f"A{i}" for i in range(10)], max_iter=100, p_repeat=0.0), v)),
+    "SynthSpec.max_iter": (f"[1, {MAX_ITER}]", True, lambda v: loop(["A"], max_iter=v)),
+    "SynthSpec.p_repeat": ("[0, 1)", False, lambda v: loop(["A"], p_repeat=v)),
     "synth_log.seed": ("[0, inf)", True, lambda v: synth_log(sequence("A", "B"), 2, seed=v)),
     "experiment1.repeats": ("[1, inf)", True, lambda v: experiment1(
         LOG, repeats=v, config=replace(TINY_CONFIG, epochs=1))),
@@ -108,6 +112,10 @@ def fail(name):
 @example(("experiment1.repeats", 2.5))
 @example(("split.seed", -1))
 @example(("ModelConfig.seed", "x"))
+@example(("SynthSpec.max_iter", 2.5))
+@example(("SynthSpec.max_iter", True))
+@example(("SynthSpec.p_repeat", "x"))
+@example(("synth_log.n_traces", 10 ** 12))
 @settings(max_examples=300, deadline=None)
 def test_each_option_runs_or_raises_one_usage_error_before_anything_is_drawn(case):
     key, value = case

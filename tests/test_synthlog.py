@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnexplain.errors import SynthSpecError
+from attnexplain.errors import SynthSpecError, UsageError
 from attnexplain.eventlog import END_LABEL
 from attnexplain.synthlog import (
     MAX_ITER,
@@ -76,15 +76,39 @@ def test_spec_validation():
         sequence()  # no activities
     with pytest.raises(SynthSpecError):
         xor("A", ["B"], "C")  # single branch
-    with pytest.raises(SynthSpecError):
+    with pytest.raises(UsageError, match=r"^max_iter must be an integer in \[1, 1000\], got 0$"):
         loop(["A"], max_iter=0)
-    with pytest.raises(SynthSpecError, match=r"max_iter 1001 outside \[1, 1000\]"):
+    with pytest.raises(UsageError, match=r"^max_iter must be an integer in \[1, 1000\], got 1001$"):
         loop(["A"], max_iter=MAX_ITER + 1)
     assert loop(["A"], max_iter=MAX_ITER).max_iter == MAX_ITER
-    with pytest.raises(SynthSpecError):
+    with pytest.raises(UsageError, match=r"^p_repeat must be a number in \[0, 1\), got 1\.0$"):
         loop(["A"], p_repeat=1.0)
     with pytest.raises(SynthSpecError):
         sequence(*[f"A{i}" for i in range(11)])  # over the activity cap
+
+
+@pytest.mark.parametrize("spec, message", [
+    (lambda: SynthSpec(kind="and", pre=("A",), branches=(("B",),)),
+     "and-split needs exactly two branches"),
+    (lambda: loop([]), "structure names no activities"),
+    # a field of another kind names no activity of this one
+    (lambda: SynthSpec(kind="sequence", body=("A",)), "structure names no activities"),
+    # its language would hold the empty trace
+    (lambda: xor([], [["B"], []], []), "an xor with an empty branch needs a pre or post activity"),
+    (lambda: sequence("A", ""), "activity name '' is empty or reserved"),
+    (lambda: sequence("A", END_LABEL), "activity name '<END>' is empty or reserved"),
+    (lambda: loop(["A", "_"]), "activity name '_' is empty or reserved"),
+])
+def test_structure_errors(spec, message):
+    with pytest.raises(SynthSpecError) as exc:
+        spec()
+    assert str(exc.value) == message
+
+
+def test_xor_with_an_empty_branch_between_activities():
+    spec = xor("A", [["B"], []], "C")
+    assert enumerate_language(spec) == [("A", "B", "C"), ("A", "C")]
+    assert len(synth_log(spec, 20)[0].traces) == 20
 
 
 def test_sampled_traces_stay_in_language():
@@ -134,13 +158,45 @@ def test_synth_log_edges_subset_of_truth():
 
 
 def test_spec_file_round_trip(tmp_path):
-    for spec in (sequence("A", "B", "C"),
-                 xor("A", ["B", "C"], "D"),
-                 and_split("A", ["B"], ["C", "D"], "E"),
-                 loop(["A", "B"], max_iter=4, p_repeat=0.25)):
-        path = tmp_path / "spec.txt"
+    path = tmp_path / "spec.txt"
+    for spec, text in ((sequence("A", "B", "C"), "kind = sequence\nactivities = A B C\n"),
+                       (xor("A", ["B", "C"], "D"),
+                        "kind = xor\npre = A\nbranches = B | C\npost = D\n"),
+                       (xor([], [["B"], ["C", "D"]], []), "kind = xor\nbranches = B | C D\n"),
+                       (and_split("A", ["B"], ["C", "D"], "E"),
+                        "kind = and\npre = A\nbranches = B | C D\npost = E\n"),
+                       (and_split("A", ["B"], ["C", "D"], []),
+                        "kind = and\npre = A\nbranches = B | C D\n"),
+                       (loop(["A", "B"], max_iter=4, p_repeat=0.25),
+                        "kind = loop\nbody = A B\nmax_iter = 4\np_repeat = 0.25\n"),
+                       (loop(["A", "B", "C", "D"], max_iter=6, p_repeat=0.8),
+                        "kind = loop\nbody = A B C D\nmax_iter = 6\np_repeat = 0.8\n")):
         write_spec_file(spec, path)
+        assert path.read_bytes() == text.encode()
         assert parse_spec_file(path) == spec
+
+
+def test_spec_file_ignores_keys_of_other_kinds(tmp_path):
+    path = tmp_path / "spec.txt"
+    path.write_text("kind = sequence\nactivities = A B\nbody = X\nmax_iter = x\nbranches = |\n")
+    assert parse_spec_file(path) == sequence("A", "B")
+    path.write_text("kind = loop\nbody = A\nactivities = _\npre = <END>\np_repeat = 0.25\n")
+    assert parse_spec_file(path) == loop(["A"], p_repeat=0.25)
+
+
+# test_cli.py's EXIT_CASES run an unknown kind, a max_iter of 2.5 and the
+# reserved names in a sequence through the CLI
+@pytest.mark.parametrize("text, message", [
+    ("kind = loop\nbody = A\np_repeat = x\n", "p_repeat must be a number in [0, 1), got 'x'"),
+    ("kind = loop\nbody = A\np_repeat = nan\n", "p_repeat must be a number in [0, 1), got nan"),
+    ("kind = xor\nbranches = A | <END>\n", "activity name '<END>' is empty or reserved"),
+])
+def test_spec_file_errors_name_the_path(tmp_path, text, message):
+    path = tmp_path / "spec.txt"
+    path.write_text(text)
+    with pytest.raises(SynthSpecError) as exc:
+        parse_spec_file(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_spec_file_comments_and_errors(tmp_path):

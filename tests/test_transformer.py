@@ -1,7 +1,9 @@
+import io
 import json
 import warnings
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +13,13 @@ from hypothesis.extra import numpy as hnp
 
 from attnexplain import transformer
 from attnexplain.attnstats import activity_score_sums
-from attnexplain.errors import DimensionError, DivergenceError, TrainingDataError, UsageError
+from attnexplain.errors import (
+    CheckpointError,
+    DimensionError,
+    DivergenceError,
+    TrainingDataError,
+    UsageError,
+)
 from attnexplain.eventlog import build_log, extract_prefixes
 from attnexplain.metrics import weighted_f1
 from attnexplain.transformer import (
@@ -681,6 +689,36 @@ def test_train_divergence_detected(abc_log):
         train(abc_log, cfg)
 
 
+def test_train_rejects_a_log_without_traces(abc_log):
+    with pytest.raises(TrainingDataError, match="no prefixes extractable from the log"):
+        train(abc_log.with_traces([]), TINY_CONFIG)
+
+
+def test_train_rejects_parameters_left_non_finite(abc_log, monkeypatch):
+    # a finite loss, so only the check after the last step sees the damage
+    def infinite_gradients(self, ids, targets):
+        return 1.0, SimpleNamespace(flat=np.full(self.params.flat.size, np.inf))
+
+    monkeypatch.setattr(TransformerModel, "loss_and_grads", infinite_gradients)
+    with pytest.raises(DivergenceError,
+                       match="non-finite values in parameter embed after training"):
+        train(abc_log, replace(TINY_CONFIG, epochs=1))
+
+
+def test_gradient_check_fails_a_gradient_on_a_frozen_projection(abc_log, monkeypatch):
+    model = TransformerModel(replace(TINY_CONFIG, attention_mode=ATTENTION_FROZEN_UNIFORM),
+                             abc_log.activity_labels)
+    real = TransformerModel.loss_and_grads
+
+    def leaking(self, ids, targets):
+        loss, grads = real(self, ids, targets)
+        grads["Wk"][0, 0, 0] = 1e-3
+        return loss, grads
+
+    monkeypatch.setattr(TransformerModel, "loss_and_grads", leaking)
+    assert gradient_check(model, extract_prefixes(abc_log)[2]) == np.inf
+
+
 def test_frozen_training_never_touches_qk(abc_log):
     cfg = ModelConfig(d_k=8, h=2, max_len=8, ff_dim=8, epochs=3,
                       attention_mode=ATTENTION_FROZEN_UNIFORM)
@@ -774,7 +812,6 @@ def test_save_rejects_parameters_beyond_float32(tmp_path, abc_log):
 
 
 def test_load_rejects_non_checkpoint(tmp_path):
-    from attnexplain.errors import CheckpointError
     path = tmp_path / "junk.npz"
     np.savez(path, x=np.arange(3))
     with pytest.raises(CheckpointError):
@@ -782,7 +819,6 @@ def test_load_rejects_non_checkpoint(tmp_path):
 
 
 def test_load_rejects_shape_mismatch(tmp_path, abc_log):
-    from attnexplain.errors import CheckpointError
     model = TransformerModel(TINY_CONFIG, abc_log.activity_labels)
     model.save(tmp_path / "model.npz")
     data = dict(np.load(tmp_path / "model.npz"))
@@ -793,7 +829,6 @@ def test_load_rejects_shape_mismatch(tmp_path, abc_log):
 
 
 def test_load_rejects_invalid_stored_config(tmp_path, abc_log):
-    from attnexplain.errors import CheckpointError
     TransformerModel(TINY_CONFIG, abc_log.activity_labels).save(tmp_path / "model.npz")
     data = dict(np.load(tmp_path / "model.npz"))
     meta = json.loads(bytes(data["__meta__"]).decode())
@@ -804,6 +839,86 @@ def test_load_rejects_invalid_stored_config(tmp_path, abc_log):
         np.savez(tmp_path / "bad.npz", **data)
         with pytest.raises(CheckpointError, match=message):
             TransformerModel.load(tmp_path / "bad.npz")
+
+
+def checkpoint_members() -> dict:
+    """The members of a checkpoint that ``save`` wrote for a trained tiny model."""
+    logobj = build_log([("c1", ["A", "B", "C"]), ("c2", ["A", "C"]), ("c3", ["B", "C"])])
+    buffer = io.BytesIO()
+    train(logobj, replace(TINY_CONFIG, epochs=2)).save(buffer)
+    buffer.seek(0)
+    with np.load(buffer) as data:
+        return dict(data)
+
+
+CHECKPOINT = checkpoint_members()
+PARAMETERS = sorted(set(CHECKPOINT) - {"__meta__"})
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 70), st.floats(),
+                        st.text(max_size=3), st.lists(st.text(max_size=2), max_size=4))
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """The checkpoint with one change: a parameter's dtype, shape, byte
+    order, memory order or one value; a parameter dropped or one added; or
+    one key or value of the metadata, dropped or set."""
+    members = dict(CHECKPOINT)
+    kind = draw(st.sampled_from(["dtype", "shape", "byte order", "memory order", "value",
+                                 "member", "metadata"]))
+    name = draw(st.sampled_from(PARAMETERS))
+    array = members[name]
+    if kind == "dtype":
+        dtype = draw(st.sampled_from(["<f2", "<f8", ">f8", "<c8", "<c16", "<i8", "<i4", "|u1",
+                                      "|b1", "<U3", "|S8"]))
+        members[name] = array.astype(dtype)
+    elif kind == "shape":
+        shapes = [array.reshape(-1), array[None], array[..., :-1], array[:0], np.float32(1.0)]
+        members[name] = draw(st.sampled_from([a for a in shapes if a.shape != array.shape]))
+    elif kind == "byte order":
+        members[name] = array.astype(">f4")
+    elif kind == "memory order":
+        members[name] = np.asfortranarray(array)
+    elif kind == "value":
+        members[name] = array.copy()
+        members[name].flat[draw(st.integers(0, array.size - 1))] = draw(st.floats(width=32))
+    elif kind == "member":
+        if draw(st.booleans()):
+            del members[name]
+        else:
+            members["extra"] = array
+    else:
+        meta = json.loads(bytes(members["__meta__"]).decode())
+        part = draw(st.sampled_from([meta, meta["config"]]))
+        key = draw(st.sampled_from(sorted(part) + ["extra"]))
+        if draw(st.booleans()):
+            part.pop(key, None)
+        else:
+            part[key] = draw(JSON_VALUES)
+        members["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    buffer = io.BytesIO()
+    np.savez(buffer, **members)
+    buffer.seek(0)
+    return kind, members, buffer
+
+
+@given(case=mutated_checkpoints(), seed=st.integers(0, 99))
+@settings(max_examples=200, deadline=None)
+def test_a_mutated_checkpoint_loads_as_stored_or_raises_checkpoint_error(case, seed):
+    kind, members, buffer = case
+    try:
+        model = TransformerModel.load(buffer)
+    except CheckpointError:
+        assert kind != "memory order"
+        return
+    assert kind in ("memory order", "value", "metadata")
+    for name, param in model.params.items():
+        assert_bits_equal(param, members[name].astype(np.float64), err_msg=name)
+    T = min(3, model.config.max_len)
+    ids = np.random.default_rng(seed).integers(0, model.vocab_size, size=T)
+    probs, att = model.predict(ids[None])
+    ref_probs, ref_att = reference_forward(model, ids)
+    np.testing.assert_allclose(probs[0], ref_probs, atol=1e-9)
+    np.testing.assert_allclose(att[0], ref_att, atol=1e-9)
 
 
 def test_weighted_f1_perfect_and_degenerate(trained_chain_model):
