@@ -17,6 +17,7 @@ keys, and any other key is ignored)::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from numbers import Number
 
@@ -223,6 +224,16 @@ def _field(key: str, text: str):
 
 
 def write_spec_file(spec: SynthSpec, path) -> None:
+    """Write ``spec`` as ``parse_spec_file`` reads it. A spec that would read
+    back as another raises SynthSpecError and nothing is written: an activity
+    name holding whitespace, ``|`` or ``#``, which the reader splits on or
+    strips, or an empty branch, which it drops."""
+    for name in sorted(spec.activity_set()):
+        if re.search(r"[\s|#]", name):
+            raise SynthSpecError(f"activity name {name!r} holds whitespace, '|' or '#', "
+                                 "which a spec file cannot hold")
+    if "branches" in KINDS[spec.kind] and () in spec.branches:
+        raise SynthSpecError("a spec file cannot hold an empty branch")
     lines = [f"kind = {spec.kind}"]
     for key in KINDS[spec.kind]:
         value = getattr(spec, key)

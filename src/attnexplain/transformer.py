@@ -27,23 +27,34 @@ Short-axis reductions are BLAS products too, because at training shapes
 than in arithmetic: the layer-norm means and variances are ``x @ (1/d)``,
 the softmax row sums ``e @ ones(T)``, the layer-norm gain and bias
 gradients ``ones(B*T) @ rows`` and the embedding gradient a one-hot
-product; these constant operands are made once per shape. The softmax's
-row max is a running ``np.maximum`` over the T columns, exact in any
-order. ``loss_and_grads`` writes the gradients into a fresh buffer laid
-out as the parameters', so a training step is one ``flat -= lr * gflat``.
+product; the workspace holds these constant operands. The softmax's row
+max is a running ``np.maximum`` over the T columns, exact in any order.
 
-The forward writes an op's result in place wherever the op sequence
-stays the same, so every output bit is that of the out-of-place form:
+Every op writes its result in place or with ``out=``, and the op
+sequence is that of the out-of-place form, so every output bit is too:
 the softmax is ``A = Q @ K.T; A *= scale; A -= rowmax; exp(A, out=A);
 A /= A @ ones``, residual and bias adds are ``+=`` (IEEE addition
 commutes), the layer norm turns its centred rows into x-hat and its
 variances into 1/sigma, and pooling sums over positions and divides by
 T, which is what ``mean`` computes. The backward does the same, from
 the output gradient, formed in ``probs``, to the layer-norm gradients.
+
+The results go into a workspace: one float64 arena with a
+64-byte-aligned view for each array the forward and the backward write,
+carved once per (B, T) batch shape, every shape's views in the head of
+the arena. ``train`` makes one for the whole call, sized for its largest
+batch, with the gradient buffer laid out as the parameters', so a
+training step is ``gflat *= lr; flat -= gflat``. ``predict`` makes one
+for all its chunks. A workspace is the model's only while that call
+runs; a batch's results in it live until the next batch of the call.
+Called directly, ``_forward_batch`` and ``loss_and_grads`` write into a
+workspace of their own and so return fresh arrays. A model runs one
+``train`` or ``predict`` call at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -139,6 +150,7 @@ class TransformerModel:
             self._spans[name] = (slice(start, start + math.prod(shape)), shape)
             start += math.prod(shape)
         self._fused, self.params = self._views(np.empty(start))
+        self._workspace = None  # set while a train or predict call runs
         for name, value in params.items():
             self.params[name][...] = value
 
@@ -231,6 +243,10 @@ class TransformerModel:
         marks True, each batch row with its own mask (the
         attention-masking pathway of the pre-study). The returned
         attention is always the unmasked one.
+
+        Every result is written into the workspace of the running
+        ``train`` or ``predict`` call, or, called directly, into one made
+        for this call alone.
         """
         cfg = self.config
         p = self.params
@@ -239,49 +255,49 @@ class TransformerModel:
             raise _length_error(T, cfg.max_len)
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise IndexError("activity id outside vocabulary")
-        d, h = cfg.d_k, cfg.h
-        scale = 1.0 / np.sqrt(d)
+        ws = self._workspace or _Workspace(self, [(B, T)])
+        v = ws.views(B, T)
 
-        X0 = p["embed"][ids]
+        X0 = p["embed"].take(ids, 0, v["X0"], "clip")  # ids checked above; "raise" would buffer
         X0 += self.pos_enc[:T]
         W = self._fused
-        # (B, T, k*d) -> (k, B, h, T, dh): one (T, dh) block per projection and head.
-        QKV = (X0 @ W).reshape(B, T, -1, h, d // h)
-        QKV = QKV.transpose(2, 0, 3, 1, 4)
+        np.matmul(X0, W, v["QKV"])
+        QKV = v["qkv"]  # (k, B, h, T, dh): one (T, dh) block per projection and head
         Vv = QKV[-1]
+        A = v["A"]
         if self.frozen_attention:
             Q = K = None
-            A = np.full((B, h, T, T), 1.0 / T)
+            A.fill(1.0 / T)
         else:
             Q, K = QKV[0], QKV[1]
-            A = Q @ K.swapaxes(-1, -2)
-            A *= scale
-            A -= _row_max(A)
-            np.exp(A, out=A)
-            A /= A @ _constant(np.ones, (T, 1))
+            np.matmul(Q, K.swapaxes(-1, -2), A)
+            A *= ws.scale
+            A -= _row_max(A, v["col"])
+            np.exp(A, A)
+            A /= np.matmul(A, v["ones_T"], v["col"])
         att = A
         if att_mask is not None:
             keep = ~att_mask
-            A = A * (keep[:, None, :, None] & keep[:, None, None, :])
-        H = A @ Vv
-        Hc = H.transpose(0, 2, 1, 3).reshape(B, T, d)
-        R1 = Hc @ p["Wo"]
+            A = np.multiply(A, keep[:, None, :, None] & keep[:, None, None, :], v["A_masked"])
+        np.copyto(v["Hc_heads"], np.matmul(A, Vv, v["H"]))
+        Hc = v["Hc"]
+        R1 = np.matmul(Hc, p["Wo"], v["R1"])
         R1 += X0
-        N1, ln1_cache = _layer_norm(R1, p["ln1_g"], p["ln1_b"])
-        U = N1 @ p["W1"]
+        N1, ln1_cache = _layer_norm(R1, p["ln1_g"], p["ln1_b"], ws.mean_w, v["N1"], v["inv1"])
+        U = np.matmul(N1, p["W1"], v["U"])
         U += p["b1"]
-        Urelu = np.maximum(U, 0.0)
-        R2 = Urelu @ p["W2"]
+        Urelu = np.maximum(U, 0.0, out=v["Urelu"])
+        R2 = np.matmul(Urelu, p["W2"], v["R2"])
         R2 += p["b2"]
         R2 += N1
-        N2, ln2_cache = _layer_norm(R2, p["ln2_g"], p["ln2_b"])
-        pooled = N2.sum(axis=1)
+        N2, ln2_cache = _layer_norm(R2, p["ln2_g"], p["ln2_b"], ws.mean_w, v["N2"], v["inv2"])
+        pooled = np.add.reduce(N2, 1, None, v["pooled"])
         pooled /= T
-        probs = (pooled[:, None, :] @ p["Wout"])[:, 0]
+        probs = np.matmul(pooled[:, None, :], p["Wout"], v["logits"])[:, 0]
         probs += p["bout"]
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs -= np.maximum.reduce(probs, -1, None, v["class_col"], True)
+        np.exp(probs, probs)
+        probs /= np.add.reduce(probs, -1, None, v["class_col"], True)
 
         cache = None
         if keep_cache:
@@ -293,18 +309,22 @@ class TransformerModel:
         """``(probs, attention)``, (B, C) and (B, h, T, T), for a (B, T) id
         batch and an optional (B, T) ``att_mask`` as ``_forward_batch``
         takes, boolean or 0/1; a mask of another shape raises
-        DimensionError. Runs ``_PREDICT_TOKENS`` tokens at a time; each row
-        equals ``forward`` on that row alone, bit for bit."""
+        DimensionError. Runs ``_PREDICT_TOKENS`` tokens at a time through
+        one workspace; each row equals ``forward`` on that row alone, bit
+        for bit."""
         ids = np.asarray(ids, dtype=int)
         att_mask = _mask_array(ids, att_mask)
         B, T = ids.shape
+        if B and not 1 <= T <= self.config.max_len:  # before anything is sized by T
+            raise _length_error(T, self.config.max_len)
         probs = np.empty((B, self.num_classes))
         att = np.empty((B, self.config.h, T, T))
         step = max(1, _PREDICT_TOKENS // max(T, 1))
-        for start in range(0, B, step):
-            rows = slice(start, start + step)
-            mask = None if att_mask is None else att_mask[rows]
-            probs[rows], att[rows], _ = self._forward_batch(ids[rows], False, mask)
+        with _installed(self, _Workspace(self, [(min(B, step), T)]) if B else None):
+            for start in range(0, B, step):
+                rows = slice(start, start + step)
+                mask = None if att_mask is None else att_mask[rows]
+                probs[rows], att[rows], _ = self._forward_batch(ids[rows], False, mask)
         return probs, att
 
     def forward(self, prefix, masked_positions=None):
@@ -325,63 +345,64 @@ class TransformerModel:
 
     def loss_and_grads(self, ids: np.ndarray, targets: np.ndarray):
         """Mean cross-entropy over a same-length (B, T) batch and its gradients
-        w.r.t. every parameter, views of ``grads.flat``, a fresh buffer laid out
-        as ``params.flat``."""
+        w.r.t. every parameter, views of ``grads.flat``, a buffer laid out as
+        ``params.flat``: the running ``train`` call's, or, called directly, a
+        fresh one."""
         p = self.params
-        cfg = self.config
         B, T = ids.shape
-        d, h = cfg.d_k, cfg.h
+        d = self.config.d_k
         BT = B * T
-        scale = 1.0 / np.sqrt(d)
+        ws = self._workspace or _Workspace(self, [(B, T)], forward=False, backward=True)
+        v = ws.views(B, T)
 
         probs, _, c = self._forward_batch(ids, keep_cache=True)
         eps = 1e-12
-        loss = float(-np.log(probs[_constant(np.arange, B), targets] + eps).sum() / B)
+        rows = v["rows"]
+        loss = float(-np.log(probs[rows, targets] + eps).sum() / B)
 
         dlogits = probs
-        dlogits[_constant(np.arange, B), targets] -= 1.0
+        dlogits[rows, targets] -= 1.0
         dlogits /= B
 
-        gW, g = self._views(np.empty_like(p.flat))
-        np.matmul(c["pooled"].T, dlogits, out=g["Wout"])
-        dlogits.sum(axis=0, out=g["bout"])
-        dpooled = dlogits @ p["Wout"].T
+        gW, g = ws.grads
+        np.matmul(c["pooled"].T, dlogits, g["Wout"])
+        np.add.reduce(dlogits, 0, None, g["bout"])
+        dpooled = np.matmul(dlogits, p["Wout"].T, v["dpooled"])
         dpooled /= T
         # Not a copy: at B = 1, numpy sums ln2_b's rows of stride 0 without BLAS.
-        dN2 = np.broadcast_to(dpooled[:, None, :], (B, T, d))
-        dR2 = _layer_norm_backward(dN2, c["ln2"], p["ln2_g"], g["ln2_g"], g["ln2_b"])
-        np.matmul(c["Urelu"].reshape(BT, -1).T, dR2.reshape(BT, d), out=g["W2"])
-        dR2.sum(axis=(0, 1), out=g["b2"])
-        dU = dR2 @ p["W2"].T
-        dU *= c["U"] > 0.0
-        np.matmul(c["N1"].reshape(BT, d).T, dU.reshape(BT, -1), out=g["W1"])
-        dU.sum(axis=(0, 1), out=g["b1"])
-        dN1 = dU @ p["W1"].T
+        dR2 = _layer_norm_backward(v["dN2"], c["ln2"], p["ln2_g"], g["ln2_g"], g["ln2_b"], v)
+        np.matmul(c["Urelu"].reshape(BT, -1).T, dR2.reshape(BT, d), g["W2"])
+        np.add.reduce(dR2, (0, 1), None, g["b2"])
+        dU = np.matmul(dR2, p["W2"].T, v["dU"])
+        dU *= np.greater(c["U"], 0.0, v["relu"])
+        np.matmul(c["N1"].reshape(BT, d).T, dU.reshape(BT, -1), g["W1"])
+        np.add.reduce(dU, (0, 1), None, g["b1"])
+        dN1 = np.matmul(dU, p["W1"].T, v["dN1"])
         dN1 += dR2
-        dR1 = _layer_norm_backward(dN1, c["ln1"], p["ln1_g"], g["ln1_g"], g["ln1_b"])
-        np.matmul(c["Hc"].reshape(BT, d).T, dR1.reshape(BT, d), out=g["Wo"])
-        dH = (dR1 @ p["Wo"].T).reshape(B, T, h, d // h).transpose(0, 2, 1, 3)
+        dR1 = _layer_norm_backward(dN1, c["ln1"], p["ln1_g"], g["ln1_g"], g["ln1_b"], v)
+        np.matmul(c["Hc"].reshape(BT, d).T, dR1.reshape(BT, d), g["Wo"])
+        np.matmul(dR1, p["Wo"].T, v["dHc"])
+        dH = v["dH"]  # (B, h, T, dh)
         A = c["A"]
-        # Laid out (B, T, k, h, dh), so the fused (B*T, k*d) layout below is
-        # a reshape; blocks[i] views projection i's (B, h, T, dh) gradient.
-        dQKV = np.empty((B, T, gW.shape[1] // d, h, d // h))
-        blocks = dQKV.transpose(2, 0, 3, 1, 4)
-        np.matmul(A.swapaxes(-1, -2), dH, out=blocks[-1])
+        # dQKV is laid out (B, T, k, h, dh), so the fused (B*T, k*d) layout
+        # below is a reshape; blocks[i] views projection i's (B, h, T, dh) gradient.
+        blocks = v["dQKV_blocks"]
+        np.matmul(A.swapaxes(-1, -2), dH, blocks[-1])
         if self.frozen_attention:
             g["Wq"][...] = 0.0
             g["Wk"][...] = 0.0
         else:
-            dS = dH @ c["V"].swapaxes(-1, -2)
-            dS -= (dS * A) @ _constant(np.ones, (T, 1))
+            dS = np.matmul(dH, c["V"].swapaxes(-1, -2), v["dS"])
+            dS -= np.matmul(np.multiply(dS, A, v["dS_A"]), v["ones_T"], v["col"])
             dS *= A
-            dS *= scale
-            np.matmul(dS, c["K"], out=blocks[0])
-            np.matmul(dS.swapaxes(-1, -2), c["Q"], out=blocks[1])
-        dQKV = dQKV.reshape(BT, -1)
-        np.matmul(c["X0"].reshape(BT, d).T, dQKV, out=gW)
-        dX0 = dQKV @ c["W"].T
+            dS *= ws.scale
+            np.matmul(dS, c["K"], blocks[0])
+            np.matmul(dS.swapaxes(-1, -2), c["Q"], blocks[1])
+        dQKV = v["dQKV_rows"]
+        np.matmul(c["X0"].reshape(BT, d).T, dQKV, gW)
+        dX0 = np.matmul(dQKV, c["W"].T, v["dX0"])
         dX0 += dR1.reshape(BT, d)
-        _embedding_grad(ids, dX0, self.vocab_size, out=g["embed"])
+        _embedding_grad(ids, dX0, ws.vocab, g["embed"])
         return loss, g
 
     # ------------------------------------------------------------ accessors
@@ -513,63 +534,146 @@ class _Views(dict):
             raise TypeError(f"write parameter {name} in place: params[{name!r}][...] = value")
 
 
+class _Workspace:
+    """One float64 arena for the intermediates of the forward and, with
+    ``backward``, the backward, and the constants they read.
+
+    ``views(B, T)`` carves, once per batch shape, a 64-byte-aligned view
+    of the arena for each array the passes write. Every shape's views
+    start at the arena's start, so the arena holds the largest of
+    ``shapes`` and the shapes' views overlap: a batch's results are valid
+    until the next batch is forwarded. A backward workspace also holds
+    the gradient buffer, laid out as the parameters'.
+    """
+
+    def __init__(self, model, shapes, forward=True, backward=False):
+        d = model.config.d_k
+        self._dims = (d, model.config.h, model.config.ff_dim, model.num_classes,
+                      model._fused.shape[1] // d, forward, backward)
+        self._carved = {}
+        size = max(_layout(*self._dims, B, T).itemsize for B, T in shapes) // 8
+        raw = np.empty(size + 8)
+        start = -raw.ctypes.data % 64 // 8
+        self.arena = raw[start:start + size]
+        self._ones = np.empty(max(B * T for B, T in shapes))
+        self._ones.fill(1.0)
+        self.mean_w = np.empty((d, 1))
+        self.mean_w.fill(1.0 / d)
+        self.scale = 1.0 / math.sqrt(d)
+        if backward:
+            self.grads = model._views(np.empty_like(model.params.flat))
+            self.vocab = np.arange(model.vocab_size)
+
+    def views(self, B, T):
+        """The (B, T) batch's arrays, views of the arena, and constants."""
+        v = self._carved.get((B, T))
+        if v is not None:
+            return v
+        d, h, _, _, k, forward, backward = self._dims
+        layout = _layout(*self._dims, B, T)
+        if layout.itemsize > self.arena.nbytes:
+            raise ValueError(f"a ({B}, {T}) batch does not fit the workspace")
+        record = np.ndarray((), layout, self.arena)
+        v = self._carved[B, T] = {name: record[name] for name in layout.names}
+        v["ones_T"] = self._ones[:T].reshape(T, 1)
+        if forward:
+            v["qkv"] = v["QKV"].reshape(B, T, k, h, d // h).transpose(2, 0, 3, 1, 4)
+            v["Hc_heads"] = v["Hc"].reshape(B, T, h, d // h).transpose(0, 2, 1, 3)
+        if backward:
+            v["rows"] = np.arange(B)
+            v["ones_BT"] = self._ones[:B * T]
+            v["dN2"] = np.broadcast_to(v["dpooled"][:, None, :], (B, T, d))
+            v["dH"] = v["dHc"].reshape(B, T, h, d // h).transpose(0, 2, 1, 3)
+            v["dQKV_blocks"] = v["dQKV"].reshape(B, T, k, h, d // h).transpose(2, 0, 3, 1, 4)
+            v["dQKV_rows"] = v["dQKV"].reshape(B * T, k * d)
+        return v
+
+
 @functools.lru_cache(maxsize=256)
-def _constant(make, *args):
-    """``make(*args)`` made read-only, once per ``make`` and arguments."""
-    out = make(*args)
-    out.flags.writeable = False
-    return out
+def _layout(d, h, ff, C, k, forward, backward, B, T):
+    """The record type of a workspace arena for a (B, T) batch: one
+    float64 field per array the passes write, each at a 64-byte-aligned
+    offset, so one record over the arena views them all."""
+    shapes = {}
+    if forward:
+        shapes.update(X0=(B, T, d), QKV=(B, T, k * d), A=(B, h, T, T), A_masked=(B, h, T, T),
+                      col=(B, h, T, 1), H=(B, h, T, d // h), Hc=(B, T, d), R1=(B, T, d),
+                      inv1=(B, T, 1), N1=(B, T, d), U=(B, T, ff), Urelu=(B, T, ff),
+                      R2=(B, T, d), inv2=(B, T, 1), N2=(B, T, d), pooled=(B, d),
+                      logits=(B, 1, C), class_col=(B, 1))
+    if backward:
+        shapes.update(dpooled=(B, d), ln_t=(B, T, d), ln_dx=(B, T, d), ln_col=(B, T, 1),
+                      dU=(B, T, ff), relu=(B, T, ff), dN1=(B, T, d), dHc=(B, T, d),
+                      dQKV=(B, T, k * d), dS=(B, h, T, T), dS_A=(B, h, T, T),
+                      col=(B, h, T, 1), dX0=(B * T, d))
+    offsets, offset = [], 0
+    for shape in shapes.values():
+        offsets.append(8 * offset)
+        offset += -(-math.prod(shape) // 8) * 8  # whole 64-byte lines
+    return np.dtype({"names": list(shapes), "formats": [(np.float64, s) for s in shapes.values()],
+                     "offsets": offsets, "itemsize": 8 * offset})
 
 
-def _embedding_grad(ids, dX, vocab_size, out=None):
-    """Sum of the (B, T, d) rows of ``dX`` per id in ``ids``, as the
-    (V, B*T) one-hot matrix times ``dX``'s (B*T, d) rows."""
-    onehot = ids.reshape(-1, 1) == _constant(np.arange, vocab_size)
+@contextlib.contextmanager
+def _installed(model, workspace):
+    """Make ``workspace`` the one the model's passes write into, for the block."""
+    outer, model._workspace = model._workspace, workspace
+    try:
+        yield
+    finally:
+        model._workspace = outer
+
+
+def _embedding_grad(ids, dX, vocab, out=None):
+    """Sum of the (B, T) rows of ``dX`` per id in ``ids``, as the
+    (V, B*T) one-hot matrix over ``vocab``, ``arange(V)``, times ``dX``'s
+    (B*T, d) rows."""
+    onehot = ids.reshape(-1, 1) == vocab
     return np.matmul(onehot.T, dX.reshape(ids.size, -1), out=out)
 
 
-def _row_max(S):
-    """``S.max(axis=-1, keepdims=True)`` as a running ``np.maximum`` over
-    the columns, which at T <= 24 costs less than the reduction. A max is
-    exact in any order, so only the sign of a zero maximum can differ,
-    and ``exp(S - max)`` is the same for either sign."""
-    m = S[..., :1].copy()
+def _row_max(S, out):
+    """``S.max(axis=-1, keepdims=True)`` into ``out`` as a running
+    ``np.maximum`` over the columns, which at T <= 24 costs less than the
+    reduction. A max is exact in any order, so only the sign of a zero
+    maximum can differ, and ``exp(S - max)`` is the same for either sign."""
+    np.copyto(out, S[..., :1])
     for j in range(1, S.shape[-1]):
-        np.maximum(m, S[..., j:j + 1], out=m)
-    return m
+        np.maximum(out, S[..., j:j + 1], out=out)
+    return out
 
 
-def _layer_norm(x, gamma, beta):
-    """Row-wise layer norm; the mean and the variance are products with
-    ``w = 1/d``, kept in the cache for the backward. The centred rows
-    become x-hat and the variances 1/sigma in place."""
-    w = _constant(np.full, (x.shape[-1], 1), 1.0 / x.shape[-1])
-    xhat = x - x @ w
-    y = xhat * xhat
-    inv = y @ w
+def _layer_norm(x, gamma, beta, w, y, inv):
+    """Row-wise layer norm of ``x`` into ``y``; the mean and the variance
+    are products with ``w = 1/d``, kept in the cache for the backward.
+    ``x`` becomes x-hat and ``inv``, (..., 1), 1/sigma, in place."""
+    x -= np.matmul(x, w, inv)
+    np.multiply(x, x, y)
+    np.matmul(y, w, inv)
     inv += _LN_EPS
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xhat *= inv
-    np.multiply(gamma, xhat, out=y)
+    np.sqrt(inv, inv)
+    np.divide(1.0, inv, inv)
+    x *= inv
+    np.multiply(gamma, x, y)
     y += beta
-    return y, (xhat, inv, w)
+    return y, (x, inv, w)
 
 
-def _layer_norm_backward(dy, cache, gamma, dgamma, dbeta):
+def _layer_norm_backward(dy, cache, gamma, dgamma, dbeta, v):
     """``inv * (dxhat - dxhat @ w - xhat * ((dxhat * xhat) @ w))``, with
-    ``dxhat = dy * gamma``, formed in place; the gain and bias gradients
-    go into ``dgamma`` and ``dbeta``."""
+    ``dxhat = dy * gamma``, formed in the workspace views ``v``'s
+    ``ln_dx``, which it returns; the gain and bias gradients go into
+    ``dgamma`` and ``dbeta``."""
     xhat, inv, w = cache
     d = dy.shape[-1]
-    ones = _constant(np.ones, dy.size // d)
-    t = dy * xhat
-    np.matmul(ones, t.reshape(-1, d), out=dgamma)
-    np.matmul(ones, dy.reshape(-1, d), out=dbeta)
-    dxhat = dy * gamma
-    np.multiply(dxhat, xhat, out=t)
-    np.multiply(xhat, t @ w, out=t)
-    dxhat -= dxhat @ w
+    ones, t, col = v["ones_BT"], v["ln_t"], v["ln_col"]
+    np.multiply(dy, xhat, t)
+    np.matmul(ones, t.reshape(-1, d), dgamma)
+    np.matmul(ones, dy.reshape(-1, d), dbeta)
+    dxhat = np.multiply(dy, gamma, v["ln_dx"])
+    np.multiply(dxhat, xhat, t)
+    np.multiply(xhat, np.matmul(t, w, col), t)
+    dxhat -= np.matmul(dxhat, w, col)
     dxhat -= t
     dxhat *= inv
     return dxhat
@@ -599,8 +703,13 @@ def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
     all_ids[np.arange(longest) < lengths[:, None]] = np.concatenate(
         [p.activities for p in prefixes])
 
+    # The largest batch of each length; every batch fits that length's shape.
+    shapes = [(min(config.batch_size, int(n)), int(length))
+              for length, n in zip(*np.unique(lengths, return_counts=True))]
+    flat, lr = model.params.flat, config.learning_rate
     step = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report divergence
+    with np.errstate(over="ignore", invalid="ignore"), \
+            _installed(model, _Workspace(model, shapes, backward=True)):
         for _epoch in range(config.epochs):
             order = epoch_rng.permutation(len(prefixes))
             # Batches must be same-length to vectorize; bucket the shuffled
@@ -622,7 +731,9 @@ def train(logobj: EventLog, config: ModelConfig) -> TransformerModel:
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at step {step}", step=step)
                 # Frozen Q/K get exact zero gradients, so they stay at 0.0.
-                model.params.flat -= config.learning_rate * grads.flat
+                gflat = grads.flat
+                gflat *= lr
+                flat -= gflat
                 step += 1
     for name, arr in model.params.items():
         if not np.all(np.isfinite(arr)):

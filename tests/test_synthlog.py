@@ -1,11 +1,16 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from attnexplain.errors import SynthSpecError, UsageError
 from attnexplain.eventlog import END_LABEL
 from attnexplain.synthlog import (
+    KINDS,
     MAX_ITER,
     SynthSpec,
     and_split,
@@ -173,6 +178,55 @@ def test_spec_file_round_trip(tmp_path):
                         "kind = loop\nbody = A B C D\nmax_iter = 6\np_repeat = 0.8\n")):
         write_spec_file(spec, path)
         assert path.read_bytes() == text.encode()
+        assert parse_spec_file(path) == spec
+
+
+def test_spec_file_rejects_what_it_cannot_hold(tmp_path):
+    path = tmp_path / "spec.txt"
+    for spec, name in ((sequence("A B", "C"), "A B"), (xor("A", ["B|C", "D"], "E"), "B|C"),
+                       (sequence("A#1", "B"), "A#1"), (sequence(" A", "B"), " A"),
+                       (loop(["A", "B\tC"]), "B\tC")):
+        with pytest.raises(SynthSpecError, match="^activity name " + re.escape(repr(name))):
+            write_spec_file(spec, path)
+        assert not path.exists()
+    with pytest.raises(SynthSpecError, match="^a spec file cannot hold an empty branch$"):
+        write_spec_file(xor("A", [["B"], []], "C"), path)
+    assert not path.exists()
+
+
+# Letters, the characters the reader splits on or strips, and '=', which it
+# splits on only once per line.
+SPEC_NAMES = st.text(alphabet="AB_ |#\t\n=", min_size=1, max_size=3)
+SPEC_WORDS = st.lists(SPEC_NAMES, max_size=3).map(tuple)
+
+
+@st.composite
+def any_specs(draw):
+    """A valid SynthSpec of any kind, its names possibly unwritable."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    fields = {"activities": SPEC_WORDS, "pre": SPEC_WORDS, "post": SPEC_WORDS,
+              "body": SPEC_WORDS, "max_iter": st.integers(1, 5),
+              "p_repeat": st.floats(0, 1, exclude_max=True),
+              "branches": st.lists(SPEC_WORDS, min_size=2, max_size=3).map(tuple)}
+    try:
+        return SynthSpec(kind, **{key: draw(fields[key]) for key in KINDS[kind]})
+    except SynthSpecError:
+        assume(False)
+
+
+@given(spec=any_specs())
+@settings(max_examples=200, deadline=None)
+def test_spec_file_write_raises_or_reads_back_equal(spec):
+    unwritable = (any(set(name) & set(" |#\t\n") for name in spec.activity_set())
+                  or () in spec.branches)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.txt"
+        try:
+            write_spec_file(spec, path)
+        except SynthSpecError:
+            assert unwritable and not path.exists()
+            return
+        assert not unwritable
         assert parse_spec_file(path) == spec
 
 

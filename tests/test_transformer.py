@@ -1,6 +1,7 @@
 import io
 import json
 import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -161,9 +162,13 @@ def test_layer_norm_matches_mean_var_reference(d, rows, log_scale, constant, see
         x = (rng.normal(size=shape) + rng.normal()) * scale
     gamma, beta, dy = rng.normal(size=d), rng.normal(size=d), rng.normal(size=x.shape)
 
-    y, cache = _layer_norm(x, gamma, beta)
+    # the helpers write into caller-given buffers, and turn a copy of x into x-hat
+    y, cache = _layer_norm(x.copy(), gamma, beta, np.full((d, 1), 1.0 / d), np.empty_like(x),
+                           np.empty((rows, 2, 1)))
     dgamma, dbeta = np.empty(d), np.empty(d)
-    dx = _layer_norm_backward(dy, cache, gamma, dgamma, dbeta)
+    buffers = {"ones_BT": np.ones(rows * 2), "ln_t": np.empty_like(x),
+               "ln_dx": np.empty_like(x), "ln_col": np.empty((rows, 2, 1))}
+    dx = _layer_norm_backward(dy, cache, gamma, dgamma, dbeta, buffers)
 
     inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS)
     xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
@@ -188,7 +193,7 @@ def test_embedding_grad_sums_repeated_ids():
     dX = np.random.default_rng(4).normal(size=(*ids.shape, 6))
     expected = np.zeros((5, 6))
     np.add.at(expected, ids, dX)
-    grad = _embedding_grad(ids, dX, 5)
+    grad = _embedding_grad(ids, dX, np.arange(5))
     np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-14)
     assert np.all(grad[4] == 0.0)
 
@@ -484,7 +489,7 @@ def test_row_max_equals_the_max_reduction(S):
     infinities included. Only the sign of a zero maximum may differ (the
     reduction's vector lanes pick either zero), and the softmax numerator
     ``exp(S - max)`` is bitwise the same either way."""
-    got, want = _row_max(S), S.max(axis=-1, keepdims=True)
+    got, want = _row_max(S, np.empty(S.shape[:-1] + (1,))), S.max(axis=-1, keepdims=True)
     np.testing.assert_array_equal(got, want)  # counts 0.0 == -0.0
     nonzero = want != 0.0
     assert_bits_equal(got[nonzero], want[nonzero])
@@ -660,6 +665,81 @@ def test_train_matches_reference_sgd_loop(mode):
     assert model.params.keys() == reference.params.keys()
     for name in model.params:
         np.testing.assert_array_equal(model.params[name], reference.params[name], err_msg=name)
+
+
+# Traces of 1 to max_len events over three activities, so training sees
+# every prefix length up to max_len; two drawn models per size and mode.
+@given(size=st.sampled_from(["tiny", "default"]), mode=st.sampled_from(["learned",
+                                                                       ATTENTION_FROZEN_UNIFORM]),
+       batch_size=st.integers(1, 5), pad_dropout=st.sampled_from([0.0, 0.3]),
+       data=st.data())
+@example(size="default", mode="learned", batch_size=1, pad_dropout=0.3, data=None)
+@settings(max_examples=30, deadline=None)
+def test_train_is_bitwise_the_reference_sgd_loop(size, mode, batch_size, pad_dropout, data):
+    """``train`` through its workspace equals the straight reference loop
+    bit for bit, at every batch shape it carves, remainder batches and
+    one-prefix batches included."""
+    base = TINY_CONFIG if size == "tiny" else ModelConfig(max_len=12, learning_rate=0.05)
+    config = replace(base, attention_mode=mode, epochs=2, batch_size=batch_size,
+                     pad_dropout=pad_dropout, seed=7)
+    if data is None:  # one trace of every length: batches of one prefix at each length
+        traces = [["A", "B", "C"] * 4]
+    else:
+        traces = data.draw(st.lists(st.lists(st.sampled_from("ABC"), min_size=1,
+                                             max_size=base.max_len), min_size=1, max_size=5))
+    logobj = build_log([(f"c{i}", trace) for i, trace in enumerate(traces)])
+    model = train(logobj, config)
+    reference = _reference_sgd_train(logobj, config)
+    assert model.params.keys() == reference.params.keys()
+    for name in model.params:
+        assert_bits_equal(model.params[name], reference.params[name], err_msg=name)
+
+
+@pytest.fixture
+def workspaces(monkeypatch):
+    """Weak references to every workspace made, and to its arena's memory."""
+    made = []
+    real = transformer._Workspace.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append((weakref.ref(self), weakref.ref(self.arena.base)))
+
+    monkeypatch.setattr(transformer._Workspace, "__init__", recording)
+    return made
+
+
+@pytest.mark.parametrize("mode", ["learned", ATTENTION_FROZEN_UNIFORM])
+def test_no_workspace_outlives_train_or_predict(abc_log, workspaces, mode):
+    model = train(abc_log, replace(TINY_CONFIG, attention_mode=mode, epochs=2))
+    assert len(workspaces) == 1
+    ids = np.random.default_rng(0).integers(0, 3, size=(3 * _PREDICT_TOKENS // 4, 4))
+    probs, att = model.predict(ids, ids == 0)  # three chunks through one workspace
+    assert len(workspaces) == 2
+    assert model._workspace is None
+    for workspace, memory in workspaces:
+        assert workspace() is None and memory() is None
+    assert probs.base is None and att.base is None
+
+
+def test_direct_forward_arrays_outlive_predict_and_train(abc_log):
+    """A direct ``_forward_batch`` writes into a workspace of its own, so
+    neither a later predict nor a training step overwrites what it returned."""
+    model = TransformerModel(TINY_CONFIG, abc_log.activity_labels, rng=np.random.default_rng(2))
+    ids = np.array([[0, 1, 2, 0], [2, 2, 1, 3]])
+    probs, att, cache = model._forward_batch(ids, True)
+    got = {"probs": probs, "att": att}
+    for name, value in cache.items():
+        for i, array in enumerate(value if isinstance(value, tuple) else (value,)):
+            got[f"{name}{i}"] = array
+    kept = {name: None if array is None else array.copy() for name, array in got.items()}
+    model.predict(ids[::-1])
+    model.predict(np.ones((40, 4), dtype=int), np.ones((40, 4), dtype=bool))
+    model._forward_batch(ids[::-1], True)
+    model.loss_and_grads(ids[::-1], np.array([0, 1]))
+    for name, array in got.items():
+        if array is not None:
+            assert_bits_equal(array, kept[name], err_msg=name)
 
 
 def test_train_seed_changes_weights(abc_log):
