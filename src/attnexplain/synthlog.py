@@ -18,7 +18,7 @@ keys, and any other key is ignored)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Number
 
 import numpy as np
@@ -134,10 +134,16 @@ def _interleavings(a: tuple[str, ...], b: tuple[str, ...]) -> list[tuple[str, ..
     return out
 
 
+def _first_unrollings(spec: SynthSpec) -> list[tuple[str, ...]]:
+    """The language with a loop unrolled at most twice, which holds every
+    directly-follows edge and every first appearance of the full one."""
+    return enumerate_language(replace(spec, max_iter=min(spec.max_iter, 2)))
+
+
 def ground_truth_edges(spec: SynthSpec) -> set[tuple[str, str]]:
     """Directly-follows edges over the structure's full trace language."""
     edges = set()
-    for trace in enumerate_language(spec):
+    for trace in _first_unrollings(spec):
         edges |= {(u, v) for u, v in zip(trace, trace[1:])}
     return edges
 
@@ -174,11 +180,11 @@ def synth_log(spec: SynthSpec, n_traces: int = 1000,
     Vocabulary order is first-appearance over the enumerated language,
     not over the sample, so it does not depend on the seed.
     """
-    language = enumerate_language(spec)
-    longest = max(map(len, language))
+    longest = max(map(len, enumerate_language(spec)))
     check_number("n_traces", n_traces, f"[1, {MAX_EVENTS // longest}]", integer=True)
     check_number("seed", seed, "[0, inf)", integer=True)
-    ids = {a: i for i, a in enumerate(dict.fromkeys(a for trace in language for a in trace))}
+    ids = {a: i for i, a in enumerate(dict.fromkeys(
+        a for trace in _first_unrollings(spec) for a in trace))}
     rng = np.random.default_rng(seed)
     traces = [Trace(f"case_{i}", tuple(map(ids.__getitem__, sample_trace(spec, rng))))
               for i in range(n_traces)]

@@ -27,8 +27,9 @@ Short-axis reductions are BLAS products too, because at training shapes
 than in arithmetic: the layer-norm means and variances are ``x @ (1/d)``,
 the softmax row sums ``e @ ones(T)``, the layer-norm gain and bias
 gradients ``ones(B*T) @ rows`` and the embedding gradient a one-hot
-product; the workspace holds these constant operands. The softmax's row
-max is a running ``np.maximum`` over the T columns, exact in any order.
+product on ``arange(V)``. The model holds the operands that depend on
+the config alone, read-only, and the workspace the ones. The softmax's
+row max is a running ``np.maximum`` over the T columns, exact in any order.
 
 Every op writes its result in place or with ``out=``, and the op
 sequence is that of the out-of-place form, so every output bit is too:
@@ -39,16 +40,17 @@ variances into 1/sigma, and pooling sums over positions and divides by
 T, which is what ``mean`` computes. The backward does the same, from
 the output gradient, formed in ``probs``, to the layer-norm gradients.
 
-The results go into a workspace: one float64 arena with a
-64-byte-aligned view for each array the forward and the backward write,
-carved once per (B, T) batch shape, every shape's views in the head of
-the arena. ``train`` makes one for the whole call, sized for its largest
-batch, with the gradient buffer laid out as the parameters', so a
-training step is ``gflat *= lr; flat -= gflat``. ``predict`` makes one
-for all its chunks. A workspace is the model's only while that call
-runs; a batch's results in it live until the next batch of the call.
-Called directly, ``_forward_batch`` and ``loss_and_grads`` write into a
-workspace of their own and so return fresh arrays. A model runs one
+The results go into a workspace: one float64 arena with a 64-byte-aligned
+view for each array the forward writes and, in a backward workspace, each
+array the backward writes, carved once per (B, T) batch shape, every
+shape's views in the head of the arena. A backward workspace also holds
+a gradient buffer laid out as the parameters'. ``train`` makes one for
+the whole call, sized for its largest batch, so a training step is
+``gflat *= lr; flat -= gflat``. ``predict`` makes one for all its chunks,
+and a direct ``loss_and_grads`` one that its forward shares. A workspace
+is the model's only while that call runs; a batch's results in it live
+until the next batch of the call. A direct ``_forward_batch`` writes into
+one of its own, so direct calls return fresh arrays. A model runs one
 ``train`` or ``predict`` call at a time.
 """
 
@@ -82,10 +84,10 @@ _LN_EPS = 1e-5
 # 3 MiB a chunk. With the forward's temporaries written in place, a larger
 # chunk spreads the per-op call overhead over more rows.
 _PREDICT_TOKENS = 384
-# Distinct rows ``score_rows`` forwards per ``predict`` call. Forwarding its own
-# 384-token chunks instead lost explore_long 6 of 6 pairs, with medians explain
-# 201 -> 139, evaluate 249 -> 190 and exp2 16.9k -> 11.5k; a CLI exp2 took 191k
-# minor page faults against 111k.
+# Distinct rows ``score_rows`` forwards per ``predict`` call. Handing ``predict``
+# one 384-token chunk per call instead lost explain in 5 of 5 explore_long pairs
+# (56 s, median 191.9 -> 182.9 prefixes/s) and evaluate in 4 of 5 (221 -> 217),
+# for 0.7 MiB less peak RSS.
 _SCORE_ROWS = 128
 # Upper bounds on the sizes that shape the model's arrays, checked before
 # any is allocated. At max_len 4096 one prefix's attention already takes
@@ -150,7 +152,13 @@ class TransformerModel:
             self._spans[name] = (slice(start, start + math.prod(shape)), shape)
             start += math.prod(shape)
         self._fused, self.params = self._views(np.empty(start))
-        self._workspace = None  # set while a train or predict call runs
+        self._workspace = None  # the one the passes write into, while a call runs
+        # The operands that depend on the config alone, built once, read-only.
+        self.mean_w = np.full((config.d_k, 1), 1.0 / config.d_k)  # layer-norm means
+        self.vocab = np.arange(self.vocab_size)  # the embedding gradient's one-hot columns
+        for constant in self.pos_enc, self.mean_w, self.vocab:
+            constant.flags.writeable = False
+        self.scale = 1.0 / math.sqrt(config.d_k)
         for name, value in params.items():
             self.params[name][...] = value
 
@@ -245,18 +253,16 @@ class TransformerModel:
         attention is always the unmasked one.
 
         Every result is written into the workspace of the running
-        ``train`` or ``predict`` call, or, called directly, into one made
-        for this call alone.
+        ``train``, ``predict`` or ``loss_and_grads`` call, or, with none
+        running, into one made for this call alone.
         """
-        cfg = self.config
         p = self.params
         B, T = ids.shape
-        if T < 1 or T > cfg.max_len:
-            raise _length_error(T, cfg.max_len)
+        if not 1 <= T <= self.config.max_len:
+            raise _length_error(T, self.config.max_len)
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise IndexError("activity id outside vocabulary")
-        ws = self._workspace or _Workspace(self, [(B, T)])
-        v = ws.views(B, T)
+        v = (self._workspace or _Workspace(self, [(B, T)])).views(B, T)
 
         X0 = p["embed"].take(ids, 0, v["X0"], "clip")  # ids checked above; "raise" would buffer
         X0 += self.pos_enc[:T]
@@ -271,7 +277,7 @@ class TransformerModel:
         else:
             Q, K = QKV[0], QKV[1]
             np.matmul(Q, K.swapaxes(-1, -2), A)
-            A *= ws.scale
+            A *= self.scale
             A -= _row_max(A, v["col"])
             np.exp(A, A)
             A /= np.matmul(A, v["ones_T"], v["col"])
@@ -283,14 +289,14 @@ class TransformerModel:
         Hc = v["Hc"]
         R1 = np.matmul(Hc, p["Wo"], v["R1"])
         R1 += X0
-        N1, ln1_cache = _layer_norm(R1, p["ln1_g"], p["ln1_b"], ws.mean_w, v["N1"], v["inv1"])
+        N1, ln1_cache = _layer_norm(R1, p["ln1_g"], p["ln1_b"], self.mean_w, v["N1"], v["inv1"])
         U = np.matmul(N1, p["W1"], v["U"])
         U += p["b1"]
         Urelu = np.maximum(U, 0.0, out=v["Urelu"])
         R2 = np.matmul(Urelu, p["W2"], v["R2"])
         R2 += p["b2"]
         R2 += N1
-        N2, ln2_cache = _layer_norm(R2, p["ln2_g"], p["ln2_b"], ws.mean_w, v["N2"], v["inv2"])
+        N2, ln2_cache = _layer_norm(R2, p["ln2_g"], p["ln2_b"], self.mean_w, v["N2"], v["inv2"])
         pooled = np.add.reduce(N2, 1, None, v["pooled"])
         pooled /= T
         probs = np.matmul(pooled[:, None, :], p["Wout"], v["logits"])[:, 0]
@@ -320,7 +326,7 @@ class TransformerModel:
         probs = np.empty((B, self.num_classes))
         att = np.empty((B, self.config.h, T, T))
         step = max(1, _PREDICT_TOKENS // max(T, 1))
-        with _installed(self, _Workspace(self, [(min(B, step), T)]) if B else None):
+        with _installed(self, _Workspace(self, [(min(B, step), T)])):
             for start in range(0, B, step):
                 rows = slice(start, start + step)
                 mask = None if att_mask is None else att_mask[rows]
@@ -352,13 +358,12 @@ class TransformerModel:
         B, T = ids.shape
         d = self.config.d_k
         BT = B * T
-        ws = self._workspace or _Workspace(self, [(B, T)], forward=False, backward=True)
+        ws = self._workspace or _Workspace(self, [(B, T)], backward=True)
         v = ws.views(B, T)
-
-        probs, _, c = self._forward_batch(ids, keep_cache=True)
-        eps = 1e-12
+        with _installed(self, ws):  # a direct call's forward writes into the same arena
+            probs, _, c = self._forward_batch(ids, keep_cache=True)
         rows = v["rows"]
-        loss = float(-np.log(probs[rows, targets] + eps).sum() / B)
+        loss = float(-np.log(probs[rows, targets] + 1e-12).sum() / B)
 
         dlogits = probs
         dlogits[rows, targets] -= 1.0
@@ -395,14 +400,14 @@ class TransformerModel:
             dS = np.matmul(dH, c["V"].swapaxes(-1, -2), v["dS"])
             dS -= np.matmul(np.multiply(dS, A, v["dS_A"]), v["ones_T"], v["col"])
             dS *= A
-            dS *= ws.scale
+            dS *= self.scale
             np.matmul(dS, c["K"], blocks[0])
             np.matmul(dS.swapaxes(-1, -2), c["Q"], blocks[1])
         dQKV = v["dQKV_rows"]
         np.matmul(c["X0"].reshape(BT, d).T, dQKV, gW)
         dX0 = np.matmul(dQKV, c["W"].T, v["dX0"])
         dX0 += dR1.reshape(BT, d)
-        _embedding_grad(ids, dX0, ws.vocab, g["embed"])
+        _embedding_grad(ids, dX0, self.vocab, g["embed"])
         return loss, g
 
     # ------------------------------------------------------------ accessors
@@ -535,21 +540,21 @@ class _Views(dict):
 
 
 class _Workspace:
-    """One float64 arena for the intermediates of the forward and, with
-    ``backward``, the backward, and the constants they read.
+    """One float64 arena for the forward's intermediates and ones as long
+    as the largest batch's B*T; with ``backward``, also the backward's
+    intermediates and a gradient buffer laid out as the parameters'.
 
     ``views(B, T)`` carves, once per batch shape, a 64-byte-aligned view
     of the arena for each array the passes write. Every shape's views
     start at the arena's start, so the arena holds the largest of
     ``shapes`` and the shapes' views overlap: a batch's results are valid
-    until the next batch is forwarded. A backward workspace also holds
-    the gradient buffer, laid out as the parameters'.
+    until the next batch is forwarded.
     """
 
-    def __init__(self, model, shapes, forward=True, backward=False):
+    def __init__(self, model, shapes, backward=False):
         d = model.config.d_k
         self._dims = (d, model.config.h, model.config.ff_dim, model.num_classes,
-                      model._fused.shape[1] // d, forward, backward)
+                      model._fused.shape[1] // d, backward)
         self._carved = {}
         size = max(_layout(*self._dims, B, T).itemsize for B, T in shapes) // 8
         raw = np.empty(size + 8)
@@ -557,28 +562,19 @@ class _Workspace:
         self.arena = raw[start:start + size]
         self._ones = np.empty(max(B * T for B, T in shapes))
         self._ones.fill(1.0)
-        self.mean_w = np.empty((d, 1))
-        self.mean_w.fill(1.0 / d)
-        self.scale = 1.0 / math.sqrt(d)
         if backward:
             self.grads = model._views(np.empty_like(model.params.flat))
-            self.vocab = np.arange(model.vocab_size)
 
     def views(self, B, T):
-        """The (B, T) batch's arrays, views of the arena, and constants."""
-        v = self._carved.get((B, T))
-        if v is not None:
-            return v
-        d, h, _, _, k, forward, backward = self._dims
-        layout = _layout(*self._dims, B, T)
-        if layout.itemsize > self.arena.nbytes:
-            raise ValueError(f"a ({B}, {T}) batch does not fit the workspace")
-        record = np.ndarray((), layout, self.arena)
-        v = self._carved[B, T] = {name: record[name] for name in layout.names}
+        """The (B, T) batch's arrays, views of the arena."""
+        if (B, T) in self._carved:
+            return self._carved[B, T]
+        d, h, _, _, k, backward = self._dims
+        record = np.ndarray((), _layout(*self._dims, B, T), self.arena)
+        v = self._carved[B, T] = {name: record[name] for name in record.dtype.names}
         v["ones_T"] = self._ones[:T].reshape(T, 1)
-        if forward:
-            v["qkv"] = v["QKV"].reshape(B, T, k, h, d // h).transpose(2, 0, 3, 1, 4)
-            v["Hc_heads"] = v["Hc"].reshape(B, T, h, d // h).transpose(0, 2, 1, 3)
+        v["qkv"] = v["QKV"].reshape(B, T, k, h, d // h).transpose(2, 0, 3, 1, 4)
+        v["Hc_heads"] = v["Hc"].reshape(B, T, h, d // h).transpose(0, 2, 1, 3)
         if backward:
             v["rows"] = np.arange(B)
             v["ones_BT"] = self._ones[:B * T]
@@ -590,22 +586,19 @@ class _Workspace:
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(d, h, ff, C, k, forward, backward, B, T):
+def _layout(d, h, ff, C, k, backward, B, T):
     """The record type of a workspace arena for a (B, T) batch: one
     float64 field per array the passes write, each at a 64-byte-aligned
     offset, so one record over the arena views them all."""
-    shapes = {}
-    if forward:
-        shapes.update(X0=(B, T, d), QKV=(B, T, k * d), A=(B, h, T, T), A_masked=(B, h, T, T),
-                      col=(B, h, T, 1), H=(B, h, T, d // h), Hc=(B, T, d), R1=(B, T, d),
-                      inv1=(B, T, 1), N1=(B, T, d), U=(B, T, ff), Urelu=(B, T, ff),
-                      R2=(B, T, d), inv2=(B, T, 1), N2=(B, T, d), pooled=(B, d),
-                      logits=(B, 1, C), class_col=(B, 1))
+    shapes = dict(X0=(B, T, d), QKV=(B, T, k * d), A=(B, h, T, T), A_masked=(B, h, T, T),
+                  col=(B, h, T, 1), H=(B, h, T, d // h), Hc=(B, T, d), R1=(B, T, d),
+                  inv1=(B, T, 1), N1=(B, T, d), U=(B, T, ff), Urelu=(B, T, ff),
+                  R2=(B, T, d), inv2=(B, T, 1), N2=(B, T, d), pooled=(B, d),
+                  logits=(B, 1, C), class_col=(B, 1))
     if backward:
         shapes.update(dpooled=(B, d), ln_t=(B, T, d), ln_dx=(B, T, d), ln_col=(B, T, 1),
                       dU=(B, T, ff), relu=(B, T, ff), dN1=(B, T, d), dHc=(B, T, d),
-                      dQKV=(B, T, k * d), dS=(B, h, T, T), dS_A=(B, h, T, T),
-                      col=(B, h, T, 1), dX0=(B * T, d))
+                      dQKV=(B, T, k * d), dS=(B, h, T, T), dS_A=(B, h, T, T), dX0=(B * T, d))
     offsets, offset = [], 0
     for shape in shapes.values():
         offsets.append(8 * offset)

@@ -314,6 +314,10 @@ EXIT_CASES = {
                                   "parameter Wout has dtype |S12, not <f4"),
     "checkpoint-truncated": ([*BAD_CHECKPOINT, "{tmp}/truncated.npz"], 4,
                              "cannot read checkpoint"),
+    "checkpoint-parameter-object-array": ([*BAD_CHECKPOINT, "{tmp}/object_param.npz"], 4,
+                                          "cannot read the parameters in"),
+    "checkpoint-member-crc-mismatch": ([*BAD_CHECKPOINT, "{tmp}/bad_crc.npz"], 4,
+                                       "cannot read the parameters in"),
     "spec-max-iter-not-a-number": ([*OUT, "synth", "--spec", "{tmp}/max_iter_x.spec"], 4,
                                    "max_iter must be an integer in [1, 1000], got 'x'"),
     "spec-max-iter-above-limit": ([*OUT, "synth", "--spec", "{tmp}/max_iter_big.spec"], 4,
@@ -403,8 +407,12 @@ def test_exit_code(tmp_path, log_file, checkpoint, capsys, monkeypatch, case):
     np.savez(tmp_path / "str_param.npz", **{**arrays, "Wout": np.full(arrays["Wout"].shape, "x")})
     for name, wo in (("numeric_str_param.npz", arrays["Wo"].astype("<U3")),
                      ("complex_param.npz", arrays["Wo"].astype(np.complex64) + np.complex64(1j)),
-                     ("big_endian_param.npz", arrays["Wo"].astype(">f4"))):
+                     ("big_endian_param.npz", arrays["Wo"].astype(">f4")),
+                     ("object_param.npz", arrays["Wo"].astype(object))):
         np.savez(tmp_path / name, **{**arrays, "Wo": wo})
+    damaged = bytearray(checkpoint.read_bytes())  # one bit of Wo.npy's data, its CRC kept
+    damaged[damaged.index(arrays["Wo"].tobytes())] ^= 1
+    (tmp_path / "bad_crc.npz").write_bytes(damaged)
     raw_member = tmp_path / "raw_member.npz"
     with zipfile.ZipFile(checkpoint) as npz, zipfile.ZipFile(raw_member, "w") as out:
         for name in npz.namelist():  # Wout.npy holds bytes that are not .npy data

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from attnexplain.errors import SynthSpecError, UsageError
-from attnexplain.eventlog import END_LABEL
+from attnexplain.eventlog import END_LABEL, PAD_LABEL
 from attnexplain.synthlog import (
     KINDS,
     MAX_ITER,
@@ -160,6 +160,25 @@ def test_synth_log_edges_subset_of_truth():
     spec = and_split("A", ["B", "C"], ["D"], "E")
     logobj, truth = synth_log(spec, 200, seed=0)
     assert directly_follows_edges(logobj) <= truth
+
+
+# Repeated activities, an empty branch and loops of every max_iter up to 8:
+# the language's edges and first appearances must not depend on its length.
+FULL_LANGUAGE_SPECS = [
+    sequence("A", "B", "A", "C"), xor("A", [["B"], [], ["C", "A"]], "D"),
+    and_split("A", ["B", "A"], ["C"], "B"),
+    *(loop(body, max_iter=k) for body in (["A"], ["A", "B", "A"], ["B", "A", "C", "B"])
+      for k in range(1, 9)),
+]
+
+
+@pytest.mark.parametrize("spec", FULL_LANGUAGE_SPECS)
+def test_edges_and_vocabulary_are_those_of_the_full_language(spec):
+    language = enumerate_language(spec)
+    assert ground_truth_edges(spec) == {edge for trace in language for edge in zip(trace, trace[1:])}
+    logobj, _ = synth_log(spec, 1)
+    first_appearances = dict.fromkeys(a for trace in language for a in trace)
+    assert logobj.vocabulary == (*first_appearances, PAD_LABEL, END_LABEL)
 
 
 def test_spec_file_round_trip(tmp_path):

@@ -742,6 +742,34 @@ def test_direct_forward_arrays_outlive_predict_and_train(abc_log):
             assert_bits_equal(array, kept[name], err_msg=name)
 
 
+@pytest.mark.parametrize("mode", ["learned", ATTENTION_FROZEN_UNIFORM])
+def test_direct_loss_and_grads_forwards_into_its_own_workspace(abc_log, workspaces, mode):
+    """A ``loss_and_grads`` outside ``train`` makes one backward workspace,
+    its forward writes into it, and nothing of it outlives the call."""
+    model = TransformerModel(replace(TINY_CONFIG, attention_mode=mode), abc_log.activity_labels,
+                             rng=np.random.default_rng(3))
+    ids, targets = np.array([[0, 1, 2], [2, 2, 1]]), np.array([1, 3])
+    loss, grads = model.loss_and_grads(ids, targets)
+    assert len(workspaces) == 1
+    assert model._workspace is None
+    for workspace, memory in workspaces:
+        assert workspace() is None and memory() is None
+    want_loss, want_grads = _out_of_place_loss_and_grads(model, ids, targets)
+    assert loss == want_loss
+    for name, grad in want_grads.items():
+        assert_bits_equal(grads[name], grad, err_msg=name)
+
+
+def test_config_operands_are_read_only(tiny_model):
+    d = tiny_model.config.d_k
+    np.testing.assert_array_equal(tiny_model.mean_w, np.full((d, 1), 1.0 / d))
+    np.testing.assert_array_equal(tiny_model.vocab, np.arange(tiny_model.vocab_size))
+    assert tiny_model.scale == 1.0 / np.sqrt(d)
+    for name in ("pos_enc", "mean_w", "vocab"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tiny_model, name)[...] = 0
+
+
 def test_train_seed_changes_weights(abc_log):
     m1 = train(abc_log, TINY_CONFIG)
     m2 = train(abc_log, replace(TINY_CONFIG, seed=9))
